@@ -12,7 +12,8 @@ All randomness is controlled by --seed (or the config's seed). Commands that
 write files also write a manifest with a config hash and per-output checksums;
 rerunning with the same inputs reproduces byte-identical CSV bodies. Worker
 count for trial fan-out comes from the GRAPHONLAB_WORKERS environment
-variable. Exit codes: 0 success, 2 config error, 3 runtime model error.
+variable, capped at the available CPUs and the trial count. Exit codes: 0
+success, 2 config error, 3 runtime model error.
 """
 
 from __future__ import annotations
@@ -300,12 +301,17 @@ def _validate_experiment_config(doc):
     if not (isinstance(models, list) and len(models) == 2):
         raise ConfigError("models must be a list of exactly two specs")
     n_list = doc["n_list"]
-    if not n_list or any(not isinstance(n, int) or n < 2 for n in n_list):
+    if not n_list or any(not _is_int(n) or n < 2 for n in n_list):
         raise ConfigError("n_list must be nonempty integers >= 2")
-    if not isinstance(doc["trials"], int) or doc["trials"] < 1:
+    if not _is_int(doc["trials"]) or doc["trials"] < 1:
         raise ConfigError("trials must be an integer >= 1")
-    if not isinstance(doc["seed"], int):
+    if not _is_int(doc["seed"]):
         raise ConfigError("seed must be an integer")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def cmd_experiment(args) -> int:

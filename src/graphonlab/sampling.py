@@ -4,6 +4,13 @@ Sampling is dense and exact: one uniform draw per unordered vertex pair
 (desk scale, n up to a few thousand). Everything is deterministic given the
 64-bit seed; per-stage streams are derived with ``seeding.derive_seed`` so
 trials parallelize without sharing state.
+
+All edges come from one filler, ``_fill_edges``: it walks the upper triangle
+row by row, draws each row's uniforms once, and thresholds them against the
+densities of every requested graph. A plain sample is one graph on its own
+stream; a coupled pair is two graphs on two streams, or, with shared edge
+randomness, two graphs on one stream. Either way each graph consumes its
+stream in the same order, so a given seed always yields the same adjacency.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class SampledGraph:
             raise InvalidModel("adjacency must be square")
         if a.dtype != np.uint8:
             a = a.astype(np.uint8)
-        if ((a != 0) & (a != 1)).any():
+        if a.size and a.max() > 1:
             raise InvalidModel("adjacency entries must be 0/1")
         if (a != a.T).any():
             raise InvalidModel("adjacency must be symmetric")
@@ -131,13 +138,24 @@ def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
     return x, block_index(w.block_weights, x)
 
 
-def _fill_edges(adj, blocks, densities, rng):
-    n = adj.shape[0]
+def _fill_edges(n, targets, rng):
+    """One symmetric 0/1 adjacency per ``(blocks, densities)`` target.
+
+    ``densities[:, blocks]`` holds each block's density toward every vertex,
+    so a row's probabilities are a slice instead of a gather.
+    """
+    rows = [densities[:, blocks] for blocks, densities in targets]
+    adjs = [np.zeros((n, n), dtype=np.uint8) for _ in targets]
+    # bool views of the same bytes, so np.less stores 0/1 without a cast
+    flags = [adj.view(bool) for adj in adjs]
+    buf = np.empty(n - 1)
     for i in range(n - 1):
-        u = rng.random(n - 1 - i)
-        p = densities[blocks[i], blocks[i + 1 :]]
-        adj[i, i + 1 :] = u < p
-    adj |= adj.T
+        u = rng.random(n - 1 - i, out=buf[: n - 1 - i])
+        for (blocks, _), row, flag in zip(targets, rows, flags):
+            np.less(u, row[blocks[i], i + 1 :], out=flag[i, i + 1 :])
+    for adj in adjs:
+        adj |= adj.T
+    return adjs
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
@@ -150,9 +168,8 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks = _positions_and_blocks(w, n, seed)
-    adj = np.zeros((n, n), dtype=np.uint8)
     rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
-    _fill_edges(adj, blocks, w.densities, rng)
+    (adj,) = _fill_edges(n, [(blocks, w.densities)], rng)
     return SampledGraph(adj, latent_positions=x, seed=seed)
 
 
@@ -174,20 +191,15 @@ def sample_coupled(
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks0 = _positions_and_blocks(w0, n, seed)
     blocks1 = block_index(w1.block_weights, x)  # partitions may differ
-    a0 = np.zeros((n, n), dtype=np.uint8)
-    a1 = np.zeros((n, n), dtype=np.uint8)
+    t0 = (blocks0, w0.densities)
+    t1 = (blocks1, w1.densities)
     rng0 = make_rng(derive_seed(seed, _STREAM_EDGES_0))
     if share_edge_randomness:
-        for i in range(n - 1):
-            u = rng0.random(n - 1 - i)
-            a0[i, i + 1 :] = u < w0.densities[blocks0[i], blocks0[i + 1 :]]
-            a1[i, i + 1 :] = u < w1.densities[blocks1[i], blocks1[i + 1 :]]
-        a0 |= a0.T
-        a1 |= a1.T
+        a0, a1 = _fill_edges(n, [t0, t1], rng0)
     else:
-        _fill_edges(a0, blocks0, w0.densities, rng0)
+        (a0,) = _fill_edges(n, [t0], rng0)
         rng1 = make_rng(derive_seed(seed, _STREAM_EDGES_1))
-        _fill_edges(a1, blocks1, w1.densities, rng1)
+        (a1,) = _fill_edges(n, [t1], rng1)
     g0 = SampledGraph(a0, latent_positions=x, seed=seed)
     g1 = SampledGraph(a1, latent_positions=x, seed=seed)
     return CoupledPair(g0, g1, shared_edge_randomness=share_edge_randomness)

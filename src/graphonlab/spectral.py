@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     Disconnected,
@@ -37,7 +36,9 @@ def rw_transition_matrix(g: SampledGraph) -> np.ndarray:
     zero = np.flatnonzero(deg == 0)
     if zero.size:
         raise IsolatedVertex(int(zero[0]))
-    return g.adjacency.astype(float) / deg[:, None].astype(float)
+    # a * fl(1/d) equals a / d exactly for a in {0, 1}, and reads the uint8
+    # adjacency directly instead of through a float copy
+    return np.multiply(g.adjacency, 1.0 / deg[:, None])
 
 
 def is_connected(g: SampledGraph) -> bool:
@@ -228,6 +229,8 @@ def spectral_gap(chain: RWChain) -> float:
     if np.abs(S - S.T).max() > 1e-8:
         raise InvalidModel("chain is not reversible; symmetric conjugate failed")
     S = (S + S.T) / 2.0
+    from scipy.linalg import eigh  # deferred: importing scipy costs about 1 s
+
     vals = eigh(S, eigvals_only=True)  # ascending; top (=1) is the pi direction
     if vals.size < 2:
         return 1.0

@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta, binom
 
 from .errors import HypothesisViolated, InvalidModel, ShapeMismatch
 from .gcn import GCNConfig, classify_activation, graph_embedding, perturb
@@ -249,6 +248,8 @@ def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval."""
     if not 0 <= k <= n or n < 1:
         raise InvalidModel("need 0 <= k <= n, n >= 1")
+    from scipy.stats import beta  # deferred: importing scipy costs about 1 s
+
     lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
     hi = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     return lo, hi
@@ -265,17 +266,26 @@ def error_not_below_floor(
     floor = min(max(floor, 0.0), 1.0)
     if floor == 0.0:
         return True
+    from scipy.stats import binom  # deferred: importing scipy costs about 1 s
+
     return float(binom.cdf(errors, trials, floor)) >= alpha
 
 
-def _resolve_workers(n_workers):
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resolve_workers(n_workers, trials: int) -> int:
+    """Pool size: the request (argument, else GRAPHONLAB_WORKERS, else 1),
+    capped at the CPUs this process may run on and at the number of trials."""
+    if n_workers is None:
+        try:
+            n_workers = int(os.environ.get(WORKERS_ENV_VAR, ""))
+        except ValueError:
+            n_workers = 1
+    return max(1, min(int(n_workers), _available_cpus(), trials))
 
 
 def _mc_trial(args):
@@ -330,7 +340,7 @@ def monte_carlo_error(
     payloads = [
         (w0, w1, n, cfg, eps_res, derive_seed(seed, i)) for i in range(trials)
     ]
-    results = _map_trials(_mc_trial, payloads, _resolve_workers(n_workers))
+    results = _map_trials(_mc_trial, payloads, _resolve_workers(n_workers, trials))
     outcomes = tuple(r[0] for r in results)
     tvs = np.array([r[1] for r in results])
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
@@ -449,7 +459,9 @@ def embedding_distance_experiment(
         (w0, w1, n, cfg, share_edge_randomness, coord_tol_const, derive_seed(seed, i))
         for i in range(trials)
     ]
-    results = _map_trials(_distance_trial, payloads, _resolve_workers(n_workers))
+    results = _map_trials(
+        _distance_trial, payloads, _resolve_workers(n_workers, trials)
+    )
     dists = np.array([r[0] for r in results])
     fracs = np.array([r[1] for r in results])
     delta = delta_distance(w0, w1)

@@ -1,13 +1,18 @@
 import csv
 import json
 import os
+import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import graphonlab
 from graphonlab import sample_graph, save_edge_list
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
-from graphonlab.cli import ConfigError
+from graphonlab.cli import ConfigError, _validate_experiment_config
 
 from helpers import SBM_BASE, SBM_SEPARATED
 
@@ -87,6 +92,48 @@ class TestDeltaCommand:
     def test_missing_file_exit_code(self, capsys):
         code = main(["delta", "no_such_file.json", BASE_JSON])
         assert code == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(graphonlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    code = (
+        "import sys, graphonlab, graphonlab.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def read_readme():
+    with open(README) as fh:
+        return fh.read()
+
+
+class TestReadmeExamples:
+    def test_delta_and_family_commands_run(self, capsys):
+        text = read_readme()
+        lines = [
+            line for line in text.splitlines()
+            if line.startswith(("graphonlab delta ", "graphonlab family "))
+        ]
+        assert len(lines) == 2
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+
+    def test_experiment_config_block_validates(self):
+        text = read_readme()
+        blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+        assert len(blocks) == 1
+        _validate_experiment_config(json.loads(blocks[0]))
 
 
 class TestFamilyCommand:
@@ -235,6 +282,14 @@ class TestExperimentCommand:
     def test_trials_zero_is_config_error(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, trials=0)
         assert main(["experiment", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", ["trials", "seed"])
+    def test_boolean_count_is_config_error(self, tmp_path, capsys, key):
+        path, doc = write_experiment_config(tmp_path, **{key: True})
+        with pytest.raises(ConfigError, match=key):
+            _validate_experiment_config(doc)
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
     def test_bad_schema_version(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, schema_version=99)

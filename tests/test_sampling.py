@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -7,8 +8,10 @@ from graphonlab import (
     DimensionMismatch,
     EmptyGraph,
     EmptyInput,
+    InvalidModel,
     ParseError,
     SampledGraph,
+    StepGraphon,
     constant_graphon,
     empirical_degree_profile,
     load_edge_list,
@@ -17,9 +20,59 @@ from graphonlab import (
     sample_graph,
     save_edge_list,
 )
-from graphonlab.seeding import derive_seed, splitmix64
+from graphonlab.graphon import block_index
+from graphonlab.sampling import (
+    _STREAM_EDGES_0,
+    _STREAM_EDGES_1,
+    _positions_and_blocks,
+)
+from graphonlab.seeding import derive_seed, make_rng, splitmix64
 
-from helpers import SBM_BASE, complete_graph, path_graph, star_graph
+from helpers import SBM_BASE, SBM_SEPARATED, complete_graph, path_graph, star_graph
+
+THREE_BLOCK = StepGraphon(
+    [0.15, 0.6, 0.25],
+    [[0.9, 0.1, 0.45], [0.1, 0.3, 0.7], [0.45, 0.7, 0.05]],
+)
+
+
+# Reference oracle: the original per-row edge loops, kept verbatim. The
+# sampler's single shared-stream filler must reproduce them bit for bit.
+def _reference_fill_edges(adj, blocks, densities, rng):
+    n = adj.shape[0]
+    for i in range(n - 1):
+        u = rng.random(n - 1 - i)
+        p = densities[blocks[i], blocks[i + 1 :]]
+        adj[i, i + 1 :] = u < p
+    adj |= adj.T
+
+
+def reference_sample_graph(w, n, seed):
+    x, blocks = _positions_and_blocks(w, n, seed)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
+    _reference_fill_edges(adj, blocks, w.densities, rng)
+    return adj
+
+
+def reference_sample_coupled(w0, w1, n, seed, share_edge_randomness):
+    x, blocks0 = _positions_and_blocks(w0, n, seed)
+    blocks1 = block_index(w1.block_weights, x)
+    a0 = np.zeros((n, n), dtype=np.uint8)
+    a1 = np.zeros((n, n), dtype=np.uint8)
+    rng0 = make_rng(derive_seed(seed, _STREAM_EDGES_0))
+    if share_edge_randomness:
+        for i in range(n - 1):
+            u = rng0.random(n - 1 - i)
+            a0[i, i + 1 :] = u < w0.densities[blocks0[i], blocks0[i + 1 :]]
+            a1[i, i + 1 :] = u < w1.densities[blocks1[i], blocks1[i + 1 :]]
+        a0 |= a0.T
+        a1 |= a1.T
+    else:
+        _reference_fill_edges(a0, blocks0, w0.densities, rng0)
+        rng1 = make_rng(derive_seed(seed, _STREAM_EDGES_1))
+        _reference_fill_edges(a1, blocks1, w1.densities, rng1)
+    return a0, a1
 
 
 class TestSampleGraph:
@@ -145,6 +198,54 @@ class TestSampleCoupled:
             gaps.append(np.abs(p0 - p1).max())
         # sorted normalized profiles agree to O(n^{-3/2}) up to logs
         assert np.median(gaps) <= 10.0 / n**1.5
+
+
+PAIRS = {
+    "readme": (SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()),
+    "three_block": (SBM_BASE.to_step_graphon(), THREE_BLOCK),
+}
+
+
+class TestSamplerMatchesReference:
+    @pytest.mark.parametrize("n", [2, 3, 57, 300])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_bit_identical_to_reference_loops(self, pair, n):
+        w0, w1 = PAIRS[pair]
+        for seed in (0, 1, 17, 2**40 + 5):
+            for w in (w0, w1):
+                expected = reference_sample_graph(w, n, seed)
+                assert np.array_equal(sample_graph(w, n, seed).adjacency, expected)
+            for share in (False, True):
+                e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
+                got = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
+                assert np.array_equal(got.g0.adjacency, e0)
+                assert np.array_equal(got.g1.adjacency, e1)
+
+    @pytest.mark.parametrize(
+        "model, n, seed, digest",
+        [
+            ("readme", 300, 7,
+             "d9925a8d8380a08d8313edc9857431a650b8d110ab20c68b963ca0e67511f838"),
+            ("three_block", 257, 2024,
+             "061a3bf397a15a554bd1d16643858ba010b534003b514dcefd3715fa71b72f0e"),
+        ],
+    )
+    def test_golden_adjacency_sha256(self, model, n, seed, digest):
+        # Philox draws and float comparisons only, no BLAS: portable bytes
+        w = SBM_BASE.to_step_graphon() if model == "readme" else THREE_BLOCK
+        g = sample_graph(w, n, seed)
+        assert hashlib.sha256(g.adjacency.tobytes()).hexdigest() == digest
+
+
+class TestSampledGraphValidation:
+    @pytest.mark.parametrize("bad", [2, -1])  # -1 casts to uint8 255
+    def test_rejects_entries_above_one(self, bad):
+        adj = np.array([[0, bad], [bad, 0]])
+        with pytest.raises(InvalidModel, match="0/1"):
+            SampledGraph(adj)
+
+    def test_accepts_empty_graph(self):
+        assert SampledGraph(np.zeros((0, 0), dtype=np.uint8)).n == 0
 
 
 class TestRepairCoupling:

@@ -99,6 +99,14 @@ class TestRWMatrix:
         P = rw_transition_matrix(g)
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [10, 60, 301])
+    def test_bit_identical_to_float_division(self, n):
+        g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=n)
+        for graph in (g, star_graph(5), path_graph(4)):
+            deg = graph.degrees()
+            expected = graph.adjacency.astype(float) / deg[:, None]
+            assert np.array_equal(rw_transition_matrix(graph), expected)
+
 
 class TestStationary:
     def test_complete_uniform(self):

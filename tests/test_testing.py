@@ -20,6 +20,7 @@ from graphonlab import (
     nearest_profile_test,
     tv_perturbed,
 )
+from graphonlab import testing
 from graphonlab.seeding import derive_seed
 
 from helpers import SBM_BASE, SBM_SEPARATED
@@ -227,6 +228,16 @@ class TestMonteCarlo:
         serial = monte_carlo_error(w0, w1, 25, cfg, 0.01, trials=12, seed=3, n_workers=1)
         parallel = monte_carlo_error(w0, w1, 25, cfg, 0.01, trials=12, seed=3, n_workers=2)
         assert serial == parallel
+
+    def test_worker_count_capped_by_cpus_and_trials(self, monkeypatch):
+        monkeypatch.setattr(testing, "_available_cpus", lambda: 3)
+        monkeypatch.setenv(testing.WORKERS_ENV_VAR, "100000")
+        assert testing._resolve_workers(None, 12) == 3
+        assert testing._resolve_workers(None, 2) == 2
+        assert testing._resolve_workers(100000, 12) == 3
+        for env in ("0", "-4", "many"):
+            monkeypatch.setenv(testing.WORKERS_ENV_VAR, env)
+            assert testing._resolve_workers(None, 12) == 1
 
     def test_trial_rows_schema(self):
         w = SBM_BASE.to_step_graphon()
