@@ -245,28 +245,17 @@ def cmd_mixing(args) -> int:
                         "ok",
                     ]
                 )
-                traces.append(
-                    {
-                        "n": n,
-                        "seed": run_seed,
-                        "eps": eps,
-                        "trace": [list(p) for p in report.worst_row_tv_trace],
-                    }
-                )
+                trace = report.worst_row_tv_trace
             except NotMixed as exc:
                 rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
-                traces.append(
-                    {
-                        "n": n,
-                        "seed": run_seed,
-                        "eps": eps,
-                        "trace": [list(p) for p in exc.trace],
-                    }
-                )
+                trace = exc.trace
                 print(
                     f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
                     file=sys.stderr,
                 )
+            traces.append(
+                {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
+            )
 
     runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
     _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)

@@ -28,6 +28,7 @@ from .sampling import SampledGraph
 _ROW_SUM_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-10
 _DEFAULT_EXHAUSTIVE_LIMIT = 20
+_TV_BLOCK = 1 << 16  # entries per worst_row_tv block: 512 KB, cache-sized
 
 
 def rw_transition_matrix(g: SampledGraph) -> np.ndarray:
@@ -101,6 +102,10 @@ class RWChain:
         n = P.shape[0]
         if P.shape != (n, n) or pi.shape != (n,):
             raise InvalidModel("P must be square and pi its length")
+        # the comparisons below are all False on NaN; mixing_time's step-1
+        # copy (P in place of I @ P) also relies on P being finite
+        if not (np.isfinite(P).all() and np.isfinite(pi).all()):
+            raise InvalidModel("P and pi must be finite")
         if np.abs(P.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
             raise InvalidModel("P rows must sum to 1")
         if (pi <= 0).any() or abs(pi.sum() - 1.0) > _ROW_SUM_TOL:
@@ -163,8 +168,24 @@ class MixingReport:
 
 
 def worst_row_tv(Pt: np.ndarray, pi: np.ndarray) -> float:
-    """max over start vertices of TV(row of P^t, pi)."""
-    return float(0.5 * np.abs(Pt - pi).sum(axis=1).max())
+    """max over start vertices of TV(row of P^t, pi).
+
+    Rows are taken in blocks of about _TV_BLOCK entries through one scratch
+    buffer, so |P^t - pi| is never materialized whole. Each row's sum is the
+    same pairwise sum as over the full matrix, and max is exact, so the
+    result equals ``0.5 * np.abs(Pt - pi).sum(axis=1).max()`` bit for bit.
+    """
+    n_rows, n_cols = Pt.shape
+    rows = max(1, _TV_BLOCK // max(1, n_cols))
+    starts = range(0, n_rows, rows)
+    scratch = np.empty((min(rows, n_rows), n_cols))
+    block_max = np.empty(len(starts))
+    for i, start in enumerate(starts):
+        block = scratch[: min(rows, n_rows - start)]
+        np.subtract(Pt[start : start + block.shape[0]], pi, out=block)
+        np.abs(block, out=block)
+        block_max[i] = block.sum(axis=1).max()
+    return float(0.5 * block_max.max())
 
 
 def matrix_power(P: np.ndarray, t: int) -> np.ndarray:
@@ -180,12 +201,19 @@ def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
     Accumulates P^t with one dense multiplication per step and evaluates all
     start rows exactly. Raises NotMixed (carrying the partial trace) if the
     horizon is exhausted, e.g. for periodic or disconnected chains.
+
+    Working set: the chain's P plus two n x n buffers that hold P^t and
+    P^(t+1) in turn; TV is evaluated in row blocks (see ``worst_row_tv``).
+    Step 1 copies P rather than computing I @ P, which is the same matrix bit
+    for bit because RWChain guarantees P is finite. Both buffers are freed
+    before ``spectral_gap`` allocates its own.
     """
     if not 0.0 < eps or t_max < 1:
         raise InvalidModel("need eps > 0 and t_max >= 1")
     P = chain.P
     pi = chain.pi
     Pt = np.eye(chain.n)
+    nxt = np.empty_like(Pt)
     trace = []
     t_hit = None
     for t in range(t_max + 1):
@@ -195,7 +223,12 @@ def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
             t_hit = t
             break
         if t < t_max:
-            Pt = Pt @ P
+            if t == 0:
+                np.copyto(nxt, P)
+            else:
+                np.matmul(Pt, P, out=nxt)
+            Pt, nxt = nxt, Pt
+    del Pt, nxt
     if t_hit is None:
         raise NotMixed(t_max, trace)
     gap = spectral_gap(chain)
@@ -223,15 +256,26 @@ def spectral_gap(chain: RWChain) -> float:
     Computed on the symmetric conjugate D_pi^{1/2} P D_pi^{-1/2}, which for
     reversible chains has a real spectrum and is solved through LAPACK's
     symmetric (tridiagonalization) path.
+
+    Working set: two n x n buffers. S is built in the first; the second holds
+    |S - S^T| for the reversibility check and then (S + S^T)/2, in Fortran
+    order so that ``eigh`` overwrites it without a copy. S is freed first.
     """
     s = np.sqrt(chain.pi)
-    S = (s[:, None] * chain.P) / s[None, :]
-    if np.abs(S - S.T).max() > 1e-8:
+    S = np.multiply(s[:, None], chain.P)
+    np.divide(S, s[None, :], out=S)
+    sym = np.empty_like(S, order="F")
+    np.subtract(S, S.T, out=sym)
+    np.abs(sym, out=sym)
+    if sym.max() > 1e-8:
         raise InvalidModel("chain is not reversible; symmetric conjugate failed")
-    S = (S + S.T) / 2.0
+    np.add(S, S.T, out=sym)
+    np.divide(sym, 2.0, out=sym)
+    del S
     from scipy.linalg import eigh  # deferred: importing scipy costs about 1 s
 
-    vals = eigh(S, eigvals_only=True)  # ascending; top (=1) is the pi direction
+    # ascending; top (=1) is the pi direction
+    vals = eigh(sym, eigvals_only=True, overwrite_a=True)
     if vals.size < 2:
         return 1.0
     return float(max(0.0, 1.0 - np.abs(vals[:-1]).max()))

@@ -94,20 +94,35 @@ class TestDeltaCommand:
         assert code == 2
 
 
-def test_import_leaves_scipy_unloaded():
+def src_env():
     src = os.path.dirname(os.path.dirname(graphonlab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
+
+
+def test_import_leaves_scipy_unloaded():
     code = (
         "import sys, graphonlab, graphonlab.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.linalg') if m in sys.modules))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=60,
+        [sys.executable, "-c", code], env=src_env(), capture_output=True,
+        text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_mixing_demo_runs():
+    demo = os.path.join(
+        os.path.dirname(__file__), os.pardir, "demos", "demo_walks_and_mixing.py"
+    )
+    proc = subprocess.run(
+        [sys.executable, demo], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")

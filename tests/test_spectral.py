@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from graphonlab import (
     stationary,
 )
 from graphonlab.seeding import derive_seed
+from graphonlab.spectral import _TV_BLOCK, worst_row_tv
 
 from helpers import (
     SBM_BASE,
@@ -373,6 +376,19 @@ class TestCheeger:
 
 
 class TestRWChainValidation:
+    @pytest.mark.parametrize(
+        "P, pi",
+        [
+            (np.full((2, 2), np.nan), [0.5, 0.5]),
+            ([[0.5, 0.5], [0.5, 0.5]], [np.nan, 0.5]),
+            ([[np.inf, 0.5], [0.5, 0.5]], [0.5, 0.5]),
+        ],
+        ids=["nan_in_P", "nan_in_pi", "inf_in_P"],
+    )
+    def test_rejects_non_finite(self, P, pi):
+        with pytest.raises(InvalidModel, match="finite"):
+            RWChain(np.array(P), np.array(pi))
+
     def test_rejects_bad_rows(self):
         with pytest.raises(InvalidModel):
             RWChain(np.array([[0.5, 0.4], [0.5, 0.5]]), np.array([0.5, 0.5]))
@@ -387,3 +403,125 @@ class TestRWChainValidation:
         lim = chain.limit_matrix()
         for row in lim:
             np.testing.assert_allclose(row, chain.pi)
+
+
+# The walk kernels before they moved to a fixed working set, kept verbatim as
+# the oracle: the buffered versions must reproduce them bit for bit.
+def reference_worst_row_tv(Pt, pi):
+    return float(0.5 * np.abs(Pt - pi).sum(axis=1).max())
+
+
+def reference_mixing_trace(chain, eps, t_max):
+    """(t_hit or None, trace) from the fresh-array P^t loop, I @ P included."""
+    P = chain.P
+    pi = chain.pi
+    Pt = np.eye(chain.n)
+    trace = []
+    t_hit = None
+    for t in range(t_max + 1):
+        tv = reference_worst_row_tv(Pt, pi)
+        trace.append((t, tv))
+        if tv <= eps:
+            t_hit = t
+            break
+        if t < t_max:
+            Pt = Pt @ P
+    return t_hit, trace
+
+
+def reference_spectral_gap(chain):
+    from scipy.linalg import eigh
+
+    s = np.sqrt(chain.pi)
+    S = (s[:, None] * chain.P) / s[None, :]
+    if np.abs(S - S.T).max() > 1e-8:
+        raise InvalidModel("chain is not reversible; symmetric conjugate failed")
+    S = (S + S.T) / 2.0
+    vals = eigh(S, eigvals_only=True)
+    if vals.size < 2:
+        return 1.0
+    return float(max(0.0, 1.0 - np.abs(vals[:-1]).max()))
+
+
+def sbm_chain(n, seed):
+    return RWChain.from_graph(sample_graph(SBM_BASE.to_step_graphon(), n, seed=seed))
+
+
+class TestWalkKernelsMatchReference:
+    def assert_mixing_matches(self, chain, eps, t_max):
+        t_hit, trace = reference_mixing_trace(chain, eps, t_max)
+        report = mixing_time(chain, eps, t_max)
+        assert report.t_mix == t_hit
+        assert report.worst_row_tv_trace == tuple(trace)
+        assert report.gap == reference_spectral_gap(chain)
+
+    @pytest.mark.parametrize("n", [30, 57, 300])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sbm_mixing_bit_identical(self, n, seed):
+        self.assert_mixing_matches(sbm_chain(n, seed), 1.0 / n**2, 300)
+
+    def test_lazy_mixing_bit_identical(self):
+        self.assert_mixing_matches(sbm_chain(60, 33).lazy(), 1e-6, 300)
+
+    def test_complete_graph_mixing_bit_identical(self):
+        self.assert_mixing_matches(RWChain.from_graph(complete_graph(6)), 0.01, 50)
+
+    def test_not_mixed_trace_bit_identical(self):
+        chain = RWChain.from_graph(path_graph(2))
+        t_hit, trace = reference_mixing_trace(chain, 0.1, 30)
+        assert t_hit is None
+        with pytest.raises(NotMixed) as err:
+            mixing_time(chain, 0.1, 30)
+        assert err.value.trace == trace
+
+    def test_spectral_gap_keeps_reversibility_check(self):
+        # directed 3-cycle: uniform pi is a fixed point, but not reversible
+        P = np.roll(np.eye(3), 1, axis=1)
+        chain = RWChain(P, np.full(3, 1 / 3))
+        with pytest.raises(InvalidModel, match="reversible"):
+            spectral_gap(chain)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (1, 1),
+            (5, 7),
+            (_TV_BLOCK // 300, 300),
+            (_TV_BLOCK // 300 + 1, 300),
+            (3, 70_000),
+        ],
+        ids=["1x1", "5x7", "one-block", "block-plus-row", "wider-than-block"],
+    )
+    def test_worst_row_tv_bit_identical(self, shape):
+        rng = np.random.default_rng(shape[0] * 100_003 + shape[1])
+        Pt = rng.random(shape)
+        Pt[-1] += 1.0  # the worst row sits in the last, possibly partial, block
+        pi = rng.random(shape[1])
+        assert worst_row_tv(Pt, pi) == reference_worst_row_tv(Pt, pi)
+
+
+class TestWalkKernelMemory:
+    """Peak traced allocation stays within the documented working sets."""
+
+    n = 300
+
+    def peak_over_n2(self, fn):
+        import scipy.linalg  # noqa: F401  (the deferred import would count)
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - base) / (self.n * self.n * 8)
+
+    def test_mixing_time_peak(self):
+        chain = sbm_chain(self.n, 3)
+        eps = 1.0 / self.n**2
+        assert self.peak_over_n2(lambda: mixing_time(chain, eps, 300)) <= 3.0
+
+    def test_spectral_gap_peak(self):
+        chain = sbm_chain(self.n, 3)
+        assert self.peak_over_n2(lambda: spectral_gap(chain)) <= 2.25
