@@ -31,11 +31,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GraphonLabError, InvalidModel, NotMixed, OutOfRange, ParseError
+from .errors import GraphonLabError, InvalidModel, NotMixed, ParseError
 from .gcn import Activation, GCNConfig
 from .graphon import (
     SBMParams,
-    StepGraphon,
     delta_distance,
     family_binding_constraints,
     family_generate,
@@ -60,32 +59,34 @@ class ConfigError(Exception):
     """Bad command-line or config-file input (exit code 2)."""
 
 
-def _load_spec(text_or_path: str) -> StepGraphon:
-    """Model spec from inline JSON or a file path."""
-    candidate = text_or_path.strip()
-    if candidate.startswith("{"):
-        doc = json.loads(candidate)
-    else:
-        if not os.path.exists(candidate):
-            raise ConfigError(f"model spec file not found: {candidate}")
-        with open(candidate) as fh:
-            doc = json.load(fh)
-    return parse_model_spec(doc)
+def _load_model(entry, sbm: bool = False):
+    """Model spec from a parsed dict, inline JSON or a file path.
 
-
-def _load_sbm(text_or_path: str) -> SBMParams:
-    candidate = text_or_path.strip()
-    if candidate.startswith("{"):
-        doc = json.loads(candidate)
-    else:
-        if not os.path.exists(candidate):
-            raise ConfigError(f"SBM spec file not found: {candidate}")
-        with open(candidate) as fh:
-            doc = json.load(fh)
-    missing = {"k1", "p1", "p2", "q"} - set(doc)
-    if missing:
-        raise ConfigError(f"SBM spec missing fields: {sorted(missing)}")
-    return SBMParams(doc["k1"], doc["p1"], doc["p2"], doc["q"])
+    Returns a StepGraphon, or with ``sbm`` the SBMParams of a two-block
+    {"k1","p1","p2","q"} spec. A spec whose fields have the wrong type or are
+    missing is a ConfigError.
+    """
+    kind = "SBM" if sbm else "model"
+    if isinstance(entry, str):
+        candidate = entry.strip()
+        if candidate.startswith("{"):
+            entry = json.loads(candidate)
+        else:
+            if not os.path.exists(candidate):
+                raise ConfigError(f"{kind} spec file not found: {candidate}")
+            with open(candidate) as fh:
+                entry = json.load(fh)
+    try:
+        if not sbm:
+            return parse_model_spec(entry)
+        missing = {"k1", "p1", "p2", "q"} - set(entry)
+        if missing:
+            raise ConfigError(f"SBM spec missing fields: {sorted(missing)}")
+        return SBMParams(entry["k1"], entry["p1"], entry["p2"], entry["q"])
+    except GraphonLabError:  # InvalidModel is also a ValueError; keep its message
+        raise
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"malformed {kind} spec: {exc!r}") from None
 
 
 _K_RULE_RE = re.compile(r"^ceil\(\s*([0-9.eE+-]+)\s*\*\s*ln\(n\)\s*\)$")
@@ -161,8 +162,8 @@ def _write_csv(path, header, rows):
 
 
 def cmd_delta(args) -> int:
-    w0 = _load_spec(args.model0)
-    w1 = _load_spec(args.model1)
+    w0 = _load_model(args.model0)
+    w1 = _load_model(args.model1)
     d = delta_distance(w0, w1)
     print(f"delta = {d:.12g}")
     for tag, w in (("model0", w0), ("model1", w1)):
@@ -177,7 +178,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_family(args) -> int:
-    base = _load_sbm(args.base)
+    base = _load_model(args.base, sbm=True)
     lo, hi = family_validity_range(base)
     binding = family_binding_constraints(base)
     point = family_generate(FamilySpec(base=base, tau=args.tau))
@@ -214,7 +215,7 @@ def _parse_eps_arg(text):
 
 
 def cmd_mixing(args) -> int:
-    w = _load_spec(args.model)
+    w = _load_model(args.model)
     n_list = [int(x) for x in args.n_list.split(",") if x]
     if not n_list or any(n < 2 for n in n_list):
         raise ConfigError("n-list must contain integers >= 2")
@@ -290,17 +291,40 @@ def _validate_experiment_config(doc):
     if not (isinstance(models, list) and len(models) == 2):
         raise ConfigError("models must be a list of exactly two specs")
     n_list = doc["n_list"]
-    if not n_list or any(not _is_int(n) or n < 2 for n in n_list):
-        raise ConfigError("n_list must be nonempty integers >= 2")
+    if (
+        not isinstance(n_list, list)
+        or not n_list
+        or any(not _is_int(n) or n < 2 for n in n_list)
+    ):
+        raise ConfigError("n_list must be a nonempty list of integers >= 2")
     if not _is_int(doc["trials"]) or doc["trials"] < 1:
         raise ConfigError("trials must be an integer >= 1")
     if not _is_int(doc["seed"]):
         raise ConfigError("seed must be an integer")
+    if not isinstance(doc.get("share_edge_randomness", False), bool):
+        raise ConfigError("share_edge_randomness must be true or false")
+    if _finite_number(doc, "const_c") <= 0:
+        raise ConfigError("const_c must be > 0")
+    if _finite_number(doc, "envelope_const") < 0:
+        raise ConfigError("envelope_const must be >= 0")
 
 
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which is an int subclass
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_number(doc, key) -> float:
+    """Optional numeric key (default 1.0); bools, NaN, inf, ints beyond the
+    float range and non-numbers are a ConfigError."""
+    value = doc.get(key, 1.0)
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number")
+    return float(value)
 
 
 def cmd_experiment(args) -> int:
@@ -313,21 +337,16 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"config is not valid JSON: {exc}")
     _validate_experiment_config(doc)
 
-    def load_model(entry):
-        if isinstance(entry, str):
-            return _load_spec(entry)
-        return parse_model_spec(entry)
-
-    w0 = load_model(doc["models"][0])
-    w1 = load_model(doc["models"][1])
+    w0 = _load_model(doc["models"][0])
+    w1 = _load_model(doc["models"][1])
     k_rule = parse_k_rule(doc["k_rule"])
     eps_rule = parse_eps_rule(doc["eps_rule"])
     activation = Activation(doc.get("activation", "identity"))
     trials = doc["trials"]
     seed = doc["seed"]
-    share = bool(doc.get("share_edge_randomness", False))
-    const_c = float(doc.get("const_c", 1.0))
-    envelope_const = float(doc.get("envelope_const", 1.0))
+    share = doc.get("share_edge_randomness", False)
+    const_c = _finite_number(doc, "const_c")
+    envelope_const = _finite_number(doc, "envelope_const")
     out_dir = doc["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     partial_marker = os.path.join(out_dir, "PARTIAL")
@@ -635,15 +654,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    except (ConfigError, json.JSONDecodeError, InvalidModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except InvalidModel as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OutOfRange as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 3
     except GraphonLabError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3

@@ -232,33 +232,25 @@ def _check_finite(m):
         raise NonFinite("non-finite value produced in forward pass")
 
 
+def _layer(ahat, m, w, act):
+    """One layer sigma(A_hat M W); None stands for an identity M or W."""
+    with np.errstate(over="ignore"):  # overflow surfaces as NonFinite below
+        x = ahat if m is None else ahat @ m
+        if w is not None:
+            x = x @ w
+        _check_finite(x)
+        m = act(x)
+        _check_finite(m)
+    return m
+
+
 def forward(g: SampledGraph, cfg: GCNConfig) -> EmbeddingState:
     """Run the K-layer recurrence M <- sigma(A_hat M W) on the sample graph."""
     ahat = rw_transition_matrix(g)
-    n = g.n
-    weights = cfg.weight_list(n)
-    act = cfg.activation
-    m = cfg.initial_matrix(n)
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFinite below
-        for w in weights:
-            x = ahat if m is None else ahat @ m
-            if w is not None:
-                x = x @ w
-            _check_finite(x)
-            m = act(x)
-            _check_finite(m)
+    m = cfg.initial_matrix(g.n)
+    for w in cfg.weight_list(g.n):
+        m = _layer(ahat, m, w, cfg.activation)
     return EmbeddingState(matrix=m, layer=cfg.depth)
-
-
-def forward_linear(g: SampledGraph, cfg: GCNConfig) -> EmbeddingState:
-    """Same pipeline with the activation replaced by the identity."""
-    linear_cfg = GCNConfig(
-        depth=cfg.depth,
-        weights=cfg.weights,
-        initial_embedding=cfg.initial_embedding,
-        activation=Activation("identity"),
-    )
-    return forward(g, linear_cfg)
 
 
 def embedding_vector(state: EmbeddingState) -> np.ndarray:
@@ -383,26 +375,15 @@ def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
 
     ahat = rw_transition_matrix(g)
     n = g.n
-    weights = cfg.weight_list(n)
-    act = cfg.activation
-
-    m_nl = cfg.initial_matrix(n)
-    m_lin = m_nl
+    linear = Activation("identity")
+    m_nl = m_lin = cfg.initial_matrix(n)
     a_norms = []
     b_norms = []
-    for w in weights:
-        a_norms.append(
-            1.0 if m_nl is None else inf_operator_norm(np.asarray(m_nl).T)
-        )
+    for w in cfg.weight_list(n):
+        a_norms.append(1.0 if m_nl is None else inf_operator_norm(m_nl.T))
         b_norms.append(1.0 if w is None else inf_operator_norm(w.T))
-        x_nl = ahat if m_nl is None else ahat @ m_nl
-        x_lin = ahat if m_lin is None else ahat @ m_lin
-        if w is not None:
-            x_nl = x_nl @ w
-            x_lin = x_lin @ w
-        _check_finite(x_nl)
-        m_nl = act(x_nl)
-        m_lin = x_lin
+        m_nl = _layer(ahat, m_nl, w, cfg.activation)
+        m_lin = _layer(ahat, m_lin, w, linear)
     gap = float(np.abs(m_nl - m_lin).max())
 
     c = NONLINEARITY_ENVELOPE_CONSTANT

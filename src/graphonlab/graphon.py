@@ -30,6 +30,7 @@ from .errors import (
 DEFAULT_MIN_DENSITY = 1e-6
 _WEIGHT_TOL = 1e-12
 _CUT_BLOCK_LIMIT = 16
+_CUT_PERMUTATION_LIMIT = 40320  # 8!: every order of 8 equal-weight blocks
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,6 @@ class StepGraphon:
     @property
     def n_blocks(self) -> int:
         return self.block_weights.size
-
-    def value_at(self, x, y):
-        """Kernel value at latent coordinates (vectorized)."""
-        bx = block_index(self.block_weights, x)
-        by = block_index(self.block_weights, y)
-        return self.densities[bx, by]
 
     def relabeled(self, perm) -> "StepGraphon":
         """Same graphon with blocks listed in permuted order."""
@@ -403,7 +398,8 @@ def cut_distance_blocks(w0: StepGraphon, w1: StepGraphon) -> float:
     UnmatchableWeights otherwise); graphons on different partitions should be
     passed through ``common_refinement`` first. Minimizes the exact cut norm
     of w0 - w1 over permutations of w1's blocks that map equal weights to
-    equal weights.
+    equal weights. Raises TooManyBlocks when there are more than
+    _CUT_PERMUTATION_LIMIT such permutations.
     """
     if w0.n_blocks != w1.n_blocks or not np.allclose(
         np.sort(w0.block_weights), np.sort(w1.block_weights), atol=1e-9, rtol=0.0
@@ -419,6 +415,15 @@ def cut_distance_blocks(w0: StepGraphon, w1: StepGraphon) -> float:
         raise UnmatchableWeights("block weight multisets differ")
 
     keys = sorted(g0)
+    count = 1  # product of the group-size factorials
+    for key in keys:
+        for size in range(2, len(g0[key]) + 1):
+            count *= size
+    if count > _CUT_PERMUTATION_LIMIT:
+        raise TooManyBlocks(
+            f"{count} weight-preserving permutations exceed the limit of "
+            f"{_CUT_PERMUTATION_LIMIT}"
+        )
     group_perms = [
         [list(p) for p in itertools.permutations(g1[k])] for k in keys
     ]

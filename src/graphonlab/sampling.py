@@ -1,4 +1,4 @@
-"""Graph sampling from step graphons, couplings, degree repair, and ingestion.
+"""Graph sampling from step graphons, coupled pairs, and edge-list I/O.
 
 Sampling is dense and exact: one uniform draw per unordered vertex pair
 (desk scale, n up to a few thousand). Everything is deterministic given the
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyGraph,
     EmptyInput,
     InvalidModel,
@@ -82,14 +81,6 @@ class SampledGraph:
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
 
-    def with_adjacency(self, adjacency, source=None) -> "SampledGraph":
-        return SampledGraph(
-            adjacency,
-            latent_positions=self.latent_positions,
-            seed=self.seed,
-            source=source if source is not None else self.source,
-        )
-
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -109,27 +100,6 @@ class CoupledPair:
             raise InvalidModel("coupled graphs must carry latent positions")
         if not np.array_equal(self.g0.latent_positions, self.g1.latent_positions):
             raise InvalidModel("coupled graphs must share latent positions")
-
-
-@dataclass(frozen=True)
-class RepairReport:
-    """Bookkeeping for the degree-repair pass."""
-
-    C: float
-    n_small: int
-    n_large: int
-    n_just_right: int
-    edges_added: int
-    edges_removed: int
-    max_per_vertex_modification: int
-
-    def __post_init__(self):
-        if self.n_small < 0 or self.n_large < 0 or self.n_just_right < 0:
-            raise InvalidModel("vertex class counts must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.n_small + self.n_large + self.n_just_right
 
 
 def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
@@ -203,91 +173,6 @@ def sample_coupled(
     g0 = SampledGraph(a0, latent_positions=x, seed=seed)
     g1 = SampledGraph(a1, latent_positions=x, seed=seed)
     return CoupledPair(g0, g1, shared_edge_randomness=share_edge_randomness)
-
-
-def repair_coupling(
-    g0_raw: SampledGraph, g1: SampledGraph, C: float | None = None
-) -> tuple[SampledGraph, RepairReport]:
-    """Nudge g0's degrees toward g1's by adding/removing edges.
-
-    A vertex is C-small when its current degree is below deg_g1(v) - C and
-    C-large when above deg_g1(v) + C. First pass: add every missing edge
-    whose two endpoints are both currently C-small. Second pass: remove every
-    existing edge whose endpoints are both currently C-large. Both passes
-    sweep vertex pairs in increasing lexicographic index order; since degrees
-    only move toward their targets, each set shrinks monotonically and one
-    sweep leaves the C-small survivors a clique and the C-large survivors
-    mutually non-adjacent.
-
-    C defaults to 2*sqrt(n), the scale of typical degree fluctuations.
-    """
-    if g0_raw.n != g1.n:
-        raise DimensionMismatch(
-            f"graphs must have equal order, got {g0_raw.n} and {g1.n}"
-        )
-    n = g0_raw.n
-    if C is None:
-        C = 2.0 * np.sqrt(n)
-    if C < 0:
-        raise InvalidModel("C must be nonnegative")
-
-    adj = np.array(g0_raw.adjacency, dtype=np.uint8)
-    deg = adj.sum(axis=1).astype(np.int64)
-    target = g1.degrees()
-    added = np.zeros(n, dtype=np.int64)
-    removed = np.zeros(n, dtype=np.int64)
-
-    def small(v):
-        return deg[v] < target[v] - C
-
-    def large(v):
-        return deg[v] > target[v] + C
-
-    edges_added = 0
-    for v in range(n - 1):
-        if not small(v):
-            continue
-        for u in range(v + 1, n):
-            if adj[v, u] or not small(u):
-                continue
-            adj[v, u] = adj[u, v] = 1
-            deg[v] += 1
-            deg[u] += 1
-            added[v] += 1
-            added[u] += 1
-            edges_added += 1
-            if not small(v):
-                break
-
-    edges_removed = 0
-    for v in range(n - 1):
-        if not large(v):
-            continue
-        for u in range(v + 1, n):
-            if not adj[v, u] or not large(u):
-                continue
-            adj[v, u] = adj[u, v] = 0
-            deg[v] -= 1
-            deg[u] -= 1
-            removed[v] += 1
-            removed[u] += 1
-            edges_removed += 1
-            if not large(v):
-                break
-
-    n_small = int(sum(small(v) for v in range(n)))
-    n_large = int(sum(large(v) for v in range(n)))
-    report = RepairReport(
-        C=float(C),
-        n_small=n_small,
-        n_large=n_large,
-        n_just_right=n - n_small - n_large,
-        edges_added=edges_added,
-        edges_removed=edges_removed,
-        max_per_vertex_modification=int((added + removed).max()) if n else 0,
-    )
-    repaired = g0_raw.with_adjacency(adj, source="repaired")
-    return repaired, report
 
 
 def empirical_degree_profile(g: SampledGraph) -> np.ndarray:

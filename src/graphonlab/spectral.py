@@ -2,16 +2,15 @@
 
 The walk on a graph has transition matrix P = D^{-1} A and stationary law
 pi(v) = deg(v) / sum(deg). Mixing is measured in worst-start total variation.
-The bottleneck ratio is exact (exhaustive over vertex subsets) up to a size
-limit; the conductance/spectral-gap sandwich is checked with the exact value
-only. Bipartite toys never mix; the lazy transform (P+I)/2 is offered as an
-explicit escape hatch rather than applied silently.
+The bottleneck ratio is exact (exhaustive over vertex subsets) and refused
+beyond 20 vertices, so the conductance/spectral-gap sandwich is always checked
+against the exact value. Bipartite toys never mix; the lazy transform (P+I)/2
+is offered as an explicit escape hatch rather than applied silently.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .sampling import SampledGraph
 
 _ROW_SUM_TOL = 1e-12
 _FIXED_POINT_TOL = 1e-10
-_DEFAULT_EXHAUSTIVE_LIMIT = 20
+_EXHAUSTIVE_LIMIT = 20  # vertices; bottleneck_ratio enumerates 2^n subsets
 _TV_BLOCK = 1 << 16  # entries per worst_row_tv block: 512 KB, cache-sized
 
 
@@ -106,6 +105,8 @@ class RWChain:
         # copy (P in place of I @ P) also relies on P being finite
         if not (np.isfinite(P).all() and np.isfinite(pi).all()):
             raise InvalidModel("P and pi must be finite")
+        if (P < 0).any():
+            raise InvalidModel("P must be nonnegative")
         if np.abs(P.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
             raise InvalidModel("P rows must sum to 1")
         if (pi <= 0).any() or abs(pi.sum() - 1.0) > _ROW_SUM_TOL:
@@ -309,52 +310,20 @@ def _subset_cut_and_volume(adjacency, degrees, limit_mass):
     return float(best)
 
 
-def bottleneck_ratio(
-    g: SampledGraph, exhaustive_limit: int = _DEFAULT_EXHAUSTIVE_LIMIT
-) -> float:
+def bottleneck_ratio(g: SampledGraph) -> float:
     """min over S with pi(S) <= 1/2 of |boundary(S)| / volume(S).
 
-    Exact (exhaustive over all subsets) for n <= exhaustive_limit. Beyond the
-    limit a sampled upper bound over random subsets and degree-sorted sweep
-    cuts is returned and flagged with a UserWarning; the heuristic value is
-    only an upper bound on the true ratio.
+    Exact: exhaustive over all 2^n vertex subsets, so graphs with more than
+    _EXHAUSTIVE_LIMIT vertices raise GraphTooLarge.
     """
+    if g.n > _EXHAUSTIVE_LIMIT:
+        raise GraphTooLarge(
+            f"exact bottleneck ratio needs n <= {_EXHAUSTIVE_LIMIT}, got {g.n}"
+        )
     if not is_connected(g):
         raise Disconnected("bottleneck ratio needs a connected graph")
     deg = g.degrees()
-    total = float(deg.sum())
-    limit_mass = total / 2.0
-    if g.n <= exhaustive_limit:
-        return _subset_cut_and_volume(g.adjacency, deg, limit_mass)
-
-    warnings.warn(
-        "graph exceeds the exhaustive limit; returning a heuristic "
-        "upper bound on the bottleneck ratio",
-        stacklevel=2,
-    )
-    A = g.adjacency.astype(np.float64)
-    degf = deg.astype(np.float64)
-
-    def ratio_of(mask):
-        vol = float(degf[mask].sum())
-        if vol == 0 or vol > limit_mass:
-            return np.inf
-        inside = float(A[np.ix_(mask, mask)].sum())
-        return (vol - inside) / vol
-
-    best = np.inf
-    order = np.argsort(-degf, kind="stable")
-    for cut_len in range(1, g.n):
-        mask = np.zeros(g.n, dtype=bool)
-        mask[order[:cut_len]] = True
-        best = min(best, ratio_of(mask))
-    rng = np.random.default_rng(0xB0771E)
-    for _ in range(512):
-        size = int(rng.integers(1, g.n))
-        mask = np.zeros(g.n, dtype=bool)
-        mask[rng.choice(g.n, size=size, replace=False)] = True
-        best = min(best, ratio_of(mask))
-    return float(best)
+    return _subset_cut_and_volume(g.adjacency, deg, float(deg.sum()) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -369,22 +338,15 @@ class CheegerReport:
     lazy: bool
 
 
-def cheeger_check(
-    g: SampledGraph,
-    lazy: bool = False,
-    exhaustive_limit: int = _DEFAULT_EXHAUSTIVE_LIMIT,
-) -> CheegerReport:
-    """Assert phi^2/2 <= gap <= 2*phi with the exhaustive bottleneck ratio.
+def cheeger_check(g: SampledGraph, lazy: bool = False) -> CheegerReport:
+    """Assert phi^2/2 <= gap <= 2*phi with the exact bottleneck ratio.
 
-    Heuristic bottleneck values are never used here: an upper bound on phi
-    would make the left inequality vacuous. With ``lazy`` both sides refer to
-    the lazy chain: its conductance is exactly half the graph's.
+    Only the exact phi is meaningful here (an upper bound on phi would make
+    the left inequality vacuous), so graphs beyond the exhaustive limit raise
+    GraphTooLarge. With ``lazy`` both sides refer to the lazy chain: its
+    conductance is exactly half the graph's.
     """
-    if g.n > exhaustive_limit:
-        raise GraphTooLarge(
-            f"cheeger_check requires exhaustive phi (n <= {exhaustive_limit})"
-        )
-    phi = bottleneck_ratio(g, exhaustive_limit=exhaustive_limit)
+    phi = bottleneck_ratio(g)
     chain = RWChain.from_graph(g)
     if lazy:
         chain = chain.lazy()

@@ -210,18 +210,6 @@ class ExperimentReport:
                 "distance": t.embedding_distance,
             }
 
-    def to_csv(self, path) -> None:
-        """Flat per-trial CSV: trial, seed, label, decision, distance."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["trial", "seed", "label", "decision", "distance"]
-            )
-            writer.writeheader()
-            for row in self.trial_rows():
-                writer.writerow(row)
-
     def to_json(self) -> str:
         return json.dumps(
             {

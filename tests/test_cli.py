@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -149,6 +150,21 @@ class TestReadmeExamples:
         blocks = re.findall(r"```json\n(.*?)```", text, re.S)
         assert len(blocks) == 1
         _validate_experiment_config(json.loads(blocks[0]))
+
+    @pytest.mark.parametrize(
+        "module", ["graphon", "sampling", "gcn", "spectral", "testing"]
+    )
+    def test_library_tour_names_exist(self, module):
+        rows = [
+            line for line in read_readme().splitlines()
+            if line.startswith(f"| `graphonlab.{module}`")
+        ]
+        assert len(rows) == 1
+        contents = rows[0].split("|")[2]
+        names = re.findall(r"`([A-Za-z_]\w*)`", contents)
+        assert names
+        mod = importlib.import_module(f"graphonlab.{module}")
+        assert [n for n in names if not hasattr(mod, n)] == []
 
 
 class TestFamilyCommand:
@@ -306,6 +322,34 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path)]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("share_edge_randomness", "false"),
+            ("share_edge_randomness", 0),
+            ("const_c", "x"),
+            ("const_c", True),
+            ("const_c", 0.0),
+            ("const_c", float("inf")),
+            ("const_c", 10**400),
+            ("envelope_const", None),
+            ("envelope_const", -1.0),
+            ("envelope_const", float("nan")),
+            ("n_list", 5),
+        ],
+        ids=[
+            "share-string", "share-int", "const_c-string", "const_c-bool",
+            "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
+            "envelope-negative", "envelope-nan", "n_list-int",
+        ],
+    )
+    def test_optional_key_type_is_config_error(self, tmp_path, capsys, key, value):
+        path, doc = write_experiment_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            _validate_experiment_config(doc)
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_bad_schema_version(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, schema_version=99)
         assert main(["experiment", "--config", str(path)]) == 2
@@ -337,6 +381,38 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(path)])
         assert code == 3
         assert os.path.exists(os.path.join(doc["output_dir"], "PARTIAL"))
+
+
+MALFORMED_SPECS = {
+    "string_k1": '{"k1": "a", "p1": 0.6, "p2": 0.4, "q": 0.2}',
+    "string_densities": '{"weights": [1.0], "densities": "x"}',
+    "missing_densities": '{"weights": [1.0]}',
+}
+
+
+class TestMalformedSpecs:
+    def run_command(self, tmp_path, command, spec):
+        if command == "delta":
+            return main(["delta", spec, BASE_JSON])
+        if command == "family":
+            return main(["family", "--base", spec, "--tau", "0"])
+        if command == "mixing":
+            return main(
+                ["mixing", "--model", spec, "--n-list", "10", "--seeds", "1",
+                 "--out-dir", str(tmp_path / "mix")]
+            )
+        path, _ = write_experiment_config(
+            tmp_path, models=[json.loads(spec), json.loads(BASE_JSON)]
+        )
+        return main(["experiment", "--config", str(path)])
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS.values(), ids=MALFORMED_SPECS)
+    @pytest.mark.parametrize("command", ["delta", "family", "mixing", "experiment"])
+    def test_config_error_without_traceback(self, tmp_path, capsys, command, spec):
+        assert self.run_command(tmp_path, command, spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
 
 class TestDatasetProfileCommand:

@@ -14,7 +14,6 @@ from graphonlab import (
     embedding_vector,
     fast_linear_embedding,
     forward,
-    forward_linear,
     graph_embedding,
     inf_operator_norm,
     linearization_gap,
@@ -26,7 +25,7 @@ from graphonlab import (
 from graphonlab.gcn import EmbeddingState, supports_fast_linear_path
 from graphonlab.seeding import derive_seed
 
-from helpers import SBM_BASE, complete_graph, path_graph
+from helpers import SBM_BASE, path_graph
 
 
 class TestActivation:
@@ -290,11 +289,3 @@ class TestLinearizationGap:
         g = path_graph(3)
         with pytest.raises(InvalidModel):
             linearization_gap(g, GCNConfig(depth=1, activation=Activation("swish")))
-
-    def test_forward_linear_helper(self):
-        g = complete_graph(5)
-        cfg = GCNConfig(depth=3, activation=Activation("tanh"))
-        lin = forward_linear(g, cfg)
-        np.testing.assert_allclose(
-            lin.matrix, matrix_power(rw_transition_matrix(g), 3), atol=1e-14
-        )

@@ -301,6 +301,12 @@ class TestCutDistance:
         # every permutation leaves a constant-0.5 difference kernel
         assert cut_distance_blocks(w0, w1) == pytest.approx(0.5)
 
+    def test_permutation_limit(self):
+        # 9 equal blocks: 9! = 362880 permutations, above the 8! limit
+        w = StepGraphon(np.full(9, 1.0 / 9), np.full((9, 9), 0.5))
+        with pytest.raises(TooManyBlocks, match="permutations"):
+            cut_distance_blocks(w, w)
+
     def test_unmatchable_weights(self):
         w0 = StepGraphon([0.3, 0.7], np.full((2, 2), 0.5))
         w1 = StepGraphon([0.4, 0.6], np.full((2, 2), 0.5))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from graphonlab import (
-    DimensionMismatch,
     EmptyGraph,
     EmptyInput,
     InvalidModel,
@@ -15,7 +14,6 @@ from graphonlab import (
     constant_graphon,
     empirical_degree_profile,
     load_edge_list,
-    repair_coupling,
     sample_coupled,
     sample_graph,
     save_edge_list,
@@ -246,83 +244,6 @@ class TestSampledGraphValidation:
 
     def test_accepts_empty_graph(self):
         assert SampledGraph(np.zeros((0, 0), dtype=np.uint8)).n == 0
-
-
-class TestRepairCoupling:
-    def test_identical_graphs_untouched(self):
-        g = sample_graph(SBM_BASE.to_step_graphon(), 40, seed=4)
-        repaired, report = repair_coupling(g, g, C=0.0)
-        assert np.array_equal(repaired.adjacency, g.adjacency)
-        assert report.n_just_right == 40
-        assert report.edges_added == 0 and report.edges_removed == 0
-
-    def test_empty_to_complete_hand_trace(self):
-        empty = SampledGraph(np.zeros((5, 5), dtype=np.uint8))
-        k5 = complete_graph(5)
-        repaired, report = repair_coupling(empty, k5, C=0.0)
-        assert np.array_equal(repaired.adjacency, k5.adjacency)
-        assert report.edges_added == 10
-        assert report.n_just_right == 5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            repair_coupling(complete_graph(4), complete_graph(5), C=1.0)
-
-    def test_default_c_and_discrepancy_scale(self):
-        from graphonlab import FamilySpec, family_generate
-
-        w0 = SBM_BASE.to_step_graphon()
-        w1 = family_generate(FamilySpec(SBM_BASE, 0.05)).to_step_graphon()
-        n = 400
-        counts = []
-        for i in range(10):
-            pair = sample_coupled(w0, w1, n, seed=derive_seed(7, i))
-            _, report = repair_coupling(pair.g0, pair.g1)  # C = 2 sqrt(n)
-            assert report.C == pytest.approx(2.0 * np.sqrt(n))
-            counts.append(report.n_small + report.n_large)
-        # leftover small/large counts stay far below n^(1/2 + 0.1)
-        assert np.percentile(counts, 90) <= 3.0 * n ** 0.6
-
-    def test_post_state_clique_and_independence(self):
-        rng = np.random.default_rng(12)
-        for trial in range(6):
-            n = 30
-            a = (rng.random((n, n)) < 0.25).astype(np.uint8)
-            a = np.triu(a, 1)
-            a = a + a.T
-            b = (rng.random((n, n)) < 0.55).astype(np.uint8)
-            b = np.triu(b, 1)
-            b = b + b.T
-            g0 = SampledGraph(a)
-            g1 = SampledGraph(b)
-            C = 2.0
-            repaired, report = repair_coupling(g0, g1, C=C)
-            deg = repaired.degrees()
-            tgt = g1.degrees()
-            small = np.flatnonzero(deg < tgt - C)
-            large = np.flatnonzero(deg > tgt + C)
-            assert len(small) == report.n_small
-            assert len(large) == report.n_large
-            for i, u in enumerate(small):
-                for v in small[i + 1 :]:
-                    assert repaired.adjacency[u, v] == 1
-            for i, u in enumerate(large):
-                for v in large[i + 1 :]:
-                    assert repaired.adjacency[u, v] == 0
-
-    def test_max_per_vertex_modification_bounded(self):
-        rng = np.random.default_rng(3)
-        n = 40
-        a = (rng.random((n, n)) < 0.3).astype(np.uint8)
-        a = np.triu(a, 1)
-        a = a + a.T
-        b = (rng.random((n, n)) < 0.6).astype(np.uint8)
-        b = np.triu(b, 1)
-        b = b + b.T
-        g0, g1 = SampledGraph(a), SampledGraph(b)
-        initial_gap = int(np.abs(g0.degrees() - g1.degrees()).max())
-        _, report = repair_coupling(g0, g1, C=1.0)
-        assert report.max_per_vertex_modification <= initial_gap
 
 
 class TestDegreeProfile:

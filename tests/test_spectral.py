@@ -271,12 +271,9 @@ class TestBottleneck:
         with pytest.raises(Disconnected):
             bottleneck_ratio(SampledGraph(adj))
 
-    def test_heuristic_mode_warns_and_upper_bounds(self):
-        g = sample_graph(SBM_BASE.to_step_graphon(), 16, seed=5)
-        with pytest.warns(UserWarning, match="heuristic"):
-            heuristic = bottleneck_ratio(g, exhaustive_limit=10)
-        exact = bottleneck_ratio(g, exhaustive_limit=16)
-        assert heuristic >= exact - 1e-12
+    def test_too_large(self):
+        with pytest.raises(GraphTooLarge, match="n <= 20"):
+            bottleneck_ratio(complete_graph(21))
 
     def test_exhaustive_matches_slow_reference(self):
         import itertools
@@ -388,6 +385,11 @@ class TestRWChainValidation:
     def test_rejects_non_finite(self, P, pi):
         with pytest.raises(InvalidModel, match="finite"):
             RWChain(np.array(P), np.array(pi))
+
+    def test_rejects_negative_entries(self):
+        # rows sum to 1 and pi is a fixed point, but P is not stochastic
+        with pytest.raises(InvalidModel, match="nonnegative"):
+            RWChain(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([0.5, 0.5]))
 
     def test_rejects_bad_rows(self):
         with pytest.raises(InvalidModel):
