@@ -216,9 +216,12 @@ def _parse_eps_arg(text):
 
 def cmd_mixing(args) -> int:
     w = _load_model(args.model)
-    n_list = [int(x) for x in args.n_list.split(",") if x]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",") if x]
+    except ValueError:
+        n_list = []
     if not n_list or any(n < 2 for n in n_list):
-        raise ConfigError("n-list must contain integers >= 2")
+        raise ConfigError(f"--n-list must be integers >= 2, got {args.n_list!r}")
     if args.seeds < 1:
         raise ConfigError("seeds must be >= 1")
     eps_rule = _parse_eps_arg(args.eps)
@@ -301,6 +304,8 @@ def _validate_experiment_config(doc):
         raise ConfigError("trials must be an integer >= 1")
     if not _is_int(doc["seed"]):
         raise ConfigError("seed must be an integer")
+    if not isinstance(doc["output_dir"], str) or not doc["output_dir"]:
+        raise ConfigError("output_dir must be a nonempty string")
     if not isinstance(doc.get("share_edge_randomness", False), bool):
         raise ConfigError("share_edge_randomness must be true or false")
     if _finite_number(doc, "const_c") <= 0:
@@ -354,7 +359,7 @@ def cmd_experiment(args) -> int:
         os.remove(partial_marker)
 
     distance_rows = []
-    trial_rows = []
+    outcome_rows = []
     summary_rows = []
     reports = {"distance": [], "error": []}
     try:
@@ -383,21 +388,57 @@ def cmd_experiment(args) -> int:
                 const_c=const_c,
             )
             dist_stats_all.append(dist)
-            reports["distance"].append(json.loads(dist.to_json()))
-            reports["error"].append(json.loads(mc.to_json()))
+            detail = [
+                {
+                    "trial": i,
+                    "seed": t.seed,
+                    "label": t.true_label,
+                    "decision": t.decision,
+                    "distance": t.embedding_distance,
+                }
+                for i, t in enumerate(mc.outcomes)
+            ]
+            reports["distance"].append(
+                {
+                    "n": dist.n,
+                    "K": dist.depth,
+                    "trials": dist.trials,
+                    "seed": dist.seed,
+                    "median": dist.median,
+                    "p95": dist.p95,
+                    "envelope": dist.envelope,
+                    "regime": dist.regime,
+                    "delta": dist.delta,
+                    "frac_small_coords": dist.frac_small_coords,
+                    "coord_tol_const": dist.coord_tol_const,
+                    "shared_edge_randomness": dist.shared_edge_randomness,
+                    "distances": list(dist.distances),
+                }
+            )
+            reports["error"].append(
+                {
+                    "n": mc.n,
+                    "K": mc.depth,
+                    "eps_res": mc.eps_res,
+                    "trials": mc.trials,
+                    "seed": mc.seed,
+                    "error_rate": mc.error_rate,
+                    "ci_low": mc.ci_low,
+                    "ci_high": mc.ci_high,
+                    "mean_conditional_tv": mc.mean_conditional_tv,
+                    "lecam_floor": mc.bounds.lecam_lower,
+                    "formula_floor": mc.bounds.formula_floor,
+                    "formula_raw": mc.bounds.formula_raw,
+                    "regime": mc.bounds.regime,
+                    "delta": mc.delta,
+                    "trials_detail": detail,
+                }
+            )
             for t_i, d in enumerate(dist.distances):
                 distance_rows.append([n, t_i, dist.seed, f"{d:.17g}"])
-            for row in mc.trial_rows():
-                trial_rows.append(
-                    [
-                        n,
-                        row["trial"],
-                        row["seed"],
-                        row["label"],
-                        row["decision"],
-                        f"{row['distance']:.17g}",
-                    ]
-                )
+            for row in detail:
+                *fields, d = row.values()
+                outcome_rows.append([n, *fields, f"{d:.17g}"])
             summary_rows.append(
                 {
                     "n": n,
@@ -432,7 +473,9 @@ def cmd_experiment(args) -> int:
     _write_csv(distances_csv, ["n", "trial", "seed", "distance"], distance_rows)
     trials_csv = os.path.join(out_dir, "trials.csv")
     _write_csv(
-        trials_csv, ["n", "trial", "seed", "label", "decision", "distance"], trial_rows
+        trials_csv,
+        ["n", "trial", "seed", "label", "decision", "distance"],
+        outcome_rows,
     )
     summary_csv = os.path.join(out_dir, "summary.csv")
     header = list(summary_rows[0].keys()) + ["fitted_exponent"]
@@ -472,6 +515,8 @@ def _profile_on_grid(profile, grid_length):
 
 
 def cmd_dataset_profile(args) -> int:
+    if args.grid_length < 1:
+        raise ConfigError(f"--grid-length must be >= 1, got {args.grid_length}")
     if not os.path.isdir(args.dir):
         raise ConfigError(f"dataset directory not found: {args.dir}")
     if not os.path.exists(args.labels):

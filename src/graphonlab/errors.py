@@ -84,4 +84,4 @@ class HypothesisViolated(GraphonLabError, ValueError):
 
 
 class GraphTooLarge(GraphonLabError):
-    """Exact (exhaustive) computation requested beyond its size limit."""
+    """Computation or dense allocation requested beyond its size limit."""

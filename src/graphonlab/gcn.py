@@ -3,11 +3,11 @@
 One layer maps the embedding matrix M to sigma(A_hat @ M @ W): a random-walk
 diffusion, a feature mix by the layer's weight matrix, and an elementwise
 activation. The graph-level embedding vector is the row average of the final
-matrix. Identity tokens for the initial embedding and the weight stack skip
-the O(n^3) right-multiplications that dominate at n in the thousands; when
-the activation is the identity (or ReLU, which agrees with it on the
-nonnegative matrices produced here) the embedding vector is computed by a
-vector-matrix iteration instead of matrix powers.
+matrix. An initial embedding or weight stack left as None stands for the
+identity and skips the O(n^3) right-multiplications that dominate at n in
+the thousands; when the activation is the identity (or ReLU, which agrees
+with it on the nonnegative matrices produced here) the embedding vector is
+computed by a vector-matrix iteration instead of matrix powers.
 
 The embedding dimension always equals the number of vertices; rectangular
 embeddings are unsupported.
@@ -15,7 +15,6 @@ embeddings are unsupported.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,8 +24,6 @@ from .errors import DimensionMismatch, InvalidModel, NonFinite
 from .sampling import SampledGraph
 from .seeding import make_rng
 from .spectral import rw_transition_matrix
-
-IDENTITY = "identity"
 
 ACTIVATION_KINDS = ("identity", "relu", "sigmoid", "tanh", "swish", "selu")
 
@@ -120,11 +117,11 @@ def classify_activation(act: Activation) -> ActivationClass:
 
 @dataclass(frozen=True)
 class GCNConfig:
-    """Depth, weight stack (or identity token), initial embedding, activation."""
+    """Depth, weight stack, initial embedding, activation; None is the identity."""
 
     depth: int
-    weights: object = IDENTITY  # "identity" or sequence of K (d x d) arrays
-    initial_embedding: object = IDENTITY  # "identity" or (n x d) array
+    weights: object = None  # None or sequence of K (d x d) arrays
+    initial_embedding: object = None  # None or (n x d) array
     activation: Activation = Activation("identity")
 
     def __post_init__(self):
@@ -132,7 +129,7 @@ class GCNConfig:
             raise InvalidModel("depth must be a positive integer")
         if isinstance(self.activation, str):
             object.__setattr__(self, "activation", Activation(self.activation))
-        if not self._weights_identity():
+        if self.weights is not None:
             ws = [np.asarray(w, dtype=float) for w in self.weights]
             if len(ws) != self.depth:
                 raise InvalidModel(
@@ -143,7 +140,7 @@ class GCNConfig:
                 if w.shape != (d, d):
                     raise DimensionMismatch("weight matrices must share a square shape")
             object.__setattr__(self, "weights", tuple(ws))
-        if not self._init_identity():
+        if self.initial_embedding is not None:
             m0 = np.asarray(self.initial_embedding, dtype=float)
             if m0.ndim != 2 or m0.shape[0] != m0.shape[1]:
                 raise DimensionMismatch(
@@ -151,26 +148,9 @@ class GCNConfig:
                 )
             object.__setattr__(self, "initial_embedding", m0)
 
-    def _weights_identity(self) -> bool:
-        return isinstance(self.weights, str) and self.weights == IDENTITY
-
-    def _init_identity(self) -> bool:
-        return (
-            isinstance(self.initial_embedding, str)
-            and self.initial_embedding == IDENTITY
-        )
-
-    @property
-    def uses_identity_weights(self) -> bool:
-        return self._weights_identity()
-
-    @property
-    def uses_identity_init(self) -> bool:
-        return self._init_identity()
-
     def weight_list(self, n: int):
         """Materialized weight matrices (None entries mean skip-multiply)."""
-        if self.uses_identity_weights:
+        if self.weights is None:
             return [None] * self.depth
         for w in self.weights:
             if w.shape != (n, n):
@@ -180,51 +160,12 @@ class GCNConfig:
         return list(self.weights)
 
     def initial_matrix(self, n: int):
-        if self.uses_identity_init:
-            return None
         m0 = self.initial_embedding
-        if m0.shape != (n, n):
+        if m0 is not None and m0.shape != (n, n):
             raise DimensionMismatch(
                 f"initial embedding shape {m0.shape} incompatible with n={n}"
             )
         return m0
-
-    def to_json(self) -> str:
-        doc = {
-            "K": self.depth,
-            "activation": self.activation.kind,
-            "weights": IDENTITY
-            if self.uses_identity_weights
-            else [w.tolist() for w in self.weights],
-            "init": IDENTITY
-            if self.uses_identity_init
-            else self.initial_embedding.tolist(),
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GCNConfig":
-        doc = json.loads(text)
-        return cls(
-            depth=doc["K"],
-            weights=doc.get("weights", IDENTITY),
-            initial_embedding=doc.get("init", IDENTITY),
-            activation=Activation(doc.get("activation", "identity")),
-        )
-
-
-@dataclass(frozen=True)
-class EmbeddingState:
-    """Embedding matrix after ``layer`` diffusion/transform/activation steps."""
-
-    matrix: np.ndarray
-    layer: int
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if not np.isfinite(m).all():
-            raise NonFinite("embedding matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", m)
 
 
 def _check_finite(m):
@@ -244,18 +185,20 @@ def _layer(ahat, m, w, act):
     return m
 
 
-def forward(g: SampledGraph, cfg: GCNConfig) -> EmbeddingState:
-    """Run the K-layer recurrence M <- sigma(A_hat M W) on the sample graph."""
+def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
+    """Run the K-layer recurrence M <- sigma(A_hat M W) on the sample graph.
+
+    Returns the final n x n embedding matrix, checked finite at every layer.
+    """
     ahat = rw_transition_matrix(g)
     m = cfg.initial_matrix(g.n)
     for w in cfg.weight_list(g.n):
         m = _layer(ahat, m, w, cfg.activation)
-    return EmbeddingState(matrix=m, layer=cfg.depth)
+    return m
 
 
-def embedding_vector(state: EmbeddingState) -> np.ndarray:
+def embedding_vector(m: np.ndarray) -> np.ndarray:
     """Row average of the embedding matrix: the graph-level representation."""
-    m = state.matrix
     return m.mean(axis=0)
 
 
@@ -275,8 +218,8 @@ def fast_linear_embedding(g: SampledGraph, depth: int) -> np.ndarray:
 
 def supports_fast_linear_path(cfg: GCNConfig) -> bool:
     return (
-        cfg.uses_identity_weights
-        and cfg.uses_identity_init
+        cfg.weights is None
+        and cfg.initial_embedding is None
         and cfg.activation.is_linear_on_nonnegative
     )
 
@@ -319,20 +262,16 @@ class NormConstraintReport:
         return self.product_ok and self.total_ok
 
 
-def check_norm_constraints(
-    cfg: GCNConfig, C: float, E: float, n: int | None = None
-) -> NormConstraintReport:
+def check_norm_constraints(cfg: GCNConfig, C: float, E: float) -> NormConstraintReport:
     """Check ||M0^T|| * prod ||Wj^T|| <= C and sum ||Wj^T|| <= E.
 
-    Identity tokens contribute norm 1 per factor. ``n`` is only needed to
-    materialize identity tokens consistently; the norms themselves do not
-    depend on it.
+    An identity (None) factor contributes norm 1.
     """
-    if cfg.uses_identity_init:
+    if cfg.initial_embedding is None:
         init_norm = 1.0
     else:
         init_norm = inf_operator_norm(cfg.initial_embedding.T)
-    if cfg.uses_identity_weights:
+    if cfg.weights is None:
         w_norms = [1.0] * cfg.depth
     else:
         w_norms = [inf_operator_norm(w.T) for w in cfg.weights]

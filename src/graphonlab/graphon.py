@@ -93,19 +93,6 @@ class StepGraphon:
             min_density=self.min_density,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "weights": self.block_weights.tolist(),
-                "densities": self.densities.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StepGraphon":
-        doc = json.loads(text)
-        return cls(doc["weights"], doc["densities"])
-
 
 @dataclass(frozen=True)
 class SBMParams:
@@ -134,16 +121,6 @@ class SBMParams:
             [[self.p1, self.q], [self.q, self.p2]],
             min_density=min_density,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"k1": self.k1, "p1": self.p1, "p2": self.p2, "q": self.q}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SBMParams":
-        doc = json.loads(text)
-        return cls(doc["k1"], doc["p1"], doc["p2"], doc["q"])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyGraph,
     EmptyInput,
+    GraphTooLarge,
     InvalidModel,
     ParseError,
 )
@@ -34,6 +35,10 @@ from .seeding import derive_seed, make_rng
 _STREAM_POSITIONS = 1
 _STREAM_EDGES_0 = 2
 _STREAM_EDGES_1 = 3
+
+# load_edge_list refuses larger graphs: the uint8 adjacency alone is then
+# 256 MiB, and a SampledGraph holds about three n x n arrays at peak
+MAX_EDGE_LIST_VERTICES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,8 @@ def load_edge_list(stream) -> SampledGraph:
     Accepts a file-like object or an iterable of lines. '#' starts a comment.
     Vertex ids may be 0- or 1-based; 1-based input (no zero id present) is
     shifted down. Duplicate edges collapse; self-loops are dropped with a
-    warning carrying their count.
+    warning carrying their count. Raises GraphTooLarge, before allocating,
+    when the ids imply more than MAX_EDGE_LIST_VERTICES vertices.
     """
     if hasattr(stream, "read"):
         lines = stream.read().splitlines()
@@ -224,10 +230,14 @@ def load_edge_list(stream) -> SampledGraph:
     if self_loops:
         warnings.warn(f"dropped {self_loops} self-loop(s)", stacklevel=2)
 
-    ids = np.array(edges, dtype=np.int64)
-    offset = 1 if ids.min() >= 1 else 0
-    ids -= offset
-    n = int(ids.max()) + 1
+    offset = 1 if min(map(min, edges)) >= 1 else 0
+    n = max(map(max, edges)) + 1 - offset
+    if n > MAX_EDGE_LIST_VERTICES:
+        raise GraphTooLarge(
+            f"largest vertex id implies {n} vertices; the dense adjacency "
+            f"is capped at {MAX_EDGE_LIST_VERTICES}"
+        )
+    ids = np.array(edges, dtype=np.int64) - offset
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[ids[:, 0], ids[:, 1]] = 1
     adj[ids[:, 1], ids[:, 0]] = 1

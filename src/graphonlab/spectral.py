@@ -10,7 +10,6 @@ is offered as an explicit escape hatch rather than applied silently.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,29 +142,14 @@ class MixingReport:
 
     ``worst_row_tv_trace`` holds (t, worst-start TV) pairs for every step
     visited; ``fitted_slope`` is t_mix / log(n/eps), the empirical constant in
-    the log-mixing law. ``bottleneck`` stays None unless filled by the caller.
+    the log-mixing law.
     """
 
     eps: float
     t_mix: int
     worst_row_tv_trace: tuple
     gap: float
-    relaxation_time: float
-    bottleneck: float | None = None
     fitted_slope: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eps": self.eps,
-                "t_mix": self.t_mix,
-                "worst_row_tv_trace": [list(p) for p in self.worst_row_tv_trace],
-                "gap": self.gap,
-                "relaxation_time": self.relaxation_time,
-                "bottleneck": self.bottleneck,
-                "fitted_slope": self.fitted_slope,
-            }
-        )
 
 
 def worst_row_tv(Pt: np.ndarray, pi: np.ndarray) -> float:
@@ -240,7 +224,6 @@ def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
         t_mix=t_hit,
         worst_row_tv_trace=tuple(trace),
         gap=gap,
-        relaxation_time=np.inf if gap == 0 else 1.0 / gap,
         fitted_slope=slope,
     )
 

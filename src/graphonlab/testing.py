@@ -18,7 +18,6 @@ floor, which also mixes over graph randomness).
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -200,37 +199,6 @@ class ExperimentReport:
     bounds: ErrorBounds
     delta: float
 
-    def trial_rows(self):
-        for i, t in enumerate(self.outcomes):
-            yield {
-                "trial": i,
-                "seed": t.seed,
-                "label": t.true_label,
-                "decision": t.decision,
-                "distance": t.embedding_distance,
-            }
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "K": self.depth,
-                "eps_res": self.eps_res,
-                "trials": self.trials,
-                "seed": self.seed,
-                "error_rate": self.error_rate,
-                "ci_low": self.ci_low,
-                "ci_high": self.ci_high,
-                "mean_conditional_tv": self.mean_conditional_tv,
-                "lecam_floor": self.bounds.lecam_lower,
-                "formula_floor": self.bounds.formula_floor,
-                "formula_raw": self.bounds.formula_raw,
-                "regime": self.bounds.regime,
-                "delta": self.delta,
-                "trials_detail": list(self.trial_rows()),
-            }
-        )
-
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval."""
@@ -388,25 +356,6 @@ class DistanceStats:
     frac_small_coords: float
     coord_tol_const: float
     shared_edge_randomness: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "K": self.depth,
-                "trials": self.trials,
-                "seed": self.seed,
-                "median": self.median,
-                "p95": self.p95,
-                "envelope": self.envelope,
-                "regime": self.regime,
-                "delta": self.delta,
-                "frac_small_coords": self.frac_small_coords,
-                "coord_tol_const": self.coord_tol_const,
-                "shared_edge_randomness": self.shared_edge_randomness,
-                "distances": list(self.distances),
-            }
-        )
 
 
 def _distance_trial(args):

@@ -336,11 +336,12 @@ class TestExperimentCommand:
             ("envelope_const", -1.0),
             ("envelope_const", float("nan")),
             ("n_list", 5),
+            ("output_dir", 5),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
             "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
-            "envelope-negative", "envelope-nan", "n_list-int",
+            "envelope-negative", "envelope-nan", "n_list-int", "output_dir-int",
         ],
     )
     def test_optional_key_type_is_config_error(self, tmp_path, capsys, key, value):
@@ -349,6 +350,28 @@ class TestExperimentCommand:
             _validate_experiment_config(doc)
         assert main(["experiment", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_report_json_keys(self, tmp_path, capsys):
+        path, doc = write_experiment_config(tmp_path, trials=3)
+        assert main(["experiment", "--config", str(path)]) == 0
+        with open(os.path.join(doc["output_dir"], "report.json")) as fh:
+            report = json.load(fh)
+        assert list(report) == ["fitted_exponent", "distance", "error"]
+        assert list(report["distance"][0]) == [
+            "n", "K", "trials", "seed", "median", "p95", "envelope", "regime",
+            "delta", "frac_small_coords", "coord_tol_const",
+            "shared_edge_randomness", "distances",
+        ]
+        error = report["error"][0]
+        assert list(error) == [
+            "n", "K", "eps_res", "trials", "seed", "error_rate", "ci_low",
+            "ci_high", "mean_conditional_tv", "lecam_floor", "formula_floor",
+            "formula_raw", "regime", "delta", "trials_detail",
+        ]
+        assert len(error["trials_detail"]) == 3
+        assert list(error["trials_detail"][0]) == [
+            "trial", "seed", "label", "decision", "distance",
+        ]
 
     def test_bad_schema_version(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, schema_version=99)
@@ -413,6 +436,25 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+
+PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["mixing", "--model", BASE_JSON, "--n-list", "a,b"], "--n-list"),
+        (PROFILE_ARGS + ["--grid-length", "0"], "--grid-length"),
+        (PROFILE_ARGS + ["--grid-length", "-3"], "--grid-length"),
+    ],
+    ids=["n-list-letters", "grid-length-zero", "grid-length-negative"],
+)
+def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+    assert "Traceback" not in err
 
 
 class TestDatasetProfileCommand:
@@ -513,10 +555,10 @@ class TestDatasetProfileCommand:
         w0 = SBM_BASE.to_step_graphon()
         w1 = SBM_SEPARATED.to_step_graphon()
         data_dir, labels = self.make_dataset(tmp_path, w0, w1, 80, per_class=2)
-        bad = data_dir / "bad.edges"
-        bad.write_text("x y\n")
+        (data_dir / "bad.edges").write_text("x y\n")
+        (data_dir / "huge.edges").write_text("0 100000000000\n")
         with open(labels, "a") as fh:
-            fh.write("bad.edges,classA\n")
+            fh.write("bad.edges,classA\nhuge.edges,classB\n")
         code = main(
             [
                 "dataset-profile",
@@ -528,3 +570,5 @@ class TestDatasetProfileCommand:
         captured = capsys.readouterr()
         assert code == 0
         assert "skipping bad.edges" in captured.err
+        assert "skipping huge.edges" in captured.err
+        assert "skipped 2 unreadable file(s)" in captured.err

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,7 @@ from graphonlab import (
     rw_transition_matrix,
     sample_graph,
 )
-from graphonlab.gcn import EmbeddingState, supports_fast_linear_path
+from graphonlab.gcn import supports_fast_linear_path
 from graphonlab.seeding import derive_seed
 
 from helpers import SBM_BASE, path_graph
@@ -61,20 +59,20 @@ class TestForward:
     def test_identity_one_layer_is_rw_matrix(self):
         g = path_graph(3)
         cfg = GCNConfig(depth=1)
-        state = forward(g, cfg)
-        np.testing.assert_allclose(state.matrix, rw_transition_matrix(g))
+        np.testing.assert_allclose(forward(g, cfg), rw_transition_matrix(g))
 
     def test_relu_matches_identity_on_nonnegative(self):
         g = sample_graph(SBM_BASE.to_step_graphon(), 30, seed=1)
         ident = forward(g, GCNConfig(depth=4))
         relu = forward(g, GCNConfig(depth=4, activation=Activation("relu")))
-        np.testing.assert_array_equal(ident.matrix, relu.matrix)
+        np.testing.assert_array_equal(ident, relu)
 
     def test_identity_depth_t_equals_matrix_power(self):
         g = path_graph(3)
-        state = forward(g, GCNConfig(depth=3))
         np.testing.assert_allclose(
-            state.matrix, matrix_power(rw_transition_matrix(g), 3), atol=1e-15
+            forward(g, GCNConfig(depth=3)),
+            matrix_power(rw_transition_matrix(g), 3),
+            atol=1e-15,
         )
 
     def test_oracle_equivalence_random_graphs(self):
@@ -82,15 +80,14 @@ class TestForward:
             g = sample_graph(SBM_BASE.to_step_graphon(), 40, seed=derive_seed(9, i))
             P = rw_transition_matrix(g)
             for t in (1, 5, 10):
-                state = forward(g, GCNConfig(depth=t))
                 np.testing.assert_allclose(
-                    state.matrix, matrix_power(P, t), atol=1e-12
+                    forward(g, GCNConfig(depth=t)), matrix_power(P, t), atol=1e-12
                 )
 
     def test_row_sums_preserved_under_identity(self):
         g = sample_graph(SBM_BASE.to_step_graphon(), 50, seed=3)
-        state = forward(g, GCNConfig(depth=7))
-        np.testing.assert_allclose(state.matrix.sum(axis=1), 1.0, atol=1e-10)
+        m = forward(g, GCNConfig(depth=7))
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-10)
 
     def test_explicit_weights_chain(self):
         g = path_graph(3)
@@ -98,8 +95,7 @@ class TestForward:
         W = [np.diag([1.0, 2.0, 3.0]), np.eye(3)]
         M0 = np.eye(3)
         cfg = GCNConfig(depth=2, weights=W, initial_embedding=M0)
-        state = forward(g, cfg)
-        np.testing.assert_allclose(state.matrix, P @ (P @ M0 @ W[0]) @ W[1])
+        np.testing.assert_allclose(forward(g, cfg), P @ (P @ M0 @ W[0]) @ W[1])
 
     def test_dimension_mismatch(self):
         g = path_graph(3)
@@ -118,37 +114,19 @@ class TestForward:
         with pytest.raises(NonFinite):
             forward(g, cfg)
 
-    def test_config_json_round_trip(self):
-        cfg = GCNConfig(depth=3, activation=Activation("tanh"))
-        doc = json.loads(cfg.to_json())
-        assert doc == {"K": 3, "activation": "tanh", "weights": "identity", "init": "identity"}
-        again = GCNConfig.from_json(cfg.to_json())
-        assert again.depth == 3 and again.activation.kind == "tanh"
-
-    def test_config_json_explicit_matrices(self):
-        cfg = GCNConfig(
-            depth=1, weights=[np.eye(2) * 2], initial_embedding=np.eye(2)
-        )
-        again = GCNConfig.from_json(cfg.to_json())
-        np.testing.assert_allclose(again.weights[0], np.eye(2) * 2)
-        np.testing.assert_allclose(again.initial_embedding, np.eye(2))
-
 
 class TestEmbeddingVector:
     def test_identity_matrix(self):
-        state = EmbeddingState(matrix=np.eye(4), layer=0)
-        np.testing.assert_allclose(embedding_vector(state), [0.25] * 4)
+        np.testing.assert_allclose(embedding_vector(np.eye(4)), [0.25] * 4)
 
     def test_row_constant_matrix_returns_the_row(self):
         pi = np.array([0.5, 0.3, 0.2])
-        state = EmbeddingState(matrix=np.tile(pi, (3, 1)), layer=0)
-        np.testing.assert_allclose(embedding_vector(state), pi)
+        np.testing.assert_allclose(embedding_vector(np.tile(pi, (3, 1))), pi)
 
     def test_path_three_column_means(self):
         g = path_graph(3)
-        state = forward(g, GCNConfig(depth=1))
         np.testing.assert_allclose(
-            embedding_vector(state), [1 / 6, 2 / 3, 1 / 6]
+            embedding_vector(forward(g, GCNConfig(depth=1))), [1 / 6, 2 / 3, 1 / 6]
         )
 
     def test_fast_path_matches_full_forward(self):

@@ -15,7 +15,10 @@ import pytest
 from graphonlab import GCNConfig, linearization_gap, sample_graph
 from graphonlab.cli import main
 
-from helpers import SBM_BASE, SBM_SEPARATED
+from helpers import SBM_BASE
+
+BASE = {"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2}
+SEPARATED = {"k1": 0.5, "p1": 0.55, "p2": 0.45, "q": 0.2}
 
 EXPERIMENT_SHA256 = {
     "identity": {
@@ -50,10 +53,7 @@ def test_experiment_outputs(tmp_path, capsys, activation):
     out_dir = tmp_path / "out"
     doc = {
         "schema_version": 1,
-        "models": [
-            json.loads(SBM_BASE.to_json()),
-            json.loads(SBM_SEPARATED.to_json()),
-        ],
+        "models": [BASE, SEPARATED],
         "n_list": [40, 60],
         "k_rule": "ceil(6*ln(n))",
         "eps_rule": "10/n",
@@ -74,7 +74,7 @@ def test_mixing_outputs(tmp_path, capsys):
     code = main(
         [
             "mixing",
-            "--model", SBM_BASE.to_json(),
+            "--model", json.dumps(BASE),
             "--n-list", "40,80",
             "--seeds", "2",
             "--seed", "5",

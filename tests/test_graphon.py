@@ -87,16 +87,6 @@ class TestStepGraphon:
         with pytest.raises(InvalidModel):
             constant_graphon(1e-4, min_density=1e-3)
 
-    def test_json_round_trip(self):
-        w = SBM_BASE.to_step_graphon()
-        again = StepGraphon.from_json(w.to_json())
-        np.testing.assert_allclose(again.densities, w.densities)
-        np.testing.assert_allclose(again.block_weights, w.block_weights)
-
-    def test_sbm_json_round_trip(self):
-        again = SBMParams.from_json(SBM_BASE.to_json())
-        assert again == SBM_BASE
-
     def test_parse_model_spec_both_forms(self):
         w1 = parse_model_spec({"weights": [0.5, 0.5], "densities": [[0.6, 0.2], [0.2, 0.4]]})
         w2 = parse_model_spec({"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2})

@@ -7,6 +7,7 @@ import pytest
 from graphonlab import (
     EmptyGraph,
     EmptyInput,
+    GraphTooLarge,
     InvalidModel,
     ParseError,
     SampledGraph,
@@ -304,6 +305,11 @@ class TestEdgeList:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             load_edge_list(io.StringIO("# nothing\n"))
+
+    @pytest.mark.parametrize("text", ["0 100000000000\n", "0 16384\n"])
+    def test_vertex_cap_refused_before_allocation(self, text):
+        with pytest.raises(GraphTooLarge, match="capped at 16384"):
+            load_edge_list(io.StringIO(text))
 
     def test_save_round_trip(self, tmp_path):
         g = sample_graph(SBM_BASE.to_step_graphon(), 25, seed=11)

@@ -209,15 +209,6 @@ class TestMixingTime:
         tvs = [tv for _, tv in report.worst_row_tv_trace]
         assert all(b <= a + 1e-12 for a, b in zip(tvs, tvs[1:]))
 
-    def test_report_json_round_trip(self):
-        import json
-
-        chain = RWChain.from_graph(complete_graph(6))
-        report = mixing_time(chain, 0.01, 50)
-        doc = json.loads(report.to_json())
-        assert doc["t_mix"] == report.t_mix
-        assert len(doc["worst_row_tv_trace"]) == len(report.worst_row_tv_trace)
-
 
 class TestPowerLimitGap:
     def test_complete_graph_geometric_decay(self):

@@ -239,22 +239,6 @@ class TestMonteCarlo:
             monkeypatch.setenv(testing.WORKERS_ENV_VAR, env)
             assert testing._resolve_workers(None, 12) == 1
 
-    def test_trial_rows_schema(self):
-        w = SBM_BASE.to_step_graphon()
-        report = monte_carlo_error(w, w, 40, GCNConfig(depth=3), 0.05, trials=5, seed=1)
-        rows = list(report.trial_rows())
-        assert len(rows) == 5
-        assert set(rows[0]) == {"trial", "seed", "label", "decision", "distance"}
-
-    def test_report_json(self):
-        import json
-
-        w = SBM_BASE.to_step_graphon()
-        report = monte_carlo_error(w, w, 40, GCNConfig(depth=3), 0.05, trials=4, seed=2)
-        doc = json.loads(report.to_json())
-        assert doc["trials"] == 4
-        assert 0.0 <= doc["lecam_floor"] <= 0.5
-
     def test_rejects_bad_args(self):
         w = SBM_BASE.to_step_graphon()
         with pytest.raises(InvalidModel):
