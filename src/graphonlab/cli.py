@@ -19,9 +19,13 @@ success, 2 config error, 3 runtime model error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import csv
 import datetime
+import glob
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -103,8 +107,10 @@ def parse_k_rule(rule):
         m = _K_RULE_RE.match(rule.strip())
         if m:
             d = float(m.group(1))
-            if d <= 0:
-                raise ConfigError("D in ceil(D*ln(n)) must be positive")
+            if not (math.isfinite(d) and d > 0):
+                raise ConfigError(
+                    f"k_rule constant D in {rule!r} must be positive and finite"
+                )
             return lambda n: max(1, math.ceil(d * math.log(n)))
     raise ConfigError(f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'")
 
@@ -112,15 +118,21 @@ def parse_k_rule(rule):
 def parse_eps_rule(rule):
     """Noise rule: explicit float or 'c/n'."""
     if isinstance(rule, (int, float)) and not isinstance(rule, bool):
-        if rule <= 0:
-            raise ConfigError("explicit eps_res must be positive")
-        return lambda n: float(rule)
+        try:
+            eps = float(rule)
+        except OverflowError:  # an int beyond the float range
+            eps = math.inf
+        if not (math.isfinite(eps) and eps > 0):
+            raise ConfigError(f"explicit eps_rule {rule!r} must be positive and finite")
+        return lambda n: eps
     if isinstance(rule, str):
         m = _EPS_RULE_RE.match(rule.strip())
         if m:
             c = float(m.group(1))
-            if c <= 0:
-                raise ConfigError("c in 'c/n' must be positive")
+            if not (math.isfinite(c) and c > 0):
+                raise ConfigError(
+                    f"eps_rule constant c in {rule!r} must be positive and finite"
+                )
             return lambda n: c / n
     raise ConfigError(f"cannot parse eps_rule {rule!r}; use a number or 'c/n'")
 
@@ -208,10 +220,57 @@ def _parse_eps_arg(text):
     try:
         v = float(text)
     except ValueError:
-        raise ConfigError(f"cannot parse eps {text!r}; use a float or '1/n^2'")
-    if v <= 0:
-        raise ConfigError("eps must be positive")
+        raise ConfigError(f"cannot parse --eps {text!r}; use a float or '1/n^2'")
+    if not (math.isfinite(v) and v > 0):
+        raise ConfigError(f"--eps must be positive and finite, got {text!r}")
     return lambda n: v
+
+
+def _scipy_openblas():
+    """ctypes handle of the OpenBLAS bundled in scipy's wheel, or None.
+
+    Found next to the scipy package without importing it. numpy's wheel
+    bundles a separate OpenBLAS (with 64-bit integers) that this does not load.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = os.path.dirname(list(spec.submodule_search_locations)[0])
+    paths = sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*.so")))
+    if not paths:
+        return None
+    try:
+        lib = ctypes.CDLL(paths[0])
+        lib.scipy_openblas_get_num_threads.argtypes = []
+        lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads.restype = None
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+@contextlib.contextmanager
+def _scipy_blas_on_calling_thread():
+    """Run scipy's OpenBLAS (the ``eigh`` in ``spectral_gap``) on one thread.
+
+    numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
+    pool's workers keep spinning for a while after each call. With both pools
+    threaded, each chain's ``eigh`` starts while numpy's workers from the P^t
+    products still spin, and the next chain's products while scipy's do, so
+    the two pools contend for the cores. numpy's pool is left as it is, and
+    the previous thread count is restored on exit. No-op without the library.
+    """
+    lib = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(previous)
 
 
 def cmd_mixing(args) -> int:
@@ -229,37 +288,39 @@ def cmd_mixing(args) -> int:
 
     rows = []
     traces = []
-    for n in n_list:
-        eps = eps_rule(n)
-        for j in range(args.seeds):
-            run_seed = derive_seed(args.seed, n * 100003 + j)
-            g = sample_graph(w, n, run_seed)
-            try:
-                chain = RWChain.from_graph(g)
-                if args.lazy:
-                    chain = chain.lazy()
-                report = mixing_time(chain, eps, args.t_max)
-                rows.append(
-                    [
-                        n,
-                        run_seed,
-                        report.t_mix,
-                        f"{report.gap:.12g}",
-                        "" if report.fitted_slope is None else f"{report.fitted_slope:.12g}",
-                        "ok",
-                    ]
+    with _scipy_blas_on_calling_thread():
+        for n in n_list:
+            eps = eps_rule(n)
+            for j in range(args.seeds):
+                run_seed = derive_seed(args.seed, n * 100003 + j)
+                g = sample_graph(w, n, run_seed)
+                try:
+                    chain = RWChain.from_graph(g)
+                    if args.lazy:
+                        chain = chain.lazy()
+                    report = mixing_time(chain, eps, args.t_max)
+                    slope = report.fitted_slope
+                    rows.append(
+                        [
+                            n,
+                            run_seed,
+                            report.t_mix,
+                            f"{report.gap:.12g}",
+                            "" if slope is None else f"{slope:.12g}",
+                            "ok",
+                        ]
+                    )
+                    trace = report.worst_row_tv_trace
+                except NotMixed as exc:
+                    rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
+                    trace = exc.trace
+                    print(
+                        f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
+                        file=sys.stderr,
+                    )
+                traces.append(
+                    {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
                 )
-                trace = report.worst_row_tv_trace
-            except NotMixed as exc:
-                rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
-                trace = exc.trace
-                print(
-                    f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
-                    file=sys.stderr,
-                )
-            traces.append(
-                {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
-            )
 
     runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
     _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)

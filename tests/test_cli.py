@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphonlab
-from graphonlab import sample_graph, save_edge_list
+from graphonlab import cli, sample_graph, save_edge_list, spectral
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
 
@@ -47,6 +47,20 @@ class TestRules:
     def test_eps_rule_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_eps_rule("n/10")
+
+    @pytest.mark.parametrize(
+        "parse, rule, key",
+        [
+            (parse_k_rule, "ceil(1e400*ln(n))", "k_rule"),
+            (parse_eps_rule, "1e400/n", "eps_rule"),
+            (parse_eps_rule, json.loads("1e400"), "eps_rule"),
+            (parse_eps_rule, 10**400, "eps_rule"),
+        ],
+        ids=["k_rule-overflow", "eps_rule-overflow", "eps_rule-json-1e400", "eps_rule-huge-int"],
+    )
+    def test_rules_refuse_non_finite_constants(self, parse, rule, key):
+        with pytest.raises(ConfigError, match=key):
+            parse(rule)
 
 
 class TestDeltaCommand:
@@ -247,6 +261,34 @@ class TestMixingCommand:
         assert rows[1][5].startswith("not_mixed")
         assert "not mixed" in capsys.readouterr().err
 
+    def test_eigh_runs_on_one_scipy_thread(self, tmp_path, monkeypatch, capsys):
+        lib = cli._scipy_openblas()
+        if lib is None:
+            pytest.skip("scipy bundles no OpenBLAS here")
+        before = lib.scipy_openblas_get_num_threads()
+        seen = []
+        gap = spectral.spectral_gap
+
+        def recording_gap(chain):
+            seen.append(lib.scipy_openblas_get_num_threads())
+            return gap(chain)
+
+        monkeypatch.setattr(spectral, "spectral_gap", recording_gap)
+        argv = ["mixing", "--model", BASE_JSON, "--n-list", "30,40", "--seeds", "1"]
+        assert main(argv + ["--out-dir", str(tmp_path / "mix")]) == 0
+        assert seen == [1, 1]
+        assert lib.scipy_openblas_get_num_threads() == before
+
+    def test_golden_bytes_without_scipy_openblas(self, tmp_path, monkeypatch, capsys):
+        from test_golden import BASE, MIXING_SHA256, sha256_of
+
+        monkeypatch.setattr(cli, "_scipy_openblas", lambda: None)
+        out_dir = tmp_path / "mix"
+        argv = ["mixing", "--model", json.dumps(BASE), "--n-list", "40,80",
+                "--seeds", "2", "--seed", "5", "--out-dir", str(out_dir)]
+        assert main(argv) == 0
+        assert {name: sha256_of(out_dir / name) for name in MIXING_SHA256} == MIXING_SHA256
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = [
             "mixing",
@@ -373,6 +415,14 @@ class TestExperimentCommand:
             "trial", "seed", "label", "decision", "distance",
         ]
 
+    def test_overflowing_k_rule_is_config_error(self, tmp_path, capsys):
+        path, doc = write_experiment_config(tmp_path, k_rule="ceil(1e400*ln(n))")
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "k_rule" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(doc["output_dir"])
+
     def test_bad_schema_version(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, schema_version=99)
         assert main(["experiment", "--config", str(path)]) == 2
@@ -445,16 +495,19 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
     "argv, name",
     [
         (["mixing", "--model", BASE_JSON, "--n-list", "a,b"], "--n-list"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--eps", "inf"], "--eps"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--eps", "nan"], "--eps"),
         (PROFILE_ARGS + ["--grid-length", "0"], "--grid-length"),
         (PROFILE_ARGS + ["--grid-length", "-3"], "--grid-length"),
     ],
-    ids=["n-list-letters", "grid-length-zero", "grid-length-negative"],
+    ids=["n-list-letters", "eps-inf", "eps-nan", "grid-length-zero", "grid-length-negative"],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and name in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestDatasetProfileCommand:
