@@ -98,7 +98,10 @@ _EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
 
 
 def parse_k_rule(rule):
-    """Depth rule: explicit integer or 'ceil(D*ln(n))'."""
+    """Depth rule: explicit integer or 'ceil(D*ln(n))'.
+
+    The returned rule raises ConfigError at an n where D*ln(n) overflows.
+    """
     if isinstance(rule, int) and not isinstance(rule, bool):
         if rule < 1:
             raise ConfigError("explicit K must be >= 1")
@@ -111,19 +114,32 @@ def parse_k_rule(rule):
                 raise ConfigError(
                     f"k_rule constant D in {rule!r} must be positive and finite"
                 )
-            return lambda n: max(1, math.ceil(d * math.log(n)))
+
+            def depth(n):
+                k = d * math.log(n)
+                if not math.isfinite(k):
+                    raise ConfigError(f"k_rule {rule!r} overflows at n = {n}")
+                return max(1, math.ceil(k))
+
+            return depth
     raise ConfigError(f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'")
 
 
 def parse_eps_rule(rule):
-    """Noise rule: explicit float or 'c/n'."""
+    """Noise rule: explicit float or 'c/n'.
+
+    The noise is uniform on [-eps, eps], so an explicit eps must be positive
+    with 2*eps finite; c/n with a positive finite c meets that for n >= 2.
+    """
     if isinstance(rule, (int, float)) and not isinstance(rule, bool):
         try:
             eps = float(rule)
         except OverflowError:  # an int beyond the float range
             eps = math.inf
-        if not (math.isfinite(eps) and eps > 0):
-            raise ConfigError(f"explicit eps_rule {rule!r} must be positive and finite")
+        if not (eps > 0 and math.isfinite(2 * eps)):
+            raise ConfigError(
+                f"explicit eps_rule {rule!r} must be positive, with 2*eps finite"
+            )
         return lambda n: eps
     if isinstance(rule, str):
         m = _EPS_RULE_RE.match(rule.strip())
@@ -407,6 +423,7 @@ def cmd_experiment(args) -> int:
     w1 = _load_model(doc["models"][1])
     k_rule = parse_k_rule(doc["k_rule"])
     eps_rule = parse_eps_rule(doc["eps_rule"])
+    depths = [k_rule(n) for n in doc["n_list"]]  # an overflowing rule fails before any output
     activation = Activation(doc.get("activation", "identity"))
     trials = doc["trials"]
     seed = doc["seed"]
@@ -426,7 +443,7 @@ def cmd_experiment(args) -> int:
     try:
         dist_stats_all = []
         for idx, n in enumerate(doc["n_list"]):
-            cfg = GCNConfig(depth=k_rule(n), activation=activation)
+            cfg = GCNConfig(depth=depths[idx], activation=activation)
             eps = eps_rule(n)
             dist = embedding_distance_experiment(
                 w0,

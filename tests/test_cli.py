@@ -52,15 +52,21 @@ class TestRules:
         "parse, rule, key",
         [
             (parse_k_rule, "ceil(1e400*ln(n))", "k_rule"),
+            (parse_k_rule, "ceil(1e308*ln(n))", "k_rule"),
             (parse_eps_rule, "1e400/n", "eps_rule"),
             (parse_eps_rule, json.loads("1e400"), "eps_rule"),
+            (parse_eps_rule, 1e308, "eps_rule"),
             (parse_eps_rule, 10**400, "eps_rule"),
         ],
-        ids=["k_rule-overflow", "eps_rule-overflow", "eps_rule-json-1e400", "eps_rule-huge-int"],
+        ids=[
+            "k_rule-overflow", "k_rule-depth-overflow", "eps_rule-overflow",
+            "eps_rule-json-1e400", "eps_rule-width-overflow", "eps_rule-huge-int",
+        ],
     )
     def test_rules_refuse_non_finite_constants(self, parse, rule, key):
+        # a rule may be refused when parsed or when evaluated at some n
         with pytest.raises(ConfigError, match=key):
-            parse(rule)
+            parse(rule)(40)
 
 
 class TestDeltaCommand:
@@ -278,16 +284,26 @@ class TestMixingCommand:
         assert main(argv + ["--out-dir", str(tmp_path / "mix")]) == 0
         assert seen == [1, 1]
         assert lib.scipy_openblas_get_num_threads() == before
+        if os.path.exists("/proc/self/maps"):
+            # one copy of the library is loaded, so the count read above is
+            # the one scipy's eigh ran with
+            with open("/proc/self/maps") as fh:
+                mapped = {line.split()[-1] for line in fh if "libscipy_openblas-" in line}
+            assert len(mapped) == 1
 
-    def test_golden_bytes_without_scipy_openblas(self, tmp_path, monkeypatch, capsys):
-        from test_golden import BASE, MIXING_SHA256, sha256_of
-
-        monkeypatch.setattr(cli, "_scipy_openblas", lambda: None)
-        out_dir = tmp_path / "mix"
-        argv = ["mixing", "--model", json.dumps(BASE), "--n-list", "40,80",
-                "--seeds", "2", "--seed", "5", "--out-dir", str(out_dir)]
-        assert main(argv) == 0
-        assert {name: sha256_of(out_dir / name) for name in MIXING_SHA256} == MIXING_SHA256
+    def test_same_bytes_without_scipy_openblas(self, tmp_path, monkeypatch, capsys):
+        # the arguments of tests/test_golden.py::test_mixing_outputs, which
+        # pins the bytes of the run with the library found
+        argv = ["mixing", "--model", BASE_JSON, "--n-list", "40,80", "--seeds", "2",
+                "--seed", "5"]
+        outputs = []
+        for lookup in (cli._scipy_openblas, lambda: None):
+            monkeypatch.setattr(cli, "_scipy_openblas", lookup)
+            out_dir = tmp_path / f"mix{len(outputs)}"
+            assert main(argv + ["--out-dir", str(out_dir)]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("mixing_runs.csv", "tv_traces.json")])
+        assert outputs[0] == outputs[1]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = [
@@ -415,11 +431,20 @@ class TestExperimentCommand:
             "trial", "seed", "label", "decision", "distance",
         ]
 
-    def test_overflowing_k_rule_is_config_error(self, tmp_path, capsys):
-        path, doc = write_experiment_config(tmp_path, k_rule="ceil(1e400*ln(n))")
+    @pytest.mark.parametrize(
+        "key, rule",
+        [
+            ("k_rule", "ceil(1e400*ln(n))"),
+            ("k_rule", "ceil(1e308*ln(n))"),
+            ("eps_rule", 1e308),
+        ],
+        ids=["k_rule-1e400", "k_rule-1e308", "eps_rule-1e308"],
+    )
+    def test_overflowing_rule_is_config_error(self, tmp_path, capsys, key, rule):
+        path, doc = write_experiment_config(tmp_path, **{key: rule})
         assert main(["experiment", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "k_rule" in err
+        assert err.startswith("config error:") and key in err
         assert "Traceback" not in err
         assert not os.path.exists(doc["output_dir"])
 

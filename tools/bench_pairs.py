@@ -8,14 +8,15 @@ to a second directory (``git archive <parent> | tar -x -C DIR``):
         --claim mixing_sweep --traced mixing_sweep:1011
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
-same seed and run length; even-indexed pairs run the parent first, odd-indexed
-the change first. On ``mixing`` workloads each seed's command also runs once
-outside the benchmark in each checkout, and the sha256 of ``mixing_runs.csv``
-and ``tv_traces.json`` are compared (perfbench hashes only the CSV). A traced
+same seed, for the run length that BENCHMARK.json sets; even-indexed pairs
+run the parent first, odd-indexed the change first. On ``mixing`` workloads
+each seed's command also runs once outside the benchmark in each checkout,
+and the sha256 of ``mixing_runs.csv`` and ``tv_traces.json`` are compared
+(perfbench hashes only the CSV). A traced
 pair (``--trace 1``) records the per-call p50 timings. The ``machine`` block
 reads both OpenBLAS libraries that the numpy and scipy wheels bundle: build
 string, the core kernel picked at run time and the default thread count.
-Nothing under ``perfbench/`` is changed.
+Every run gets perfbench's own environment (``run.worker_env``).
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-CLEARED_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import run  # noqa: E402  perfbench/run.py
+import workloads  # noqa: E402
+
 END_TO_END = ("ops_per_ref", "setup_s", "peak_rss_mb")
 TIMING_LINE = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\d+)\s+([0-9.]+)")
-
-
-def clean_env(root: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in CLEARED_VARS}
-    env["PYTHONPATH"] = str(root / "src")
-    env["GRAPHONLAB_WORKERS"] = "1"
-    return env
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -80,8 +78,9 @@ with tempfile.TemporaryDirectory() as work:
 
 
 def mixing_digests(root: Path, workload: str, seed: int) -> dict:
+    env = run.worker_env(root, workloads.WORKLOADS[workload])
     proc = subprocess.run([sys.executable, "-c", MIXING_DIGESTS, workload, str(seed)],
-                          cwd=root, env=clean_env(root), capture_output=True,
+                          cwd=root, env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -108,28 +107,22 @@ for owner, (root, sub, pattern, suffix) in libs.items():
     threads.restype = ctypes.c_int
     out[owner] = {"file": os.path.basename(paths[0]), "openblas configuration": text["config"],
                   "corename": text["corename"], "default_threads": threads()}
-print(json.dumps(out))
+print(json.dumps({"numpy": numpy.__version__, "scipy": scipy.__version__,
+                  "numpy_blas_build": numpy.show_config("dicts")["Build Dependencies"]["blas"],
+                  "bundled_openblas": out}))
 """
 
 
-def machine(root: Path) -> dict:
-    probe = subprocess.run([sys.executable, "-c", PROBE], env=clean_env(root),
+def machine(root: Path, workload: str) -> dict:
+    probe = subprocess.run([sys.executable, "-c", PROBE],
+                           env=run.worker_env(root, workloads.WORKLOADS[workload]),
                            capture_output=True, text=True, timeout=120, check=True)
-    versions = subprocess.run(
-        [sys.executable, "-c", "import numpy, scipy, json; "
-         "print(json.dumps([numpy.__version__, scipy.__version__, "
-         "numpy.show_config('dicts')['Build Dependencies']['blas']]))"],
-        capture_output=True, text=True, timeout=120, check=True)
-    np_version, sp_version, np_blas = json.loads(versions.stdout)
     return {
         "nproc": os.cpu_count(),
         "affinity": sorted(os.sched_getaffinity(0)),
         "python": platform.python_version(),
-        "numpy": np_version,
-        "scipy": sp_version,
-        "numpy_blas_build": np_blas,
-        "bundled_openblas": json.loads(probe.stdout),
-        "vars": {k: os.environ.get(k) for k in CLEARED_VARS},
+        **json.loads(probe.stdout),
+        "vars": {k: os.environ.get(k) for k in run.CLEARED_VARS},
         "note": "BLAS thread variables cleared for every run, as perfbench does",
     }
 
@@ -175,25 +168,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path,
                         help="root of a checkout of the parent commit")
-    parser.add_argument("--change", default=Path("."), type=Path,
-                        help="root of the change's checkout (default: here)")
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD:FIRST_SEED:COUNT")
     parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD",
                         help="workload on which ops_per_ref is claimed to improve")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED")
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    roots = {"parent": args.parent.resolve(), "change": Path.cwd()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     doc = {
         "description": (
             f"Alternating parent/change pairs of perfbench (python3 perfbench/run.py "
-            f"--workload W --seed S --seconds {args.seconds:g} --trace 0), made with "
+            f"--workload W --seed S --seconds {seconds:g} --trace 0), made with "
             "tools/bench_pairs.py; even-indexed pairs ran the parent first, odd-indexed "
             "the change first. rel_change is (change median - parent median) / parent "
             "median; bound is BENCHMARK.json's regression bound as a fraction of the "
@@ -201,7 +192,7 @@ def main(argv=None) -> int:
             "and the median gain exceeds the parent's quartile spread. Quartiles use "
             "the inclusive method of Python's statistics.quantiles."
         ),
-        "machine": machine(roots["change"]),
+        "machine": machine(roots["change"], args.pairs[0].split(":")[0]),
         "seeds": {},
         "workloads": {},
         "traced": {},
@@ -215,7 +206,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                r = perfbench(roots[side], workload, seed, args.seconds, 0)
+                r = perfbench(roots[side], workload, seed, seconds, 0)
                 pair[side] = {k: r["metrics"][k] for k in END_TO_END}
                 pair[f"{side}_correct"] = r["correct"]
                 pair[f"{side}_failed"] = r["failed"]
@@ -246,7 +237,7 @@ def main(argv=None) -> int:
         workload, seed = entry.split(":")
         doc["traced"][workload] = {"seed": int(seed)}
         for side in roots:
-            r = perfbench(roots[side], workload, int(seed), args.seconds, 1)
+            r = perfbench(roots[side], workload, int(seed), seconds, 1)
             doc["traced"][workload][side] = {"p50_ms": r["p50_ms"], "metrics": r["metrics"]}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
