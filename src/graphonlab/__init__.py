@@ -23,7 +23,6 @@ from .errors import (
 from .gcn import (
     Activation,
     GCNConfig,
-    check_norm_constraints,
     classify_activation,
     embedding_vector,
     fast_linear_embedding,
@@ -40,7 +39,6 @@ from .graphon import (
     SignedStepKernel,
     StepGraphon,
     common_refinement,
-    constant_graphon,
     cut_distance_blocks,
     cut_norm_step,
     degree_function,
@@ -48,7 +46,6 @@ from .graphon import (
     family_generate,
     family_validity_range,
     normalized_degree_profile,
-    step_difference,
     total_degree,
 )
 from .sampling import (
@@ -58,7 +55,6 @@ from .sampling import (
     load_edge_list,
     sample_coupled,
     sample_graph,
-    save_edge_list,
 )
 from .seeding import derive_seed, make_rng, splitmix64
 from .spectral import (
@@ -67,7 +63,6 @@ from .spectral import (
     RWChain,
     bottleneck_ratio,
     cheeger_check,
-    matrix_power,
     mixing_time,
     power_limit_gap,
     rw_transition_matrix,

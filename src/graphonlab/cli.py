@@ -51,6 +51,7 @@ from .sampling import empirical_degree_profile, load_edge_list, sample_graph
 from .seeding import derive_seed
 from .spectral import RWChain, mixing_time
 from .testing import (
+    COORD_TOL_CONST,
     embedding_distance_experiment,
     fit_decay_exponent,
     monte_carlo_error,
@@ -97,32 +98,43 @@ _K_RULE_RE = re.compile(r"^ceil\(\s*([0-9.eE+-]+)\s*\*\s*ln\(n\)\s*\)$")
 _EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
 
 
+# a forward pass costs O(K n^3); the deepest rule in use, ceil(6*ln(n)), is
+# 42 at n = 1000
+_MAX_DEPTH = 10_000
+
+
 def parse_k_rule(rule):
     """Depth rule: explicit integer or 'ceil(D*ln(n))'.
 
-    The returned rule raises ConfigError at an n where D*ln(n) overflows.
+    The returned rule raises ConfigError at an n where the depth exceeds
+    _MAX_DEPTH, which includes D*ln(n) overflowing.
     """
     if isinstance(rule, int) and not isinstance(rule, bool):
         if rule < 1:
             raise ConfigError("explicit K must be >= 1")
-        return lambda n: rule
-    if isinstance(rule, str):
-        m = _K_RULE_RE.match(rule.strip())
-        if m:
-            d = float(m.group(1))
-            if not (math.isfinite(d) and d > 0):
-                raise ConfigError(
-                    f"k_rule constant D in {rule!r} must be positive and finite"
-                )
+        raw = lambda n: rule
+    else:
+        m = _K_RULE_RE.match(rule.strip()) if isinstance(rule, str) else None
+        if m is None:
+            raise ConfigError(
+                f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'"
+            )
+        d = float(m.group(1))
+        if not (math.isfinite(d) and d > 0):
+            raise ConfigError(
+                f"k_rule constant D in {rule!r} must be positive and finite"
+            )
+        raw = lambda n: d * math.log(n)
 
-            def depth(n):
-                k = d * math.log(n)
-                if not math.isfinite(k):
-                    raise ConfigError(f"k_rule {rule!r} overflows at n = {n}")
-                return max(1, math.ceil(k))
+    def depth(n):
+        k = raw(n)
+        if not k <= _MAX_DEPTH:  # also false for an overflow to inf
+            raise ConfigError(
+                f"k_rule {rule!r} exceeds the depth limit {_MAX_DEPTH} at n = {n}"
+            )
+        return max(1, math.ceil(k))
 
-            return depth
-    raise ConfigError(f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'")
+    return depth
 
 
 def parse_eps_rule(rule):
@@ -488,7 +500,7 @@ def cmd_experiment(args) -> int:
                     "regime": dist.regime,
                     "delta": dist.delta,
                     "frac_small_coords": dist.frac_small_coords,
-                    "coord_tol_const": dist.coord_tol_const,
+                    "coord_tol_const": COORD_TOL_CONST,
                     "shared_edge_randomness": dist.shared_edge_randomness,
                     "distances": list(dist.distances),
                 }
@@ -541,9 +553,11 @@ def cmd_experiment(args) -> int:
             if len(dist_stats_all) >= 2
             else float("nan")
         )
-    except GraphonLabError as exc:
+    except BaseException as exc:  # any failure leaves the run marked partial
         with open(partial_marker, "w") as fh:
             fh.write(f"{type(exc).__name__}: {exc}\n")
+        if not isinstance(exc, GraphonLabError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,16 +1,14 @@
-"""Graph-convolution forward pass and its supporting checks.
+"""Graph-convolution forward pass with identity weights and initial embedding.
 
-One layer maps the embedding matrix M to sigma(A_hat @ M @ W): a random-walk
-diffusion, a feature mix by the layer's weight matrix, and an elementwise
-activation. The graph-level embedding vector is the row average of the final
-matrix. An initial embedding or weight stack left as None stands for the
-identity and skips the O(n^3) right-multiplications that dominate at n in
-the thousands; when the activation is the identity (or ReLU, which agrees
-with it on the nonnegative matrices produced here) the embedding vector is
-computed by a vector-matrix iteration instead of matrix powers.
+One layer maps the embedding matrix M to sigma(A_hat @ M): a random-walk
+diffusion followed by an elementwise activation. The initial embedding is the
+identity, so the first layer is sigma(A_hat) and no O(n^3) right-multiplication
+by a weight matrix ever runs. The graph-level embedding vector is the row
+average of the final matrix; when the activation is the identity (or ReLU,
+which agrees with it on the nonnegative matrices produced here) it is computed
+by a vector-matrix iteration instead of matrix powers.
 
-The embedding dimension always equals the number of vertices; rectangular
-embeddings are unsupported.
+The embedding dimension always equals the number of vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidModel, NonFinite
+from .errors import InvalidModel, NonFinite
 from .sampling import SampledGraph
 from .seeding import make_rng
 from .spectral import rw_transition_matrix
@@ -78,7 +76,6 @@ class ActivationClass:
 
     label: str  # nice | expanded-nice | not-nice
     violated_clause: str | None = None
-    note: str | None = None
 
 
 def classify_activation(act: Activation) -> ActivationClass:
@@ -94,18 +91,8 @@ def classify_activation(act: Activation) -> ActivationClass:
     kind = act.kind
     if kind == "identity":
         return ActivationClass("nice")
-    if kind == "tanh":
-        return ActivationClass(
-            "expanded-nice",
-            note="meets every strict clause as well",
-        )
-    if kind == "swish":
+    if kind in ("tanh", "swish", "selu"):
         return ActivationClass("expanded-nice")
-    if kind == "selu":
-        return ActivationClass(
-            "expanded-nice",
-            note="second derivative jumps at 0 in this shifted-exponential form",
-        )
     if kind == "relu":
         return ActivationClass("not-nice", violated_clause="not C^2")
     if kind == "sigmoid":
@@ -117,11 +104,9 @@ def classify_activation(act: Activation) -> ActivationClass:
 
 @dataclass(frozen=True)
 class GCNConfig:
-    """Depth, weight stack, initial embedding, activation; None is the identity."""
+    """Depth and activation of an identity-weight GCN."""
 
     depth: int
-    weights: object = None  # None or sequence of K (d x d) arrays
-    initial_embedding: object = None  # None or (n x d) array
     activation: Activation = Activation("identity")
 
     def __post_init__(self):
@@ -129,43 +114,6 @@ class GCNConfig:
             raise InvalidModel("depth must be a positive integer")
         if isinstance(self.activation, str):
             object.__setattr__(self, "activation", Activation(self.activation))
-        if self.weights is not None:
-            ws = [np.asarray(w, dtype=float) for w in self.weights]
-            if len(ws) != self.depth:
-                raise InvalidModel(
-                    f"need {self.depth} weight matrices, got {len(ws)}"
-                )
-            d = ws[0].shape[0]
-            for w in ws:
-                if w.shape != (d, d):
-                    raise DimensionMismatch("weight matrices must share a square shape")
-            object.__setattr__(self, "weights", tuple(ws))
-        if self.initial_embedding is not None:
-            m0 = np.asarray(self.initial_embedding, dtype=float)
-            if m0.ndim != 2 or m0.shape[0] != m0.shape[1]:
-                raise DimensionMismatch(
-                    "initial embedding must be square (embedding dimension = n)"
-                )
-            object.__setattr__(self, "initial_embedding", m0)
-
-    def weight_list(self, n: int):
-        """Materialized weight matrices (None entries mean skip-multiply)."""
-        if self.weights is None:
-            return [None] * self.depth
-        for w in self.weights:
-            if w.shape != (n, n):
-                raise DimensionMismatch(
-                    f"weight shape {w.shape} incompatible with n={n}"
-                )
-        return list(self.weights)
-
-    def initial_matrix(self, n: int):
-        m0 = self.initial_embedding
-        if m0 is not None and m0.shape != (n, n):
-            raise DimensionMismatch(
-                f"initial embedding shape {m0.shape} incompatible with n={n}"
-            )
-        return m0
 
 
 def _check_finite(m):
@@ -173,12 +121,10 @@ def _check_finite(m):
         raise NonFinite("non-finite value produced in forward pass")
 
 
-def _layer(ahat, m, w, act):
-    """One layer sigma(A_hat M W); None stands for an identity M or W."""
+def _layer(ahat, m, act):
+    """One layer sigma(A_hat M); None stands for the identity M."""
     with np.errstate(over="ignore"):  # overflow surfaces as NonFinite below
         x = ahat if m is None else ahat @ m
-        if w is not None:
-            x = x @ w
         _check_finite(x)
         m = act(x)
         _check_finite(m)
@@ -186,14 +132,14 @@ def _layer(ahat, m, w, act):
 
 
 def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
-    """Run the K-layer recurrence M <- sigma(A_hat M W) on the sample graph.
+    """Run the K-layer recurrence M <- sigma(A_hat M) from M = I on the graph.
 
     Returns the final n x n embedding matrix, checked finite at every layer.
     """
     ahat = rw_transition_matrix(g)
-    m = cfg.initial_matrix(g.n)
-    for w in cfg.weight_list(g.n):
-        m = _layer(ahat, m, w, cfg.activation)
+    m = None
+    for _ in range(cfg.depth):
+        m = _layer(ahat, m, cfg.activation)
     return m
 
 
@@ -205,9 +151,9 @@ def embedding_vector(m: np.ndarray) -> np.ndarray:
 def fast_linear_embedding(g: SampledGraph, depth: int) -> np.ndarray:
     """Row average of A_hat^K without forming matrix powers.
 
-    Equals embedding_vector(forward(g, cfg)) for identity weights and init
-    with identity (or ReLU) activation: the row-average vector is pushed
-    through the chain one vector-matrix product per layer.
+    Equals embedding_vector(forward(g, cfg)) for the identity (or ReLU)
+    activation: the row-average vector is pushed through the chain one
+    vector-matrix product per layer.
     """
     ahat = rw_transition_matrix(g)
     h = np.full(g.n, 1.0 / g.n)
@@ -216,17 +162,9 @@ def fast_linear_embedding(g: SampledGraph, depth: int) -> np.ndarray:
     return h
 
 
-def supports_fast_linear_path(cfg: GCNConfig) -> bool:
-    return (
-        cfg.weights is None
-        and cfg.initial_embedding is None
-        and cfg.activation.is_linear_on_nonnegative
-    )
-
-
 def graph_embedding(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
     """Embedding vector of a graph under cfg, via the cheapest valid path."""
-    if supports_fast_linear_path(cfg):
+    if cfg.activation.is_linear_on_nonnegative:
         return fast_linear_embedding(g, cfg.depth)
     return embedding_vector(forward(g, cfg))
 
@@ -246,56 +184,15 @@ def inf_operator_norm(m: np.ndarray) -> float:
     return float(np.abs(m).sum(axis=1).max())
 
 
-@dataclass(frozen=True)
-class NormConstraintReport:
-    """Product/sum of transposed operator norms against their budgets."""
-
-    product: float
-    product_budget: float
-    product_ok: bool
-    total: float
-    total_budget: float
-    total_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.product_ok and self.total_ok
-
-
-def check_norm_constraints(cfg: GCNConfig, C: float, E: float) -> NormConstraintReport:
-    """Check ||M0^T|| * prod ||Wj^T|| <= C and sum ||Wj^T|| <= E.
-
-    An identity (None) factor contributes norm 1.
-    """
-    if cfg.initial_embedding is None:
-        init_norm = 1.0
-    else:
-        init_norm = inf_operator_norm(cfg.initial_embedding.T)
-    if cfg.weights is None:
-        w_norms = [1.0] * cfg.depth
-    else:
-        w_norms = [inf_operator_norm(w.T) for w in cfg.weights]
-    product = init_norm * float(np.prod(w_norms))
-    total = float(np.sum(w_norms))
-    return NormConstraintReport(
-        product=product,
-        product_budget=C,
-        product_ok=product <= C,
-        total=total,
-        total_budget=E,
-        total_ok=total <= E,
-    )
-
-
 def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
     """Max-entry gap between the nonlinear and linear passes, plus its envelope.
 
     Valid for activations in the nice/expanded-nice classes (|sigma(x)| <= |x|
     and sigma(x) = x(1 + O(x^2)) near 0) and depth well below sqrt(n). The
     envelope multiplies the per-layer Taylor-remainder factors
-    (1 + c * (a_l * b_l)^2 / n^2), with a_l the measured transposed operator
-    norm of the layer input and b_l the weight norm, against the max entry of
-    the linear output; c is the frozen calibration constant.
+    (1 + c * a_l^2 / n^2), with a_l the measured transposed operator norm of
+    the layer input, against the max entry of the linear output; c is the
+    frozen calibration constant.
     """
     label = classify_activation(cfg.activation).label
     if label not in ("nice", "expanded-nice"):
@@ -315,17 +212,15 @@ def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
     ahat = rw_transition_matrix(g)
     n = g.n
     linear = Activation("identity")
-    m_nl = m_lin = cfg.initial_matrix(n)
+    m_nl = m_lin = None
     a_norms = []
-    b_norms = []
-    for w in cfg.weight_list(n):
+    for _ in range(cfg.depth):
         a_norms.append(1.0 if m_nl is None else inf_operator_norm(m_nl.T))
-        b_norms.append(1.0 if w is None else inf_operator_norm(w.T))
-        m_nl = _layer(ahat, m_nl, w, cfg.activation)
-        m_lin = _layer(ahat, m_lin, w, linear)
+        m_nl = _layer(ahat, m_nl, cfg.activation)
+        m_lin = _layer(ahat, m_lin, linear)
     gap = float(np.abs(m_nl - m_lin).max())
 
     c = NONLINEARITY_ENVELOPE_CONSTANT
-    factors = 1.0 + c * (np.array(a_norms) * np.array(b_norms)) ** 2 / n**2
+    factors = 1.0 + c * np.array(a_norms) ** 2 / n**2
     envelope = float(np.abs(m_lin).max() * (np.prod(factors) - 1.0))
     return gap, envelope

@@ -84,15 +84,6 @@ class StepGraphon:
     def n_blocks(self) -> int:
         return self.block_weights.size
 
-    def relabeled(self, perm) -> "StepGraphon":
-        """Same graphon with blocks listed in permuted order."""
-        perm = np.asarray(perm, dtype=int)
-        return StepGraphon(
-            self.block_weights[perm],
-            self.densities[np.ix_(perm, perm)],
-            min_density=self.min_density,
-        )
-
 
 @dataclass(frozen=True)
 class SBMParams:
@@ -137,7 +128,6 @@ class DegreeProfile:
 
     weights: np.ndarray
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
@@ -155,9 +145,7 @@ class DegreeProfile:
 
     def sorted_decreasing(self) -> "DegreeProfile":
         order = np.argsort(-self.values, kind="stable")
-        return DegreeProfile(
-            self.weights[order], self.values[order], self.normalized
-        )
+        return DegreeProfile(self.weights[order], self.values[order])
 
 
 @dataclass(frozen=True)
@@ -185,10 +173,6 @@ class SignedStepKernel:
     def n_blocks(self) -> int:
         return self.block_weights.size
 
-    def l1_mass(self) -> float:
-        w = self.block_weights
-        return float(np.abs(self.values * np.outer(w, w)).sum())
-
 
 def block_index(weights, x):
     """Block containing latent coordinate x under half-open intervals."""
@@ -200,7 +184,7 @@ def block_index(weights, x):
 def degree_function(w: StepGraphon) -> DegreeProfile:
     """Per-block expected neighborhood mass: value_i = sum_j weight_j * density_ij."""
     values = w.densities @ w.block_weights
-    return DegreeProfile(w.block_weights, values, normalized=False)
+    return DegreeProfile(w.block_weights, values)
 
 
 def total_degree(w: StepGraphon) -> float:
@@ -212,9 +196,7 @@ def total_degree(w: StepGraphon) -> float:
 def normalized_degree_profile(w: StepGraphon) -> DegreeProfile:
     """Degree function divided by the total degree; integrates to 1."""
     prof = degree_function(w)
-    return DegreeProfile(
-        prof.weights, prof.values / total_degree(w), normalized=True
-    )
+    return DegreeProfile(prof.weights, prof.values / total_degree(w))
 
 
 def _quantile_breaks(weights_list):
@@ -277,24 +259,12 @@ def family_generate(spec: FamilySpec) -> SBMParams:
     return SBMParams(base.k1, *(float(v) for v in point))
 
 
-def family_validity_range(base: SBMParams) -> tuple[float, float]:
-    """Interval of tau keeping all three densities of the generated point in (0,1].
+def _family_bounds(base: SBMParams) -> tuple[dict, dict]:
+    """Lower and upper tau bounds, one per density constraint, by label.
 
-    Solves the six linear inequalities (each coordinate > 0 and <= 1) and
-    intersects them. Endpoints are the inf/sup of the admissible set;
-    whether an endpoint itself is admissible depends on which constraint
-    binds there (strict for the > 0 side of an increasing coordinate and
-    for q > 0, which decreases in tau). ``family_generate`` performs the
-    authoritative membership check.
+    Each coordinate of base + tau * direction must stay in (0, 1]; p1 and p2
+    increase in tau and q decreases, so each inequality bounds tau on one side.
     """
-    k1, k2 = base.k1, base.k2
-    lower = max(-k1 * base.p1, -(k2**2) * base.p2 / k1, -k2 * (1.0 - base.q))
-    upper = min(k1 * (1.0 - base.p1), (k2**2) * (1.0 - base.p2) / k1, k2 * base.q)
-    return (lower, upper)
-
-
-def family_binding_constraints(base: SBMParams) -> dict:
-    """Which coordinate binds each end of the tau range (for reporting)."""
     k1, k2 = base.k1, base.k2
     lowers = {
         "p1 > 0": -k1 * base.p1,
@@ -306,6 +276,26 @@ def family_binding_constraints(base: SBMParams) -> dict:
         "p2 <= 1": (k2**2) * (1.0 - base.p2) / k1,
         "q > 0": k2 * base.q,
     }
+    return lowers, uppers
+
+
+def family_validity_range(base: SBMParams) -> tuple[float, float]:
+    """Interval of tau keeping all three densities of the generated point in (0,1].
+
+    Solves the six linear inequalities (each coordinate > 0 and <= 1) and
+    intersects them. Endpoints are the inf/sup of the admissible set;
+    whether an endpoint itself is admissible depends on which constraint
+    binds there (strict for the > 0 side of an increasing coordinate and
+    for q > 0, which decreases in tau). ``family_generate`` performs the
+    authoritative membership check.
+    """
+    lowers, uppers = _family_bounds(base)
+    return (max(lowers.values()), min(uppers.values()))
+
+
+def family_binding_constraints(base: SBMParams) -> dict:
+    """Which coordinate binds each end of the tau range (for reporting)."""
+    lowers, uppers = _family_bounds(base)
     lo = max(lowers, key=lambda k: lowers[k])
     hi = min(uppers, key=lambda k: uppers[k])
     return {"lower": lo, "upper": hi}
@@ -327,12 +317,6 @@ def common_refinement(w0: StepGraphon, w1: StepGraphon):
             )
         )
     return out[0], out[1]
-
-
-def step_difference(w0: StepGraphon, w1: StepGraphon) -> SignedStepKernel:
-    """Signed kernel w0 - w1 on the common refinement."""
-    r0, r1 = common_refinement(w0, w1)
-    return SignedStepKernel(r0.block_weights, r0.densities - r1.densities)
 
 
 def cut_norm_step(kernel: SignedStepKernel) -> float:
@@ -416,11 +400,6 @@ def cut_distance_blocks(w0: StepGraphon, w1: StepGraphon) -> float:
         )
         best = min(best, cut_norm_step(diff))
     return float(best)
-
-
-def constant_graphon(c: float, min_density=DEFAULT_MIN_DENSITY) -> StepGraphon:
-    """One-block graphon W == c."""
-    return StepGraphon([1.0], [[c]], min_density=min_density)
 
 
 def parse_model_spec(doc) -> StepGraphon:

@@ -1,4 +1,4 @@
-"""Graph sampling from step graphons, coupled pairs, and edge-list I/O.
+"""Graph sampling from step graphons, coupled pairs, and edge-list input.
 
 Sampling is dense and exact: one uniform draw per unordered vertex pair
 (desk scale, n up to a few thousand). Everything is deterministic given the
@@ -15,7 +15,6 @@ stream in the same order, so a given seed always yields the same adjacency.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -83,9 +82,6 @@ class SampledGraph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
 
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
 
 @dataclass(frozen=True)
 class CoupledPair:
@@ -98,7 +94,6 @@ class CoupledPair:
 
     g0: SampledGraph
     g1: SampledGraph
-    shared_edge_randomness: bool = False
 
     def __post_init__(self):
         if self.g0.latent_positions is None or self.g1.latent_positions is None:
@@ -177,7 +172,7 @@ def sample_coupled(
         (a1,) = _fill_edges(n, [t1], rng1)
     g0 = SampledGraph(a0, latent_positions=x, seed=seed)
     g1 = SampledGraph(a1, latent_positions=x, seed=seed)
-    return CoupledPair(g0, g1, shared_edge_randomness=share_edge_randomness)
+    return CoupledPair(g0, g1)
 
 
 def empirical_degree_profile(g: SampledGraph) -> np.ndarray:
@@ -242,16 +237,3 @@ def load_edge_list(stream) -> SampledGraph:
     adj[ids[:, 0], ids[:, 1]] = 1
     adj[ids[:, 1], ids[:, 0]] = 1
     return SampledGraph(adj, latent_positions=None, seed=None, source="external")
-
-
-def save_edge_list(g: SampledGraph, path, sidecar: bool = True) -> None:
-    """Write the graph as 'u v' lines plus a JSON sidecar {n, seed, source}."""
-    iu, iv = np.nonzero(np.triu(g.adjacency, k=1))
-    with open(path, "w") as fh:
-        for u, v in zip(iu, iv):
-            fh.write(f"{u} {v}\n")
-    if sidecar:
-        meta = {"n": g.n, "seed": g.seed, "source": g.source}
-        with open(f"{path}.json", "w") as fh:
-            json.dump(meta, fh)
-            fh.write("\n")

@@ -1,4 +1,4 @@
-"""Random-walk chains: stationary laws, powers, mixing times, conductance.
+"""Random-walk chains: stationary laws, mixing times, spectral gaps, conductance.
 
 The walk on a graph has transition matrix P = D^{-1} A and stationary law
 pi(v) = deg(v) / sum(deg). Mixing is measured in worst-start total variation.
@@ -131,10 +131,6 @@ class RWChain:
             (self.P + np.eye(self.n)) / 2.0, self.pi, graph=self.graph
         )
 
-    def limit_matrix(self) -> np.ndarray:
-        """P^infinity: every row a copy of pi."""
-        return np.tile(self.pi, (self.n, 1))
-
 
 @dataclass(frozen=True)
 class MixingReport:
@@ -171,13 +167,6 @@ def worst_row_tv(Pt: np.ndarray, pi: np.ndarray) -> float:
         np.abs(block, out=block)
         block_max[i] = block.sum(axis=1).max()
     return float(0.5 * block_max.max())
-
-
-def matrix_power(P: np.ndarray, t: int) -> np.ndarray:
-    """P^t by binary powering. Rows stay stochastic to ~1e-9 at desk scale."""
-    if t < 0:
-        raise InvalidModel("t must be nonnegative")
-    return np.linalg.matrix_power(np.asarray(P, dtype=float), t)
 
 
 def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
@@ -230,7 +219,9 @@ def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
 
 def power_limit_gap(chain: RWChain, t: int) -> float:
     """Max-entry distance between P^t and the stationary limit matrix."""
-    Pt = matrix_power(chain.P, t)
+    if t < 0:
+        raise InvalidModel("t must be nonnegative")
+    Pt = np.linalg.matrix_power(chain.P, t)
     return float(np.abs(Pt - chain.pi).max())
 
 

@@ -42,6 +42,10 @@ _STREAM_NOISE = 13
 
 WORKERS_ENV_VAR = "GRAPHONLAB_WORKERS"
 
+# a coordinate of the distance experiment counts as small when its difference
+# is at most COORD_TOL_CONST / n^2
+COORD_TOL_CONST = 1.0
+
 
 @dataclass(frozen=True)
 class TVResult:
@@ -233,15 +237,14 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _resolve_workers(n_workers, trials: int) -> int:
-    """Pool size: the request (argument, else GRAPHONLAB_WORKERS, else 1),
-    capped at the CPUs this process may run on and at the number of trials."""
-    if n_workers is None:
-        try:
-            n_workers = int(os.environ.get(WORKERS_ENV_VAR, ""))
-        except ValueError:
-            n_workers = 1
-    return max(1, min(int(n_workers), _available_cpus(), trials))
+def _resolve_workers(trials: int) -> int:
+    """Pool size: GRAPHONLAB_WORKERS (else 1), capped at the CPUs this
+    process may run on and at the number of trials."""
+    try:
+        n_workers = int(os.environ.get(WORKERS_ENV_VAR, ""))
+    except ValueError:
+        n_workers = 1
+    return max(1, min(n_workers, _available_cpus(), trials))
 
 
 def _mc_trial(args):
@@ -280,7 +283,6 @@ def monte_carlo_error(
     trials: int,
     seed: int,
     const_c: float = 1.0,
-    n_workers: int | None = None,
 ) -> ExperimentReport:
     """Estimate the error rate of the nearest-profile test over seeded trials.
 
@@ -296,7 +298,7 @@ def monte_carlo_error(
     payloads = [
         (w0, w1, n, cfg, eps_res, derive_seed(seed, i)) for i in range(trials)
     ]
-    results = _map_trials(_mc_trial, payloads, _resolve_workers(n_workers, trials))
+    results = _map_trials(_mc_trial, payloads, _resolve_workers(trials))
     outcomes = tuple(r[0] for r in results)
     tvs = np.array([r[1] for r in results])
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
@@ -339,7 +341,7 @@ class DistanceStats:
     ``envelope`` is delta/n * (1 + envelope_const/sqrt(n)) when the degree
     profiles separate, and envelope_const * n^(-3/2 + 0.1) when they match.
     ``frac_small_coords`` averages, per trial, the fraction of coordinates
-    whose difference is at most coord_tol_const/n^2 (diagnostic for the
+    whose difference is at most COORD_TOL_CONST/n^2 (diagnostic for the
     matched regime).
     """
 
@@ -354,17 +356,16 @@ class DistanceStats:
     regime: str
     delta: float
     frac_small_coords: float
-    coord_tol_const: float
     shared_edge_randomness: bool
 
 
 def _distance_trial(args):
-    w0, w1, n, cfg, share, coord_tol, trial_seed = args
+    w0, w1, n, cfg, share, trial_seed = args
     pair = sample_coupled(w0, w1, n, trial_seed, share_edge_randomness=share)
     h0 = graph_embedding(pair.g0, cfg)
     h1 = graph_embedding(pair.g1, cfg)
     diff = np.abs(h0 - h1)
-    return float(diff.max()), float((diff <= coord_tol / n**2).mean())
+    return float(diff.max()), float((diff <= COORD_TOL_CONST / n**2).mean())
 
 
 def embedding_distance_experiment(
@@ -376,8 +377,6 @@ def embedding_distance_experiment(
     seed: int,
     share_edge_randomness: bool = False,
     envelope_const: float = 1.0,
-    coord_tol_const: float = 1.0,
-    n_workers: int | None = None,
 ) -> DistanceStats:
     """Distribution of max-coordinate distance between coupled embeddings.
 
@@ -393,12 +392,10 @@ def embedding_distance_experiment(
             "distance experiment expects identity/ReLU or an expanded-nice activation"
         )
     payloads = [
-        (w0, w1, n, cfg, share_edge_randomness, coord_tol_const, derive_seed(seed, i))
+        (w0, w1, n, cfg, share_edge_randomness, derive_seed(seed, i))
         for i in range(trials)
     ]
-    results = _map_trials(
-        _distance_trial, payloads, _resolve_workers(n_workers, trials)
-    )
+    results = _map_trials(_distance_trial, payloads, _resolve_workers(trials))
     dists = np.array([r[0] for r in results])
     fracs = np.array([r[1] for r in results])
     delta = delta_distance(w0, w1)
@@ -420,7 +417,6 @@ def embedding_distance_experiment(
         regime=regime,
         delta=delta,
         frac_small_coords=float(fracs.mean()),
-        coord_tol_const=coord_tol_const,
         shared_edge_randomness=share_edge_randomness,
     )
 

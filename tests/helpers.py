@@ -1,4 +1,6 @@
-"""Shared fixtures: small named graphs and random model generators."""
+"""Shared fixtures: small named graphs, random model generators, edge-list files."""
+
+import json
 
 import numpy as np
 
@@ -50,3 +52,16 @@ def random_step_graphon(rng, max_blocks=6, low=0.05, high=0.95):
     dens = rng.uniform(low, high, size=(k, k))
     dens = (dens + dens.T) / 2.0
     return StepGraphon(weights, dens)
+
+
+def save_edge_list(g, path, sidecar=True):
+    """Write the graph as 'u v' lines plus a JSON sidecar {n, seed, source}."""
+    iu, iv = np.nonzero(np.triu(g.adjacency, k=1))
+    with open(path, "w") as fh:
+        for u, v in zip(iu, iv):
+            fh.write(f"{u} {v}\n")
+    if sidecar:
+        meta = {"n": g.n, "seed": g.seed, "source": g.source}
+        with open(f"{path}.json", "w") as fh:
+            json.dump(meta, fh)
+            fh.write("\n")

@@ -7,9 +7,9 @@ between coupled stationary profiles carries an irreducible binomial noise
 term of order n^(-3/2) sqrt(log n) whose constant exceeds the factor-2 window
 around delta/n at that size, even under the tightest per-edge coupling
 (measured median/(delta/n): ~2.2 at n=250, ~1.9 at 500, ~1.7 at 1000; ~5.5 /
-4.4 / 3.6 under the conditionally independent coupling). The window would
-only be entered around n ~ 3000-5000. See also the README's known-limitation
-note.
+4.4 / 3.6 under the conditionally independent coupling). The ratio crosses 2
+between n=250 and n=500, so n=500 and n=1000 already lie inside [0.5, 2] and
+n=250 alone fails the criterion. See also the README's known-limitation note.
 """
 
 import itertools

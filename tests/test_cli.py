@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import graphonlab
-from graphonlab import cli, sample_graph, save_edge_list, spectral
+from graphonlab import cli, sample_graph, spectral
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
 
-from helpers import SBM_BASE, SBM_SEPARATED
+from helpers import SBM_BASE, SBM_SEPARATED, save_edge_list
 
 
 BASE_JSON = '{"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2}'
@@ -437,8 +437,13 @@ class TestExperimentCommand:
             ("k_rule", "ceil(1e400*ln(n))"),
             ("k_rule", "ceil(1e308*ln(n))"),
             ("eps_rule", 1e308),
+            ("k_rule", 1000000000),
+            ("k_rule", "ceil(1e12*ln(n))"),
         ],
-        ids=["k_rule-1e400", "k_rule-1e308", "eps_rule-1e308"],
+        ids=[
+            "k_rule-1e400", "k_rule-1e308", "eps_rule-1e308", "k_rule-deep-int",
+            "k_rule-deep-rule",
+        ],
     )
     def test_overflowing_rule_is_config_error(self, tmp_path, capsys, key, rule):
         path, doc = write_experiment_config(tmp_path, **{key: rule})
@@ -479,6 +484,22 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(path)])
         assert code == 3
         assert os.path.exists(os.path.join(doc["output_dir"], "PARTIAL"))
+
+    def test_unexpected_failure_writes_partial_marker(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "monte_carlo_error", failing)
+        path, doc = write_experiment_config(tmp_path, trials=2)
+        marker = os.path.join(doc["output_dir"], "PARTIAL")
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["experiment", "--config", str(path)])
+        with open(marker) as fh:
+            assert fh.read() == "RuntimeError: boom\n"
+        # a successful rerun into the same directory clears the marker
+        monkeypatch.undo()
+        assert main(["experiment", "--config", str(path)]) == 0
+        assert not os.path.exists(marker)
 
 
 MALFORMED_SPECS = {

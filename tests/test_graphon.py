@@ -14,7 +14,6 @@ from graphonlab import (
     TooManyBlocks,
     UnmatchableWeights,
     common_refinement,
-    constant_graphon,
     cut_distance_blocks,
     cut_norm_step,
     degree_function,
@@ -22,7 +21,6 @@ from graphonlab import (
     family_generate,
     family_validity_range,
     normalized_degree_profile,
-    step_difference,
     total_degree,
 )
 from graphonlab.graphon import family_binding_constraints, parse_model_spec
@@ -79,13 +77,13 @@ class TestStepGraphon:
 
     def test_rejects_zero_density(self):
         with pytest.raises(InvalidModel):
-            constant_graphon(0.0)
+            StepGraphon([1.0], [[0.0]])
 
     def test_min_density_configurable(self):
-        g = constant_graphon(1e-4, min_density=1e-5)
+        g = StepGraphon([1.0], [[1e-4]], min_density=1e-5)
         assert g.densities[0, 0] == 1e-4
         with pytest.raises(InvalidModel):
-            constant_graphon(1e-4, min_density=1e-3)
+            StepGraphon([1.0], [[1e-4]], min_density=1e-3)
 
     def test_parse_model_spec_both_forms(self):
         w1 = parse_model_spec({"weights": [0.5, 0.5], "densities": [[0.6, 0.2], [0.2, 0.4]]})
@@ -100,7 +98,7 @@ class TestDegreeFunctionals:
         np.testing.assert_allclose(prof.weights, [0.5, 0.5])
 
     def test_degree_function_constant(self):
-        prof = degree_function(constant_graphon(0.37))
+        prof = degree_function(StepGraphon([1.0], [[0.37]]))
         np.testing.assert_allclose(prof.values, [0.37])
 
     def test_degree_function_separated_sbm(self):
@@ -111,7 +109,7 @@ class TestDegreeFunctionals:
         assert total_degree(SBM_BASE.to_step_graphon()) == pytest.approx(0.35)
 
     def test_total_degree_constant(self):
-        assert total_degree(constant_graphon(0.37)) == pytest.approx(0.37)
+        assert total_degree(StepGraphon([1.0], [[0.37]])) == pytest.approx(0.37)
 
     def test_total_degree_separated(self):
         assert total_degree(SBM_SEPARATED.to_step_graphon()) == pytest.approx(0.35)
@@ -149,7 +147,10 @@ class TestDeltaDistance:
             a = random_step_graphon(rng, max_blocks=5)
             b = random_step_graphon(rng, max_blocks=5)
             perm = rng.permutation(a.n_blocks)
-            assert delta_distance(a.relabeled(perm), b) == pytest.approx(
+            relabeled = StepGraphon(
+                a.block_weights[perm], a.densities[np.ix_(perm, perm)]
+            )
+            assert delta_distance(relabeled, b) == pytest.approx(
                 delta_distance(a, b), abs=1e-12
             )
 
@@ -240,7 +241,8 @@ class TestCutNorm:
     def test_reference_difference_matches_brute_force(self):
         w0 = SBM_BASE.to_step_graphon()
         w1 = SBMParams(0.5, 0.7, 0.5, 0.1).to_step_graphon()
-        diff = step_difference(w0, w1)
+        r0, r1 = common_refinement(w0, w1)
+        diff = SignedStepKernel(r0.block_weights, r0.densities - r1.densities)
         assert cut_norm_step(diff) == pytest.approx(brute_force_cut_norm(diff))
 
     def test_random_kernels_match_brute_force(self):
@@ -263,7 +265,9 @@ class TestCutNorm:
             kernel = SignedStepKernel(raw / raw.sum(), (vals + vals.T) / 2)
             flipped = SignedStepKernel(kernel.block_weights, -kernel.values)
             assert cut_norm_step(kernel) == pytest.approx(cut_norm_step(flipped))
-            assert cut_norm_step(kernel) <= kernel.l1_mass() + 1e-12
+            w = kernel.block_weights
+            l1_mass = np.abs(kernel.values * np.outer(w, w)).sum()
+            assert cut_norm_step(kernel) <= l1_mass + 1e-12
 
     def test_block_limit(self):
         k = 17
@@ -276,7 +280,8 @@ class TestCutDistance:
     def test_relabeling_gives_zero(self):
         dens = np.array([[0.6, 0.3, 0.2], [0.3, 0.5, 0.4], [0.2, 0.4, 0.7]])
         w = StepGraphon([0.25, 0.25, 0.5], dens)
-        relabeled = w.relabeled([1, 0, 2])
+        perm = [1, 0, 2]
+        relabeled = StepGraphon(w.block_weights[perm], dens[np.ix_(perm, perm)])
         assert cut_distance_blocks(w, relabeled) == pytest.approx(0.0, abs=1e-12)
 
     def test_family_pair_strictly_positive(self):
@@ -305,7 +310,7 @@ class TestCutDistance:
 
     def test_common_refinement_enables_comparison(self):
         w0 = StepGraphon([0.3, 0.7], np.array([[0.6, 0.2], [0.2, 0.4]]))
-        w1 = constant_graphon(0.5)
+        w1 = StepGraphon([1.0], [[0.5]])
         r0, r1 = common_refinement(w0, w1)
         np.testing.assert_allclose(r0.block_weights, r1.block_weights)
         assert cut_distance_blocks(r0, r1) >= 0.0

@@ -12,12 +12,10 @@ from graphonlab import (
     ParseError,
     SampledGraph,
     StepGraphon,
-    constant_graphon,
     empirical_degree_profile,
     load_edge_list,
     sample_coupled,
     sample_graph,
-    save_edge_list,
 )
 from graphonlab.graphon import block_index
 from graphonlab.sampling import (
@@ -27,7 +25,14 @@ from graphonlab.sampling import (
 )
 from graphonlab.seeding import derive_seed, make_rng, splitmix64
 
-from helpers import SBM_BASE, SBM_SEPARATED, complete_graph, path_graph, star_graph
+from helpers import (
+    SBM_BASE,
+    SBM_SEPARATED,
+    complete_graph,
+    path_graph,
+    save_edge_list,
+    star_graph,
+)
 
 THREE_BLOCK = StepGraphon(
     [0.15, 0.6, 0.25],
@@ -76,7 +81,7 @@ def reference_sample_coupled(w0, w1, n, seed, share_edge_randomness):
 
 class TestSampleGraph:
     def test_all_one_graphon_gives_complete_graph(self):
-        g = sample_graph(constant_graphon(1.0), 12, seed=3)
+        g = sample_graph(StepGraphon([1.0], [[1.0]]), 12, seed=3)
         expected = complete_graph(12)
         assert np.array_equal(g.adjacency, expected.adjacency)
 
@@ -171,10 +176,8 @@ class TestSampleCoupled:
         assert (diff <= 6.0 * pooled_se + 1.0).all()
 
     def test_mismatched_partitions_use_own_blocks(self):
-        from graphonlab import StepGraphon, constant_graphon
-
         w0 = StepGraphon([0.3, 0.7], [[0.9, 0.2], [0.2, 0.6]])
-        w1 = constant_graphon(0.5)
+        w1 = StepGraphon([1.0], [[0.5]])
         pair = sample_coupled(w0, w1, 300, seed=4)
         x = pair.g0.latent_positions
         block2 = x >= 0.3
@@ -280,7 +283,7 @@ class TestEdgeList:
         with pytest.warns(UserWarning, match="1 self-loop"):
             g = load_edge_list(io.StringIO("1 2\n2 1\n2 2\n"))
         assert g.n == 2
-        assert g.edge_count() == 1
+        assert int(g.adjacency.sum()) // 2 == 1
 
     def test_one_indexed_autodetect(self):
         g = load_edge_list(io.StringIO("1 2\n2 3\n"))

@@ -14,7 +14,6 @@ from graphonlab import (
     StepGraphon,
     bottleneck_ratio,
     cheeger_check,
-    matrix_power,
     mixing_time,
     power_limit_gap,
     rw_transition_matrix,
@@ -137,33 +136,6 @@ class TestStationary:
             np.testing.assert_allclose(chain.pi @ chain.P, chain.pi, atol=1e-10)
 
 
-class TestMatrixPower:
-    def test_power_zero_identity(self):
-        P = rw_transition_matrix(path_graph(3))
-        np.testing.assert_allclose(matrix_power(P, 0), np.eye(3))
-
-    def test_power_one(self):
-        P = rw_transition_matrix(path_graph(3))
-        np.testing.assert_allclose(matrix_power(P, 1), P)
-
-    def test_matches_path_enumeration(self):
-        for g in (path_graph(3), cycle_graph(5), star_graph(3)):
-            P = rw_transition_matrix(g)
-            for t in (2, 3):
-                Pt = matrix_power(P, t)
-                for start in range(g.n):
-                    np.testing.assert_allclose(
-                        Pt[start],
-                        enumerate_walk_distribution(g.adjacency, start, t),
-                        atol=1e-12,
-                    )
-
-    def test_rows_stay_stochastic(self):
-        g = sample_graph(SBM_BASE.to_step_graphon(), 80, seed=9)
-        Pt = matrix_power(rw_transition_matrix(g), 30)
-        np.testing.assert_allclose(Pt.sum(axis=1), 1.0, atol=1e-9)
-
-
 class TestMixingTime:
     def test_complete_graph_one_step(self):
         chain = RWChain.from_graph(complete_graph(4))
@@ -222,6 +194,20 @@ class TestPowerLimitGap:
         g = star_graph(3)
         chain = RWChain.from_graph(g)
         assert power_limit_gap(chain, 0) == pytest.approx(1.0 - chain.pi.min())
+
+    def test_matches_path_enumeration(self):
+        for g in (path_graph(3), cycle_graph(5), star_graph(3)):
+            chain = RWChain.from_graph(g)
+            for t in (2, 3):
+                expected = max(
+                    np.abs(enumerate_walk_distribution(g.adjacency, v, t) - chain.pi).max()
+                    for v in range(g.n)
+                )
+                assert power_limit_gap(chain, t) == pytest.approx(expected, abs=1e-12)
+
+    def test_negative_t_refused(self):
+        with pytest.raises(InvalidModel):
+            power_limit_gap(RWChain.from_graph(star_graph(3)), -1)
 
     def test_gap_bound_at_mixing_time(self):
         # at t = t_mix(eps) the limit gap is at most 2 eps
@@ -390,12 +376,6 @@ class TestRWChainValidation:
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidModel):
             RWChain(P, np.array([0.9, 0.1]))
-
-    def test_limit_matrix_rows(self):
-        chain = RWChain.from_graph(star_graph(3))
-        lim = chain.limit_matrix()
-        for row in lim:
-            np.testing.assert_allclose(row, chain.pi)
 
 
 # The walk kernels before they moved to a fixed working set, kept verbatim as
