@@ -19,13 +19,9 @@ success, 2 config error, 3 runtime model error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import csv
 import datetime
-import glob
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -52,6 +48,7 @@ from .seeding import derive_seed
 from .spectral import RWChain, mixing_time
 from .testing import (
     COORD_TOL_CONST,
+    check_distance_activation,
     embedding_distance_experiment,
     fit_decay_exponent,
     monte_carlo_error,
@@ -254,53 +251,6 @@ def _parse_eps_arg(text):
     return lambda n: v
 
 
-def _scipy_openblas():
-    """ctypes handle of the OpenBLAS bundled in scipy's wheel, or None.
-
-    Found next to the scipy package without importing it. numpy's wheel
-    bundles a separate OpenBLAS (with 64-bit integers) that this does not load.
-    """
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    site = os.path.dirname(list(spec.submodule_search_locations)[0])
-    paths = sorted(glob.glob(os.path.join(site, "scipy.libs", "libscipy_openblas-*.so")))
-    if not paths:
-        return None
-    try:
-        lib = ctypes.CDLL(paths[0])
-        lib.scipy_openblas_get_num_threads.argtypes = []
-        lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
-        lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
-        lib.scipy_openblas_set_num_threads.restype = None
-    except (OSError, AttributeError):
-        return None
-    return lib
-
-
-@contextlib.contextmanager
-def _scipy_blas_on_calling_thread():
-    """Run scipy's OpenBLAS (the ``eigh`` in ``spectral_gap``) on one thread.
-
-    numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
-    pool's workers keep spinning for a while after each call. With both pools
-    threaded, each chain's ``eigh`` starts while numpy's workers from the P^t
-    products still spin, and the next chain's products while scipy's do, so
-    the two pools contend for the cores. numpy's pool is left as it is, and
-    the previous thread count is restored on exit. No-op without the library.
-    """
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    previous = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads(previous)
-
-
 def cmd_mixing(args) -> int:
     w = _load_model(args.model)
     try:
@@ -316,39 +266,38 @@ def cmd_mixing(args) -> int:
 
     rows = []
     traces = []
-    with _scipy_blas_on_calling_thread():
-        for n in n_list:
-            eps = eps_rule(n)
-            for j in range(args.seeds):
-                run_seed = derive_seed(args.seed, n * 100003 + j)
-                g = sample_graph(w, n, run_seed)
-                try:
-                    chain = RWChain.from_graph(g)
-                    if args.lazy:
-                        chain = chain.lazy()
-                    report = mixing_time(chain, eps, args.t_max)
-                    slope = report.fitted_slope
-                    rows.append(
-                        [
-                            n,
-                            run_seed,
-                            report.t_mix,
-                            f"{report.gap:.12g}",
-                            "" if slope is None else f"{slope:.12g}",
-                            "ok",
-                        ]
-                    )
-                    trace = report.worst_row_tv_trace
-                except NotMixed as exc:
-                    rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
-                    trace = exc.trace
-                    print(
-                        f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
-                        file=sys.stderr,
-                    )
-                traces.append(
-                    {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
+    for n in n_list:
+        eps = eps_rule(n)
+        for j in range(args.seeds):
+            run_seed = derive_seed(args.seed, n * 100003 + j)
+            g = sample_graph(w, n, run_seed)
+            try:
+                chain = RWChain.from_graph(g)
+                if args.lazy:
+                    chain = chain.lazy()
+                report = mixing_time(chain, eps, args.t_max)
+                slope = report.fitted_slope
+                rows.append(
+                    [
+                        n,
+                        run_seed,
+                        report.t_mix,
+                        f"{report.gap:.12g}",
+                        "" if slope is None else f"{slope:.12g}",
+                        "ok",
+                    ]
                 )
+                trace = report.worst_row_tv_trace
+            except NotMixed as exc:
+                rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
+                trace = exc.trace
+                print(
+                    f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
+                    file=sys.stderr,
+                )
+            traces.append(
+                {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
+            )
 
     runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
     _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)
@@ -401,6 +350,10 @@ def _validate_experiment_config(doc):
         raise ConfigError("const_c must be > 0")
     if _finite_number(doc, "envelope_const") < 0:
         raise ConfigError("envelope_const must be >= 0")
+    try:
+        check_distance_activation(Activation(doc.get("activation", "identity")))
+    except InvalidModel as exc:  # both messages name the activation
+        raise ConfigError(str(exc)) from None
 
 
 def _is_int(value) -> bool:

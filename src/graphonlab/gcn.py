@@ -123,7 +123,7 @@ def _check_finite(m):
 
 def _layer(ahat, m, act):
     """One layer sigma(A_hat M); None stands for the identity M."""
-    with np.errstate(over="ignore"):  # overflow surfaces as NonFinite below
+    with np.errstate(over="ignore", invalid="ignore"):  # both surface as NonFinite below
         x = ahat if m is None else ahat @ m
         _check_finite(x)
         m = act(x)

@@ -92,7 +92,6 @@ class RWChain:
 
     P: np.ndarray
     pi: np.ndarray
-    graph: SampledGraph | None = None
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float).copy()
@@ -119,7 +118,7 @@ class RWChain:
 
     @classmethod
     def from_graph(cls, g: SampledGraph) -> "RWChain":
-        return cls(rw_transition_matrix(g), stationary(g), graph=g)
+        return cls(rw_transition_matrix(g), stationary(g))
 
     @property
     def n(self) -> int:
@@ -127,9 +126,7 @@ class RWChain:
 
     def lazy(self) -> "RWChain":
         """Chain (P + I)/2; aperiodic, same stationary law."""
-        return RWChain(
-            (self.P + np.eye(self.n)) / 2.0, self.pi, graph=self.graph
-        )
+        return RWChain((self.P + np.eye(self.n)) / 2.0, self.pi)
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,6 @@ class MixingReport:
     the log-mixing law.
     """
 
-    eps: float
     t_mix: int
     worst_row_tv_trace: tuple
     gap: float
@@ -209,7 +205,6 @@ def mixing_time(chain: RWChain, eps: float, t_max: int) -> MixingReport:
     log_arg = chain.n / eps
     slope = t_hit / np.log(log_arg) if log_arg > 1.0 else None
     return MixingReport(
-        eps=eps,
         t_mix=t_hit,
         worst_row_tv_trace=tuple(trace),
         gap=gap,
@@ -230,16 +225,17 @@ def spectral_gap(chain: RWChain) -> float:
 
     Computed on the symmetric conjugate D_pi^{1/2} P D_pi^{-1/2}, which for
     reversible chains has a real spectrum and is solved through LAPACK's
-    symmetric (tridiagonalization) path.
+    symmetric (tridiagonalization) path in numpy's ``eigvalsh``, so the walk's
+    products and this solve share one BLAS library and one thread pool.
 
     Working set: two n x n buffers. S is built in the first; the second holds
-    |S - S^T| for the reversibility check and then (S + S^T)/2, in Fortran
-    order so that ``eigh`` overwrites it without a copy. S is freed first.
+    |S - S^T| for the reversibility check and then (S + S^T)/2. S is freed
+    before ``eigvalsh`` makes its own working copy.
     """
     s = np.sqrt(chain.pi)
     S = np.multiply(s[:, None], chain.P)
     np.divide(S, s[None, :], out=S)
-    sym = np.empty_like(S, order="F")
+    sym = np.empty_like(S)
     np.subtract(S, S.T, out=sym)
     np.abs(sym, out=sym)
     if sym.max() > 1e-8:
@@ -247,10 +243,7 @@ def spectral_gap(chain: RWChain) -> float:
     np.add(S, S.T, out=sym)
     np.divide(sym, 2.0, out=sym)
     del S
-    from scipy.linalg import eigh  # deferred: importing scipy costs about 1 s
-
-    # ascending; top (=1) is the pi direction
-    vals = eigh(sym, eigvals_only=True, overwrite_a=True)
+    vals = np.linalg.eigvalsh(sym)  # ascending; top (=1) is the pi direction
     if vals.size < 2:
         return 1.0
     return float(max(0.0, 1.0 - np.abs(vals[:-1]).max()))

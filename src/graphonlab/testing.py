@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, InvalidModel, ShapeMismatch
-from .gcn import GCNConfig, classify_activation, graph_embedding, perturb
+from .gcn import Activation, GCNConfig, classify_activation, graph_embedding, perturb
 from .graphon import (
     StepGraphon,
     degree_function,
@@ -368,6 +368,20 @@ def _distance_trial(args):
     return float(diff.max()), float((diff <= COORD_TOL_CONST / n**2).mean())
 
 
+def check_distance_activation(act: Activation) -> None:
+    """Refuse an activation the distance experiment does not cover.
+
+    Identity, ReLU and the (expanded-)nice activations qualify; the sigmoid,
+    not-nice because sigma(0) = 1/2, does not.
+    """
+    label = classify_activation(act).label
+    if label not in ("nice", "expanded-nice") and act.kind != "relu":
+        raise InvalidModel(
+            "distance experiment expects identity/ReLU or an expanded-nice "
+            f"activation, got {act.kind!r}"
+        )
+
+
 def embedding_distance_experiment(
     w0: StepGraphon,
     w1: StepGraphon,
@@ -386,11 +400,7 @@ def embedding_distance_experiment(
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
-    label = classify_activation(cfg.activation).label
-    if label not in ("nice", "expanded-nice") and cfg.activation.kind != "relu":
-        raise InvalidModel(
-            "distance experiment expects identity/ReLU or an expanded-nice activation"
-        )
+    check_distance_activation(cfg.activation)
     payloads = [
         (w0, w1, n, cfg, share_edge_randomness, derive_seed(seed, i))
         for i in range(trials)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphonlab
-from graphonlab import cli, sample_graph, spectral
+from graphonlab import cli, sample_graph
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
 
@@ -267,44 +267,6 @@ class TestMixingCommand:
         assert rows[1][5].startswith("not_mixed")
         assert "not mixed" in capsys.readouterr().err
 
-    def test_eigh_runs_on_one_scipy_thread(self, tmp_path, monkeypatch, capsys):
-        lib = cli._scipy_openblas()
-        if lib is None:
-            pytest.skip("scipy bundles no OpenBLAS here")
-        before = lib.scipy_openblas_get_num_threads()
-        seen = []
-        gap = spectral.spectral_gap
-
-        def recording_gap(chain):
-            seen.append(lib.scipy_openblas_get_num_threads())
-            return gap(chain)
-
-        monkeypatch.setattr(spectral, "spectral_gap", recording_gap)
-        argv = ["mixing", "--model", BASE_JSON, "--n-list", "30,40", "--seeds", "1"]
-        assert main(argv + ["--out-dir", str(tmp_path / "mix")]) == 0
-        assert seen == [1, 1]
-        assert lib.scipy_openblas_get_num_threads() == before
-        if os.path.exists("/proc/self/maps"):
-            # one copy of the library is loaded, so the count read above is
-            # the one scipy's eigh ran with
-            with open("/proc/self/maps") as fh:
-                mapped = {line.split()[-1] for line in fh if "libscipy_openblas-" in line}
-            assert len(mapped) == 1
-
-    def test_same_bytes_without_scipy_openblas(self, tmp_path, monkeypatch, capsys):
-        # the arguments of tests/test_golden.py::test_mixing_outputs, which
-        # pins the bytes of the run with the library found
-        argv = ["mixing", "--model", BASE_JSON, "--n-list", "40,80", "--seeds", "2",
-                "--seed", "5"]
-        outputs = []
-        for lookup in (cli._scipy_openblas, lambda: None):
-            monkeypatch.setattr(cli, "_scipy_openblas", lookup)
-            out_dir = tmp_path / f"mix{len(outputs)}"
-            assert main(argv + ["--out-dir", str(out_dir)]) == 0
-            outputs.append([(out_dir / name).read_bytes()
-                            for name in ("mixing_runs.csv", "tv_traces.json")])
-        assert outputs[0] == outputs[1]
-
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = [
             "mixing",
@@ -395,19 +357,25 @@ class TestExperimentCommand:
             ("envelope_const", float("nan")),
             ("n_list", 5),
             ("output_dir", 5),
+            ("activation", "sigmoid"),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
             "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
             "envelope-negative", "envelope-nan", "n_list-int", "output_dir-int",
+            "activation-sigmoid",
         ],
     )
-    def test_optional_key_type_is_config_error(self, tmp_path, capsys, key, value):
+    def test_optional_key_type_is_config_error(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
         path, doc = write_experiment_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=key):
             _validate_experiment_config(doc)
         assert main(["experiment", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_report_json_keys(self, tmp_path, capsys):
         path, doc = write_experiment_config(tmp_path, trials=3)

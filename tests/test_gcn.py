@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,8 +95,11 @@ class TestForward:
         m = np.eye(3)
         m[1, 2] = np.inf
         # 0 * inf is NaN in A_hat @ M, which the layer reports as NonFinite
-        with np.errstate(invalid="ignore"), pytest.raises(NonFinite):
-            _layer(ahat, m, Activation("identity"))
+        # and as nothing else
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                _layer(ahat, m, Activation("identity"))
 
 
 class TestEmbeddingVector:

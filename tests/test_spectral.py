@@ -402,15 +402,13 @@ def reference_mixing_trace(chain, eps, t_max):
     return t_hit, trace
 
 
-def reference_spectral_gap(chain):
-    from scipy.linalg import eigh
-
+def reference_spectral_gap(chain, eigvalsh=np.linalg.eigvalsh):
     s = np.sqrt(chain.pi)
     S = (s[:, None] * chain.P) / s[None, :]
     if np.abs(S - S.T).max() > 1e-8:
         raise InvalidModel("chain is not reversible; symmetric conjugate failed")
     S = (S + S.T) / 2.0
-    vals = eigh(S, eigvals_only=True)
+    vals = eigvalsh(S)
     if vals.size < 2:
         return 1.0
     return float(max(0.0, 1.0 - np.abs(vals[:-1]).max()))
@@ -454,6 +452,19 @@ class TestWalkKernelsMatchReference:
         with pytest.raises(InvalidModel, match="reversible"):
             spectral_gap(chain)
 
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("n", [57, 300])
+    def test_spectral_gap_matches_scipy_eigh(self, n, lazy):
+        from scipy.linalg import eigh
+
+        chain = sbm_chain(n, 4)
+        if lazy:
+            chain = chain.lazy()
+        expected = reference_spectral_gap(
+            chain, lambda S: eigh(S, eigvals_only=True)
+        )
+        assert abs(spectral_gap(chain) - expected) <= 1e-12
+
     @pytest.mark.parametrize(
         "shape",
         [
@@ -479,8 +490,6 @@ class TestWalkKernelMemory:
     n = 300
 
     def peak_over_n2(self, fn):
-        import scipy.linalg  # noqa: F401  (the deferred import would count)
-
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
