@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GraphonLabError, InvalidModel, NotMixed, ParseError
-from .gcn import Activation, GCNConfig
+from .gcn import Activation, GCNConfig, blas_info
 from .graphon import (
     SBMParams,
     delta_distance,
@@ -175,6 +175,8 @@ def _write_manifest(out_dir, config_doc, outputs):
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        # output bytes depend on the OpenBLAS core kernel, so record it
+        "blas": blas_info(),
         "config_sha256": hashlib.sha256(
             json.dumps(config_doc, sort_keys=True).encode()
         ).hexdigest(),

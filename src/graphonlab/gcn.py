@@ -13,7 +13,12 @@ The embedding dimension always equals the number of vertices.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +146,65 @@ def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
     for _ in range(cfg.depth):
         m = _layer(ahat, m, cfg.activation)
     return m
+
+
+@functools.cache
+def _numpy_openblas():
+    """ctypes handle of the OpenBLAS bundled in numpy's wheel, or None.
+
+    Opening the file numpy has already loaded returns numpy's own copy, so
+    the thread count set here is the one numpy's products run with.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    paths = sorted(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_-*.so")))
+    if not paths:
+        return None
+    try:
+        lib = ctypes.CDLL(paths[0])
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run numpy's OpenBLAS on the calling thread; yields whether it could.
+
+    The caller's thread count is restored on exit, also when the body raises.
+    Yields False, and changes nothing, when the library is not found.
+    """
+    lib = _numpy_openblas()
+    if lib is None:
+        yield False
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield True
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
+def blas_info() -> dict | None:
+    """numpy's OpenBLAS core kernel and thread counts, or None when not found.
+
+    ``threads`` is the count BLAS calls outside the dense pair path run with;
+    ``dense_path_threads`` is the count each pair's forward pass runs with.
+    """
+    lib = _numpy_openblas()
+    if lib is None:
+        return None
+    return {
+        "corename": lib.scipy_openblas_get_corename64_().decode(),
+        "threads": lib.scipy_openblas_get_num_threads64_(),
+        "dense_path_threads": 1,
+    }
 
 
 def embedding_vector(m: np.ndarray) -> np.ndarray:

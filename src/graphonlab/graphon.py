@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,18 @@ DEFAULT_MIN_DENSITY = 1e-6
 _WEIGHT_TOL = 1e-12
 _CUT_BLOCK_LIMIT = 16
 _CUT_PERMUTATION_LIMIT = 40320  # 8!: every order of 8 equal-weight blocks
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    """A float copy of value; non-numbers and NaN/inf (JSON null loads as NaN)
+    are an InvalidModel naming the field."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidModel(f"{name} must be numbers: {exc}") from None
+    if not np.isfinite(a).all():
+        raise InvalidModel(f"{name} must be finite numbers")
+    return a
 
 
 @dataclass(frozen=True)
@@ -54,8 +67,8 @@ class StepGraphon:
     min_density: float = DEFAULT_MIN_DENSITY
 
     def __post_init__(self):
-        w = np.asarray(self.block_weights, dtype=float).copy()
-        p = np.asarray(self.densities, dtype=float).copy()
+        w = _finite_array(self.block_weights, "block_weights")
+        p = _finite_array(self.densities, "densities")
         if w.ndim != 1 or w.size == 0:
             raise InvalidModel("block_weights must be a nonempty 1-D sequence")
         if p.shape != (w.size, w.size):
@@ -95,6 +108,10 @@ class SBMParams:
     q: float
 
     def __post_init__(self):
+        for name in ("k1", "p1", "p2", "q"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InvalidModel(f"{name} must be a number, got {v!r}")
         if not 0.0 < self.k1 < 1.0:
             raise InvalidModel(f"k1 must be in (0,1), got {self.k1}")
         for name in ("p1", "p2", "q"):

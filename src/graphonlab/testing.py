@@ -19,20 +19,26 @@ floor, which also mixes over graph randomness).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, InvalidModel, ShapeMismatch
-from .gcn import Activation, GCNConfig, classify_activation, graph_embedding, perturb
+from .gcn import (
+    Activation,
+    GCNConfig,
+    classify_activation,
+    graph_embedding,
+    one_blas_thread,
+    perturb,
+)
 from .graphon import (
     StepGraphon,
     degree_function,
     delta_distance,
     total_degree,
 )
-from .sampling import sample_coupled
+from .sampling import CoupledPair, sample_coupled
 from .seeding import derive_seed, make_rng
 
 DELTA_ZERO_TOL = 1e-9
@@ -247,13 +253,36 @@ def _resolve_workers(trials: int) -> int:
     return max(1, min(n_workers, _available_cpus(), trials))
 
 
+def embed_pair(pair: CoupledPair, cfg: GCNConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Embedding vectors of a coupled pair's two graphs under cfg.
+
+    On the dense path (an activation that is not linear on nonnegative
+    inputs) the two forward passes run at once, the second on a worker
+    thread, with numpy's OpenBLAS on one thread for the duration
+    (``gcn.one_blas_thread``). Each pass then has a core to itself for its
+    products, activation and finite checks, and the bytes no longer depend on
+    the caller's BLAS thread count. The identity/ReLU vector path, whose
+    bytes do not depend on it, and the dense path when numpy's OpenBLAS is
+    not found, embed the two graphs one after the other.
+    """
+    if not cfg.activation.is_linear_on_nonnegative:
+        with one_blas_thread() as pinned:
+            if pinned:
+                # deferred: the vector path never starts a thread
+                from concurrent.futures import ThreadPoolExecutor
+
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    second = pool.submit(graph_embedding, pair.g1, cfg)
+                    return graph_embedding(pair.g0, cfg), second.result()
+    return graph_embedding(pair.g0, cfg), graph_embedding(pair.g1, cfg)
+
+
 def _mc_trial(args):
     w0, w1, n, cfg, eps_res, trial_seed = args
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
     pair = sample_coupled(w0, w1, n, trial_seed)
-    h0 = graph_embedding(pair.g0, cfg)
-    h1 = graph_embedding(pair.g1, cfg)
+    h0, h1 = embed_pair(pair, cfg)
     observed = h0 if label == 0 else h1
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
     decision = nearest_profile_test(noisy, w0, w1, n)
@@ -270,6 +299,9 @@ def _mc_trial(args):
 def _map_trials(fn, payloads, n_workers):
     if n_workers <= 1:
         return [fn(p) for p in payloads]
+    # deferred: importing it loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(fn, payloads, chunksize=8))
 
@@ -362,8 +394,7 @@ class DistanceStats:
 def _distance_trial(args):
     w0, w1, n, cfg, share, trial_seed = args
     pair = sample_coupled(w0, w1, n, trial_seed, share_edge_randomness=share)
-    h0 = graph_embedding(pair.g0, cfg)
-    h1 = graph_embedding(pair.g1, cfg)
+    h0, h1 = embed_pair(pair, cfg)
     diff = np.abs(h0 - h1)
     return float(diff.max()), float((diff <= COORD_TOL_CONST / n**2).mean())
 

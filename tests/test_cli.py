@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import graphonlab
-from graphonlab import cli, sample_graph
+from graphonlab import cli, gcn, sample_graph
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
 
@@ -132,6 +133,15 @@ def test_import_leaves_scipy_unloaded():
         text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    code = "import sys, graphonlab, graphonlab.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=src_env(), capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_mixing_demo_runs():
@@ -329,6 +339,49 @@ class TestExperimentCommand:
         assert set(manifest["outputs"]) == {
             "distances.csv", "trials.csv", "summary.csv", "report.json"
         }
+
+    def test_manifest_records_blas_and_restores_threads(self, tmp_path, capsys, blas_threads):
+        path, doc = write_experiment_config(tmp_path, trials=2, activation="tanh")
+        assert main(["experiment", "--config", str(path)]) == 0
+        assert blas_threads() == 2
+        with open(os.path.join(doc["output_dir"], "manifest.json")) as fh:
+            blas = json.load(fh)["blas"]
+        assert blas["corename"] and isinstance(blas["corename"], str)
+        assert {k: blas[k] for k in ("threads", "dense_path_threads")} == {
+            "threads": 2, "dense_path_threads": 1,
+        }
+
+    def test_manifest_blas_null_without_the_library(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gcn, "_numpy_openblas", lambda: None)
+        path, doc = write_experiment_config(tmp_path, trials=2, activation="tanh")
+        assert main(["experiment", "--config", str(path)]) == 0
+        with open(os.path.join(doc["output_dir"], "manifest.json")) as fh:
+            assert json.load(fh)["blas"] is None
+
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # n = 500 with tanh: without the one-thread pin on the dense path,
+        # OPENBLAS_NUM_THREADS=1 and =2 give different bytes here
+        path, doc = write_experiment_config(
+            tmp_path,
+            models=[json.loads(BASE_JSON),
+                    {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}],
+            n_list=[500], k_rule="ceil(6*ln(n))", eps_rule="10/n",
+            activation="tanh", trials=1, seed=5, share_edge_randomness=True,
+        )
+        digests = set()
+        for threads in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphonlab.cli", "experiment", "--config", str(path)],
+                env=dict(src_env(), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            h = hashlib.sha256()
+            for name in ("distances.csv", "trials.csv", "summary.csv", "report.json"):
+                with open(os.path.join(doc["output_dir"], name), "rb") as fh:
+                    h.update(fh.read())
+            digests.add(h.hexdigest())
+        assert len(digests) == 1
 
     def test_trials_zero_is_config_error(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, trials=0)

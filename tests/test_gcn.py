@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -17,12 +18,15 @@ from graphonlab import (
     linearization_gap,
     perturb,
     rw_transition_matrix,
+    sample_coupled,
     sample_graph,
 )
-from graphonlab.gcn import _layer
+from graphonlab import gcn, testing
+from graphonlab.gcn import _layer, one_blas_thread
 from graphonlab.seeding import derive_seed
+from graphonlab.testing import embed_pair
 
-from helpers import SBM_BASE, path_graph
+from helpers import SBM_BASE, SBM_SEPARATED, path_graph
 
 
 class TestActivation:
@@ -134,6 +138,84 @@ class TestEmbeddingVector:
             embedding_vector(forward(g, GCNConfig(depth=3))),
             atol=1e-13,
         )
+
+
+def _pair(n=300, seed=17):
+    return sample_coupled(SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon(), n, seed)
+
+
+def _no_thread_start(self):
+    raise AssertionError("a thread was started")
+
+
+class TestEmbedPair:
+    """``testing.embed_pair``: the two dense forward passes of a coupled pair
+    run at once, each on one OpenBLAS thread (``gcn.one_blas_thread``)."""
+
+    @pytest.mark.parametrize("kind", ["tanh", "selu"])
+    def test_bitwise_equal_to_sequential_under_the_pin(self, blas_threads, kind):
+        pair = _pair()
+        cfg = GCNConfig(depth=35, activation=kind)  # ceil(6 ln 300)
+        h0, h1 = embed_pair(pair, cfg)
+        with one_blas_thread() as pinned:
+            assert pinned
+            r0 = graph_embedding(pair.g0, cfg)
+            r1 = graph_embedding(pair.g1, cfg)
+        assert h0.tobytes() == r0.tobytes()
+        assert h1.tobytes() == r1.tobytes()
+
+    def test_thread_count_pinned_then_restored(self, blas_threads, monkeypatch):
+        seen = []
+
+        def spy(g, cfg):
+            seen.append(blas_threads())
+            return graph_embedding(g, cfg)
+
+        monkeypatch.setattr(testing, "graph_embedding", spy)
+        embed_pair(_pair(n=40), GCNConfig(depth=3, activation="tanh"))
+        assert seen == [1, 1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_restored_when_a_pass_raises(self, blas_threads, monkeypatch, failing):
+        pair = _pair(n=40)
+        bad = (pair.g0, pair.g1)[failing]
+
+        def embed(g, cfg):
+            if g is bad:
+                raise NonFinite("non-finite value produced in forward pass")
+            return graph_embedding(g, cfg)
+
+        monkeypatch.setattr(testing, "graph_embedding", embed)
+        with pytest.raises(NonFinite):
+            embed_pair(pair, GCNConfig(depth=3, activation="tanh"))
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("kind", ["identity", "relu"])
+    def test_vector_path_starts_no_thread(self, blas_threads, monkeypatch, kind):
+        pair = _pair(n=40)
+        cfg = GCNConfig(depth=5, activation=kind)
+        seen = []
+
+        def spy(g, cfg):
+            seen.append(blas_threads())
+            return graph_embedding(g, cfg)
+
+        monkeypatch.setattr(testing, "graph_embedding", spy)
+        monkeypatch.setattr(threading.Thread, "start", _no_thread_start)
+        h0, h1 = embed_pair(pair, cfg)
+        assert seen == [2, 2]  # default BLAS threads, no pin
+        assert h0.tobytes() == graph_embedding(pair.g0, cfg).tobytes()
+        assert h1.tobytes() == graph_embedding(pair.g1, cfg).tobytes()
+
+    def test_sequential_without_the_library(self, monkeypatch):
+        pair = _pair(n=40)
+        cfg = GCNConfig(depth=3, activation="tanh")
+        monkeypatch.setattr(gcn, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(threading.Thread, "start", _no_thread_start)
+        h0, h1 = embed_pair(pair, cfg)
+        assert h0.tobytes() == graph_embedding(pair.g0, cfg).tobytes()
+        assert h1.tobytes() == graph_embedding(pair.g1, cfg).tobytes()
 
 
 class TestPerturb:

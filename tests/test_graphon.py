@@ -85,6 +85,25 @@ class TestStepGraphon:
         with pytest.raises(InvalidModel):
             StepGraphon([1.0], [[1e-4]], min_density=1e-3)
 
+    @pytest.mark.parametrize(
+        "weights, densities, field",
+        [
+            ([0.5, 0.5], [[0.5, None], [None, 0.5]], "densities"),
+            ([0.5, 0.5], [[0.5, float("nan")], [float("nan"), 0.5]], "densities"),
+            (["a", 0.5], [[0.5, 0.5], [0.5, 0.5]], "block_weights"),
+        ],
+        ids=["null-density", "nan-density", "string-weight"],
+    )
+    def test_malformed_field_is_named(self, weights, densities, field):
+        with pytest.raises(InvalidModel, match=field):
+            StepGraphon(weights, densities)
+
+    @pytest.mark.parametrize("field", ["k1", "p1", "p2", "q"])
+    def test_sbm_non_numeric_field_is_named(self, field):
+        values = {"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2, field: "0.3"}
+        with pytest.raises(InvalidModel, match=field):
+            SBMParams(**values)
+
     def test_parse_model_spec_both_forms(self):
         w1 = parse_model_spec({"weights": [0.5, 0.5], "densities": [[0.6, 0.2], [0.2, 0.4]]})
         w2 = parse_model_spec({"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2})

@@ -9,10 +9,10 @@ to a second directory (``git archive <parent> | tar -x -C DIR``):
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed, for the run length that BENCHMARK.json sets; even-indexed pairs
-run the parent first, odd-indexed the change first. On ``mixing`` workloads
-each seed's command also runs once outside the benchmark in each checkout,
-and the sha256 of ``mixing_runs.csv`` and ``tv_traces.json`` are compared
-(perfbench hashes only the CSV). A traced
+run the parent first, odd-indexed the change first. Each seed's command
+also runs once outside the benchmark in each checkout, and the sha256 of
+every output the workload lists (``Workload.outputs``) are compared, since
+perfbench hashes only the CSVs. A traced
 pair (``--trace 1``) records the per-call p50 timings. The ``machine`` block
 reads both OpenBLAS libraries that the numpy and scipy wheels bundle: build
 string, the core kernel picked at run time and the default thread count.
@@ -62,7 +62,7 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return out
 
 
-MIXING_DIGESTS = """
+OUTPUT_DIGESTS = """
 import json, os, sys, tempfile
 sys.path.insert(0, "perfbench")
 import workloads
@@ -73,13 +73,13 @@ with tempfile.TemporaryDirectory() as work:
     if main(argv) != 0:
         sys.exit(1)
     out = os.path.join(work, "out")
-    print(json.dumps({n: workloads.sha256(os.path.join(out, n)) for n in workloads.MIXING_OUTPUTS}))
+    print(json.dumps({n: workloads.sha256(os.path.join(out, n)) for n in w.outputs}))
 """
 
 
-def mixing_digests(root: Path, workload: str, seed: int) -> dict:
+def output_digests(root: Path, workload: str, seed: int) -> dict:
     env = run.worker_env(root, workloads.WORKLOADS[workload])
-    proc = subprocess.run([sys.executable, "-c", MIXING_DIGESTS, workload, str(seed)],
+    proc = subprocess.run([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
                           cwd=root, env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -211,10 +211,9 @@ def main(argv=None) -> int:
                 pair[f"{side}_correct"] = r["correct"]
                 pair[f"{side}_failed"] = r["failed"]
                 pair[f"{side}_attempted"] = r["attempted"]
-            if workload.startswith("mixing"):
-                digests = {side: mixing_digests(roots[side], workload, seed) for side in order}
-                pair["output_sha256"] = digests["change"]
-                pair["outputs_identical"] = digests["parent"] == digests["change"]
+            digests = {side: output_digests(roots[side], workload, seed) for side in order}
+            pair["output_sha256"] = digests["change"]
+            pair["outputs_identical"] = digests["parent"] == digests["change"]
             print(f"{workload} seed {seed}: " + json.dumps(
                 {s: pair[s]["ops_per_ref"] for s in order}), file=sys.stderr, flush=True)
             pairs.append(pair)
@@ -230,8 +229,7 @@ def main(argv=None) -> int:
         if workload in args.claim:
             result["gain_claimed_on"] = "ops_per_ref"
             result["gain_met"] = gain_met(summary)
-        if workload.startswith("mixing"):
-            result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
+        result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
         doc["workloads"][workload] = result
     for entry in args.traced:
         workload, seed = entry.split(":")
