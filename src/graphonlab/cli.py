@@ -10,10 +10,8 @@ dataset-profile  per-class degree profiles and empirical delta for edge lists
 
 All randomness is controlled by --seed (or the config's seed). Commands that
 write files also write a manifest with a config hash and per-output checksums;
-rerunning with the same inputs reproduces byte-identical CSV bodies. Worker
-count for trial fan-out comes from the GRAPHONLAB_WORKERS environment
-variable, capped at the available CPUs and the trial count. Exit codes: 0
-success, 2 config error, 3 runtime model error.
+rerunning with the same inputs reproduces byte-identical CSV bodies. Exit
+codes: 0 success, 2 config error, 3 runtime model error.
 """
 
 from __future__ import annotations
@@ -43,7 +41,12 @@ from .graphon import (
     normalized_degree_profile,
     parse_model_spec,
 )
-from .sampling import empirical_degree_profile, load_edge_list, sample_graph
+from .sampling import (
+    MAX_EDGE_LIST_VERTICES,
+    empirical_degree_profile,
+    load_edge_list,
+    sample_graph,
+)
 from .seeding import derive_seed
 from .spectral import RWChain, mixing_time
 from .testing import (
@@ -95,8 +98,8 @@ _K_RULE_RE = re.compile(r"^ceil\(\s*([0-9.eE+-]+)\s*\*\s*ln\(n\)\s*\)$")
 _EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
 
 
-# a forward pass costs O(K n^3); the deepest rule in use, ceil(6*ln(n)), is
-# 42 at n = 1000
+# bounds both the GCN depth K and mixing's --t-max, each a count of dense
+# n x n products; the deepest rule in use, ceil(6*ln(n)), is 42 at n = 1000
 _MAX_DEPTH = 10_000
 
 
@@ -263,6 +266,8 @@ def cmd_mixing(args) -> int:
         raise ConfigError(f"--n-list must be integers >= 2, got {args.n_list!r}")
     if args.seeds < 1:
         raise ConfigError("seeds must be >= 1")
+    if not 1 <= args.t_max <= _MAX_DEPTH:
+        raise ConfigError(f"--t-max must be in [1, {_MAX_DEPTH}], got {args.t_max}")
     eps_rule = _parse_eps_arg(args.eps)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -352,10 +357,7 @@ def _validate_experiment_config(doc):
         raise ConfigError("const_c must be > 0")
     if _finite_number(doc, "envelope_const") < 0:
         raise ConfigError("envelope_const must be >= 0")
-    try:
-        check_distance_activation(Activation(doc.get("activation", "identity")))
-    except InvalidModel as exc:  # both messages name the activation
-        raise ConfigError(str(exc)) from None
+    check_distance_activation(Activation(doc.get("activation", "identity")))
 
 
 def _is_int(value) -> bool:
@@ -562,8 +564,13 @@ def _profile_on_grid(profile, grid_length):
 
 
 def cmd_dataset_profile(args) -> int:
-    if args.grid_length < 1:
-        raise ConfigError(f"--grid-length must be >= 1, got {args.grid_length}")
+    # a profile has at most MAX_EDGE_LIST_VERTICES values; a longer grid only
+    # repeats them
+    if not 1 <= args.grid_length <= MAX_EDGE_LIST_VERTICES:
+        raise ConfigError(
+            f"--grid-length must be in [1, {MAX_EDGE_LIST_VERTICES}], "
+            f"got {args.grid_length}"
+        )
     if not os.path.isdir(args.dir):
         raise ConfigError(f"dataset directory not found: {args.dir}")
     if not os.path.exists(args.labels):
@@ -700,7 +707,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default="1/n^2", help="float or '1/n^2'")
     p.add_argument("--seeds", type=int, default=5, help="runs per size")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--t-max", type=int, default=400)
+    p.add_argument(
+        "--t-max", type=int, default=400, help=f"step cap, 1 to {_MAX_DEPTH}"
+    )
     p.add_argument("--lazy", action="store_true", help="use the lazy chain (P+I)/2")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_mixing)

@@ -18,7 +18,6 @@ floor, which also mixes over graph randomness).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,6 @@ DELTA_ZERO_TOL = 1e-9
 
 _STREAM_COIN = 11
 _STREAM_NOISE = 13
-
-WORKERS_ENV_VAR = "GRAPHONLAB_WORKERS"
 
 # a coordinate of the distance experiment counts as small when its difference
 # is at most COORD_TOL_CONST / n^2
@@ -237,22 +234,6 @@ def error_not_below_floor(
     return float(binom.cdf(errors, trials, floor)) >= alpha
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _resolve_workers(trials: int) -> int:
-    """Pool size: GRAPHONLAB_WORKERS (else 1), capped at the CPUs this
-    process may run on and at the number of trials."""
-    try:
-        n_workers = int(os.environ.get(WORKERS_ENV_VAR, ""))
-    except ValueError:
-        n_workers = 1
-    return max(1, min(n_workers, _available_cpus(), trials))
-
-
 def embed_pair(pair: CoupledPair, cfg: GCNConfig) -> tuple[np.ndarray, np.ndarray]:
     """Embedding vectors of a coupled pair's two graphs under cfg.
 
@@ -277,8 +258,7 @@ def embed_pair(pair: CoupledPair, cfg: GCNConfig) -> tuple[np.ndarray, np.ndarra
     return graph_embedding(pair.g0, cfg), graph_embedding(pair.g1, cfg)
 
 
-def _mc_trial(args):
-    w0, w1, n, cfg, eps_res, trial_seed = args
+def _mc_trial(w0, w1, n, cfg, eps_res, trial_seed):
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
     pair = sample_coupled(w0, w1, n, trial_seed)
@@ -294,16 +274,6 @@ def _mc_trial(args):
         seed=trial_seed,
     )
     return outcome, tv
-
-
-def _map_trials(fn, payloads, n_workers):
-    if n_workers <= 1:
-        return [fn(p) for p in payloads]
-    # deferred: importing it loads multiprocessing, which serial runs never use
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, payloads, chunksize=8))
 
 
 def monte_carlo_error(
@@ -327,12 +297,11 @@ def monte_carlo_error(
         raise InvalidModel("trials must be >= 1")
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
-    payloads = [
-        (w0, w1, n, cfg, eps_res, derive_seed(seed, i)) for i in range(trials)
-    ]
-    results = _map_trials(_mc_trial, payloads, _resolve_workers(trials))
-    outcomes = tuple(r[0] for r in results)
-    tvs = np.array([r[1] for r in results])
+    outcomes, tvs = zip(*[
+        _mc_trial(w0, w1, n, cfg, eps_res, derive_seed(seed, i))
+        for i in range(trials)
+    ])
+    tvs = np.array(tvs)
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
     lo, hi = clopper_pearson(errors, trials)
@@ -391,8 +360,7 @@ class DistanceStats:
     shared_edge_randomness: bool
 
 
-def _distance_trial(args):
-    w0, w1, n, cfg, share, trial_seed = args
+def _distance_trial(w0, w1, n, cfg, share, trial_seed):
     pair = sample_coupled(w0, w1, n, trial_seed, share_edge_randomness=share)
     h0, h1 = embed_pair(pair, cfg)
     diff = np.abs(h0 - h1)
@@ -432,13 +400,11 @@ def embedding_distance_experiment(
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     check_distance_activation(cfg.activation)
-    payloads = [
-        (w0, w1, n, cfg, share_edge_randomness, derive_seed(seed, i))
+    dists, fracs = zip(*[
+        _distance_trial(w0, w1, n, cfg, share_edge_randomness, derive_seed(seed, i))
         for i in range(trials)
-    ]
-    results = _map_trials(_distance_trial, payloads, _resolve_workers(trials))
-    dists = np.array([r[0] for r in results])
-    fracs = np.array([r[1] for r in results])
+    ])
+    dists, fracs = np.array(dists), np.array(fracs)
     delta = delta_distance(w0, w1)
     if delta < DELTA_ZERO_TOL:
         regime = "delta_zero"

@@ -13,6 +13,7 @@ import pytest
 
 import graphonlab
 from graphonlab import cli, gcn, sample_graph
+from graphonlab.errors import InvalidModel
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
 
@@ -136,18 +137,28 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    code = "import sys, graphonlab, graphonlab.cli; print('multiprocessing' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=src_env(), capture_output=True,
-        text=True, check=True, timeout=60,
-    ).stdout
-    assert out.strip() == "False"
-
-
-def test_mixing_demo_runs():
-    demo = os.path.join(
-        os.path.dirname(__file__), os.pardir, "demos", "demo_walks_and_mixing.py"
+    # trials run in the calling process, whatever GRAPHONLAB_WORKERS says
+    code = (
+        "import sys, graphonlab, graphonlab.cli; "
+        "print('multiprocessing' in sys.modules); "
+        "w = graphonlab.SBMParams(0.5, 0.6, 0.4, 0.2).to_step_graphon(); "
+        "graphonlab.monte_carlo_error(w, w, 20, graphonlab.GCNConfig(depth=3), "
+        "0.05, trials=2, seed=1); "
+        "print('multiprocessing' in sys.modules)"
     )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(src_env(), GRAPHONLAB_WORKERS="2"),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.split() == ["False", "False"]
+
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(name):
+    demo = os.path.join(DEMOS, name)
     proc = subprocess.run(
         [sys.executable, demo], env=src_env(), capture_output=True, text=True,
         timeout=120,
@@ -424,10 +435,13 @@ class TestExperimentCommand:
     ):
         monkeypatch.chdir(tmp_path)  # a relative output_dir would land here
         path, doc = write_experiment_config(tmp_path, **{key: value})
-        with pytest.raises(ConfigError, match=key):
+        # the activation check raises the library's InvalidModel, which main()
+        # reports as a config error like any other
+        with pytest.raises((ConfigError, InvalidModel), match=key):
             _validate_experiment_config(doc)
         assert main(["experiment", "--config", str(path)]) == 2
-        assert key in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_report_json_keys(self, tmp_path, capsys):
@@ -566,8 +580,14 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--eps", "nan"], "--eps"),
         (PROFILE_ARGS + ["--grid-length", "0"], "--grid-length"),
         (PROFILE_ARGS + ["--grid-length", "-3"], "--grid-length"),
+        (PROFILE_ARGS + ["--grid-length", "10000000000000"], "--grid-length"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "0"], "--t-max"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "10001"], "--t-max"),
     ],
-    ids=["n-list-letters", "eps-inf", "eps-nan", "grid-length-zero", "grid-length-negative"],
+    ids=[
+        "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
+        "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
+    ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
     assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2

@@ -1,10 +1,20 @@
-"""Seeded property tests: delta is a pseudometric and perturbation TV is a probability."""
+"""Seeded property tests: delta is a pseudometric, perturbation TV is a
+probability, and the SBM family keeps the normalized degree profile."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphonlab import StepGraphon, delta_distance, tv_perturbed
+from graphonlab import (
+    FamilySpec,
+    SBMParams,
+    StepGraphon,
+    delta_distance,
+    family_generate,
+    family_validity_range,
+    normalized_degree_profile,
+    tv_perturbed,
+)
 
 SEEDED = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -43,3 +53,21 @@ def perturbed_pairs(draw):
 def test_tv_perturbed_is_a_probability(pair):
     m0, m1, eps = pair
     assert 0.0 <= tv_perturbed(m0, m1, eps).tv <= 1.0
+
+
+@SEEDED
+@given(
+    st.floats(0.1, 0.9),
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.95),
+    st.floats(0.05, 0.95),
+)
+def test_family_point_keeps_degree_profile(k1, p1, p2, q, u):
+    base = SBMParams(k1, p1, p2, q)
+    lo, hi = family_validity_range(base)
+    point = family_generate(FamilySpec(base, tau=lo + u * (hi - lo)))
+    w0, w1 = base.to_step_graphon(), point.to_step_graphon()
+    assert delta_distance(w0, w1) <= 1e-12
+    prof0, prof1 = normalized_degree_profile(w0), normalized_degree_profile(w1)
+    assert np.abs(prof0.values - prof1.values).max() <= 1e-12

@@ -20,7 +20,6 @@ from graphonlab import (
     nearest_profile_test,
     tv_perturbed,
 )
-from graphonlab import testing
 from graphonlab.seeding import derive_seed
 
 from helpers import SBM_BASE, SBM_SEPARATED
@@ -220,25 +219,6 @@ class TestMonteCarlo:
         a = monte_carlo_error(w0, w1, 30, cfg, 0.01, trials=25, seed=77)
         b = monte_carlo_error(w0, w1, 30, cfg, 0.01, trials=25, seed=77)
         assert a == b
-
-    def test_parallel_workers_reproduce_serial(self, monkeypatch):
-        w0 = SBM_BASE.to_step_graphon()
-        w1 = SBM_SEPARATED.to_step_graphon()
-        cfg = GCNConfig(depth=5)
-        monkeypatch.setenv(testing.WORKERS_ENV_VAR, "1")
-        serial = monte_carlo_error(w0, w1, 25, cfg, 0.01, trials=12, seed=3)
-        monkeypatch.setenv(testing.WORKERS_ENV_VAR, "2")
-        parallel = monte_carlo_error(w0, w1, 25, cfg, 0.01, trials=12, seed=3)
-        assert serial == parallel
-
-    def test_worker_count_capped_by_cpus_and_trials(self, monkeypatch):
-        monkeypatch.setattr(testing, "_available_cpus", lambda: 3)
-        monkeypatch.setenv(testing.WORKERS_ENV_VAR, "100000")
-        assert testing._resolve_workers(12) == 3
-        assert testing._resolve_workers(2) == 2
-        for env in ("0", "-4", "many"):
-            monkeypatch.setenv(testing.WORKERS_ENV_VAR, env)
-            assert testing._resolve_workers(12) == 1
 
     def test_rejects_bad_args(self):
         w = SBM_BASE.to_step_graphon()
