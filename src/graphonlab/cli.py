@@ -262,8 +262,11 @@ def cmd_mixing(args) -> int:
         n_list = [int(x) for x in args.n_list.split(",") if x]
     except ValueError:
         n_list = []
-    if not n_list or any(n < 2 for n in n_list):
-        raise ConfigError(f"--n-list must be integers >= 2, got {args.n_list!r}")
+    if not n_list or any(not 2 <= n <= MAX_EDGE_LIST_VERTICES for n in n_list):
+        raise ConfigError(
+            f"--n-list must be integers in [2, {MAX_EDGE_LIST_VERTICES}], "
+            f"got {args.n_list!r}"
+        )
     if args.seeds < 1:
         raise ConfigError("seeds must be >= 1")
     if not 1 <= args.t_max <= _MAX_DEPTH:
@@ -342,9 +345,11 @@ def _validate_experiment_config(doc):
     if (
         not isinstance(n_list, list)
         or not n_list
-        or any(not _is_int(n) or n < 2 for n in n_list)
+        or any(not _is_int(n) or not 2 <= n <= MAX_EDGE_LIST_VERTICES for n in n_list)
     ):
-        raise ConfigError("n_list must be a nonempty list of integers >= 2")
+        raise ConfigError(
+            f"n_list must be a nonempty list of integers in [2, {MAX_EDGE_LIST_VERTICES}]"
+        )
     if not _is_int(doc["trials"]) or doc["trials"] < 1:
         raise ConfigError("trials must be an integer >= 1")
     if not _is_int(doc["seed"]):

@@ -2,15 +2,16 @@
 
 Sampling is dense and exact: one uniform draw per unordered vertex pair
 (desk scale, n up to a few thousand). Everything is deterministic given the
-64-bit seed; per-stage streams are derived with ``seeding.derive_seed`` so
-trials parallelize without sharing state.
+64-bit seed; each stage draws from its own stream, derived with
+``seeding.derive_seed``, so no stage's draws depend on another's.
 
-All edges come from one filler, ``_fill_edges``: it walks the upper triangle
-row by row, draws each row's uniforms once, and thresholds them against the
-densities of every requested graph. A plain sample is one graph on its own
-stream; a coupled pair is two graphs on two streams, or, with shared edge
-randomness, two graphs on one stream. Either way each graph consumes its
-stream in the same order, so a given seed always yields the same adjacency.
+All edges come from one filler, ``_fill_edges``: it takes the upper triangle
+in blocks of whole rows, draws each block's uniforms in one call, and
+thresholds them against the densities of every requested graph. A plain
+sample is one graph on its own stream; a coupled pair is two graphs on two
+streams, or, with shared edge randomness, two graphs on one stream. Either
+way each graph consumes its stream in row-major order, one value per pair, so
+a given seed always yields the same adjacency, whatever the block size.
 """
 
 from __future__ import annotations
@@ -35,9 +36,14 @@ _STREAM_POSITIONS = 1
 _STREAM_EDGES_0 = 2
 _STREAM_EDGES_1 = 3
 
-# load_edge_list refuses larger graphs: the uint8 adjacency alone is then
-# 256 MiB, and a SampledGraph holds about three n x n arrays at peak
+# the dense-adjacency cap: load_edge_list refuses larger graphs and the CLI
+# larger sizes, since the uint8 adjacency alone is then 256 MiB and a
+# SampledGraph holds about three n x n arrays at peak
 MAX_EDGE_LIST_VERTICES = 1 << 14
+
+# uniforms per block of the edge filler's upper triangle: it bounds the
+# filler's scratch memory and sets no output byte
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,11 @@ class SampledGraph:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidModel("adjacency must be square")
         if a.dtype != np.uint8:
+            # check before the cast, which turns 0.5, 256 and NaN into 0
+            if not ((a == 0) | (a == 1)).all():
+                raise InvalidModel("adjacency entries must be 0/1")
             a = a.astype(np.uint8)
-        if a.size and a.max() > 1:
+        elif a.size and a.max() > 1:
             raise InvalidModel("adjacency entries must be 0/1")
         if (a != a.T).any():
             raise InvalidModel("adjacency must be symmetric")
@@ -111,18 +120,34 @@ def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
 def _fill_edges(n, targets, rng):
     """One symmetric 0/1 adjacency per ``(blocks, densities)`` target.
 
-    ``densities[:, blocks]`` holds each block's density toward every vertex,
-    so a row's probabilities are a slice instead of a gather.
+    The upper triangle is taken ``rows`` rows at a time. A block's uniforms
+    come from one draw and are scattered through its upper-triangle mask in
+    row-major order, which is stream order; each target then compares them,
+    under the mask, with its gathered rows of ``densities[:, blocks]``.
+    Float64 draws take one Philox output each, so the adjacency is the same
+    as from one draw per row, whatever ``_BLOCK`` is.
     """
-    rows = [densities[:, blocks] for blocks, densities in targets]
+    rows = max(1, min(n - 1, _BLOCK // n))
+    # row k holds block k's density toward every vertex
+    probs = [densities[:, blocks] for blocks, densities in targets]
     adjs = [np.zeros((n, n), dtype=np.uint8) for _ in targets]
     # bool views of the same bytes, so np.less stores 0/1 without a cast
     flags = [adj.view(bool) for adj in adjs]
-    buf = np.empty(n - 1)
-    for i in range(n - 1):
-        u = rng.random(n - 1 - i, out=buf[: n - 1 - i])
-        for (blocks, _), row, flag in zip(targets, rows, flags):
-            np.less(u, row[blocks[i], i + 1 :], out=flag[i, i + 1 :])
+    # band[k, n - a + j] is j > a + k: the upper-triangle mask of row a + k
+    band = np.arange(-n, n) > np.arange(rows)[:, None]
+    u = np.empty((rows, n))
+    p = np.empty((rows, n))
+    draws = p.reshape(-1)  # the draws are scattered into u before p is gathered
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n - 1)
+        mask = band[: b - a, n - a : 2 * n - a]
+        # n - 1 - i uniforms for each row i of the block
+        count = (b - a) * (2 * n - a - b - 1) // 2
+        ub, pb = u[: b - a], p[: b - a]
+        ub[mask] = rng.random(count, out=draws[:count])
+        for (blocks, _), prob, flag in zip(targets, probs, flags):
+            np.take(prob, blocks[a:b], axis=0, out=pb)
+            np.less(ub, pb, out=flag[a:b], where=mask)
     for adj in adjs:
         adj |= adj.T
     return adjs

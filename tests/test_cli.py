@@ -420,14 +420,15 @@ class TestExperimentCommand:
             ("envelope_const", -1.0),
             ("envelope_const", float("nan")),
             ("n_list", 5),
+            ("n_list", [40, 10_000_000]),
             ("output_dir", 5),
             ("activation", "sigmoid"),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
             "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
-            "envelope-negative", "envelope-nan", "n_list-int", "output_dir-int",
-            "activation-sigmoid",
+            "envelope-negative", "envelope-nan", "n_list-int", "n_list-huge",
+            "output_dir-int", "activation-sigmoid",
         ],
     )
     def test_optional_key_type_is_config_error(
@@ -583,10 +584,12 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (PROFILE_ARGS + ["--grid-length", "10000000000000"], "--grid-length"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "0"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "10001"], "--t-max"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30,10000000"], "--n-list"),
     ],
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
         "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
+        "n-list-huge",
     ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):

@@ -17,6 +17,7 @@ from graphonlab import (
     sample_coupled,
     sample_graph,
 )
+from graphonlab import sampling
 from graphonlab.graphon import block_index
 from graphonlab.sampling import (
     _STREAM_EDGES_0,
@@ -38,6 +39,9 @@ THREE_BLOCK = StepGraphon(
     [0.15, 0.6, 0.25],
     [[0.9, 0.1, 0.45], [0.1, 0.3, 0.7], [0.45, 0.7, 0.05]],
 )
+# exact 0 and 1 densities, which StepGraphon's min_density keeps out of a
+# model: no uniform in [0, 1) passes 0, and every one passes 1
+ZERO_ONE = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [0.5, 0.25, 0.0]])
 
 
 # Reference oracle: the original per-row edge loops, kept verbatim. The
@@ -208,20 +212,55 @@ PAIRS = {
 }
 
 
+def block_sizes(n):
+    """``_BLOCK`` values to patch in: the default; one row per block (1 and
+    n +- 1 uniforms); blocks of 2 and 5 rows, which end exactly at the
+    triangle or leave a partial last block depending on n; n - 2 rows, which
+    leaves a one-row remainder; and the whole triangle in one block."""
+    return [sampling._BLOCK, 1, n - 1, n, n + 1, 3 * n // 2, 2 * n, 5 * n,
+            (n - 2) * n, (n - 1) * n]
+
+
 class TestSamplerMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 57, 300])
     @pytest.mark.parametrize("pair", sorted(PAIRS))
-    def test_bit_identical_to_reference_loops(self, pair, n):
+    def test_bit_identical_to_reference_loops(self, monkeypatch, pair, n):
         w0, w1 = PAIRS[pair]
-        for seed in (0, 1, 17, 2**40 + 5):
-            for w in (w0, w1):
-                expected = reference_sample_graph(w, n, seed)
-                assert np.array_equal(sample_graph(w, n, seed).adjacency, expected)
-            for share in (False, True):
-                e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
+        seeds = (0, 1, 17, 2**40 + 5)
+        single = {(i, seed): reference_sample_graph(w, n, seed)
+                  for i, w in enumerate((w0, w1)) for seed in seeds}
+        coupled = {(share, seed): reference_sample_coupled(w0, w1, n, seed, share)
+                   for share in (False, True) for seed in seeds}
+        for block in block_sizes(n):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            for (i, seed), expected in single.items():
+                got = sample_graph((w0, w1)[i], n, seed).adjacency
+                assert np.array_equal(got, expected), f"_BLOCK = {block}"
+            for (share, seed), (e0, e1) in coupled.items():
                 got = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
-                assert np.array_equal(got.g0.adjacency, e0)
-                assert np.array_equal(got.g1.adjacency, e1)
+                assert np.array_equal(got.g0.adjacency, e0), f"_BLOCK = {block}"
+                assert np.array_equal(got.g1.adjacency, e1), f"_BLOCK = {block}"
+
+    @pytest.mark.parametrize("n", [2, 3, 57, 300])
+    def test_exact_zero_and_one_densities(self, monkeypatch, n):
+        # two partitions of the vertices on one shared stream
+        targets = [
+            (np.arange(n) % 3, ZERO_ONE),
+            (np.arange(n)[::-1] // 7 % 3, ZERO_ONE),
+        ]
+        expected = []
+        for blocks, densities in targets:
+            adj = np.zeros((n, n), dtype=np.uint8)
+            _reference_fill_edges(adj, blocks, densities, make_rng(11))
+            p = densities[blocks[:, None], blocks[None, :]]
+            off_diagonal = ~np.eye(n, dtype=bool)
+            assert adj[(p == 1) & off_diagonal].all() and not adj[p == 0].any()
+            expected.append(adj)
+        for block in block_sizes(n):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            got = sampling._fill_edges(n, targets, make_rng(11))
+            for g, e in zip(got, expected):
+                assert np.array_equal(g, e), f"_BLOCK = {block}"
 
     @pytest.mark.parametrize(
         "model, n, seed, digest",
@@ -240,7 +279,8 @@ class TestSamplerMatchesReference:
 
 
 class TestSampledGraphValidation:
-    @pytest.mark.parametrize("bad", [2, -1])  # -1 casts to uint8 255
+    # -1 casts to uint8 255; 0.5, 256 and NaN would cast to 0, 257 to 1
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 256, 257, float("nan")])
     def test_rejects_entries_above_one(self, bad):
         adj = np.array([[0, bad], [bad, 0]])
         with pytest.raises(InvalidModel, match="0/1"):

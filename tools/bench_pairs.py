@@ -12,10 +12,10 @@ same seed, for the run length that BENCHMARK.json sets; even-indexed pairs
 run the parent first, odd-indexed the change first. Each seed's command
 also runs once outside the benchmark in each checkout, and the sha256 of
 every output the workload lists (``Workload.outputs``) are compared, since
-perfbench hashes only the CSVs. A traced
-pair (``--trace 1``) records the per-call p50 timings. The ``machine`` block
-reads both OpenBLAS libraries that the numpy and scipy wheels bundle: build
-string, the core kernel picked at run time and the default thread count.
+perfbench hashes only the CSVs. A traced pair (``--trace 1``) records the
+per-call p50 of every traced span. The ``machine`` block reads both OpenBLAS
+libraries that the numpy and scipy wheels bundle: build string, the core
+kernel picked at run time and the default thread count.
 Every run gets perfbench's own environment (``run.worker_env``).
 """
 
@@ -57,7 +57,7 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     if trace:
         out["p50_ms"] = {
             f"{m[1]}@{m[2]}": float(m[4])
-            for m in map(TIMING_LINE.match, lines) if m and m[1].startswith("spectral.")
+            for m in map(TIMING_LINE.match, lines) if m
         }
     return out
 
