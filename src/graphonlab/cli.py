@@ -20,6 +20,7 @@ import argparse
 import csv
 import datetime
 import hashlib
+import io
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import GraphonLabError, InvalidModel, NotMixed, ParseError
+from .errors import GraphonLabError, InvalidModel, NotMixed
 from .gcn import Activation, GCNConfig, blas_info
 from .graphon import (
     SBMParams,
@@ -64,6 +65,33 @@ class ConfigError(Exception):
     """Bad command-line or config-file input (exit code 2)."""
 
 
+def _read_text(path, what) -> str:
+    """A UTF-8 text file's contents; a file that cannot be opened or decoded
+    is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _parse_json(text, what):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _make_out_dir(path) -> str:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
+    return path
+
+
 def _load_model(entry, sbm: bool = False):
     """Model spec from a parsed dict, inline JSON or a file path.
 
@@ -73,14 +101,10 @@ def _load_model(entry, sbm: bool = False):
     """
     kind = "SBM" if sbm else "model"
     if isinstance(entry, str):
-        candidate = entry.strip()
-        if candidate.startswith("{"):
-            entry = json.loads(candidate)
-        else:
-            if not os.path.exists(candidate):
-                raise ConfigError(f"{kind} spec file not found: {candidate}")
-            with open(candidate) as fh:
-                entry = json.load(fh)
+        text = entry.strip()
+        if not text.startswith("{"):
+            text = _read_text(text, f"{kind} spec file")
+        entry = _parse_json(text, f"{kind} spec")
     try:
         if not sbm:
             return parse_model_spec(entry)
@@ -196,8 +220,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- commands
@@ -272,7 +295,7 @@ def cmd_mixing(args) -> int:
     if not 1 <= args.t_max <= _MAX_DEPTH:
         raise ConfigError(f"--t-max must be in [1, {_MAX_DEPTH}], got {args.t_max}")
     eps_rule = _parse_eps_arg(args.eps)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
 
     rows = []
     traces = []
@@ -330,7 +353,9 @@ def cmd_mixing(args) -> int:
     return 0
 
 
-def _validate_experiment_config(doc):
+def _validate_experiment_config(doc) -> dict:
+    """Check an experiment config; return the settings every n shares, with
+    the optional keys' defaults filled in."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -356,13 +381,21 @@ def _validate_experiment_config(doc):
         raise ConfigError("seed must be an integer")
     if not isinstance(doc["output_dir"], str) or not doc["output_dir"]:
         raise ConfigError("output_dir must be a nonempty string")
-    if not isinstance(doc.get("share_edge_randomness", False), bool):
+    share = doc.get("share_edge_randomness", False)
+    if not isinstance(share, bool):
         raise ConfigError("share_edge_randomness must be true or false")
-    if _finite_number(doc, "const_c") <= 0:
+    const_c = _finite_number(doc, "const_c")
+    if const_c <= 0:
         raise ConfigError("const_c must be > 0")
-    if _finite_number(doc, "envelope_const") < 0:
+    envelope_const = _finite_number(doc, "envelope_const")
+    if envelope_const < 0:
         raise ConfigError("envelope_const must be >= 0")
-    check_distance_activation(Activation(doc.get("activation", "identity")))
+    activation = Activation(doc.get("activation", "identity"))
+    check_distance_activation(activation)
+    return dict(
+        trials=doc["trials"], seed=doc["seed"], activation=activation,
+        share=share, const_c=const_c, envelope_const=envelope_const,
+    )
 
 
 def _is_int(value) -> bool:
@@ -383,175 +416,135 @@ def _finite_number(doc, key) -> float:
     return float(value)
 
 
-def cmd_experiment(args) -> int:
-    if not os.path.exists(args.config):
-        raise ConfigError(f"config file not found: {args.config}")
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}")
-    _validate_experiment_config(doc)
+def _plan_experiment(path):
+    """Load and check an experiment config, raising every config error before
+    any output directory exists.
 
-    w0 = _load_model(doc["models"][0])
-    w1 = _load_model(doc["models"][1])
+    Returns (doc, run, [(n, K, eps), ...]); ``run`` holds the two step
+    graphons under "models" and the settings every n shares.
+    """
+    doc = _parse_json(_read_text(path, "config file"), "config")
+    run = _validate_experiment_config(doc)
+    run["models"] = (_load_model(doc["models"][0]), _load_model(doc["models"][1]))
     k_rule = parse_k_rule(doc["k_rule"])
     eps_rule = parse_eps_rule(doc["eps_rule"])
-    depths = [k_rule(n) for n in doc["n_list"]]  # an overflowing rule fails before any output
-    activation = Activation(doc.get("activation", "identity"))
-    trials = doc["trials"]
-    seed = doc["seed"]
-    share = doc.get("share_edge_randomness", False)
-    const_c = _finite_number(doc, "const_c")
-    envelope_const = _finite_number(doc, "envelope_const")
-    out_dir = doc["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    partial_marker = os.path.join(out_dir, "PARTIAL")
-    if os.path.exists(partial_marker):
-        os.remove(partial_marker)
+    return doc, run, [(n, k_rule(n), eps_rule(n)) for n in doc["n_list"]]
 
-    distance_rows = []
-    outcome_rows = []
-    summary_rows = []
-    reports = {"distance": [], "error": []}
-    try:
-        dist_stats_all = []
-        for idx, n in enumerate(doc["n_list"]):
-            cfg = GCNConfig(depth=depths[idx], activation=activation)
-            eps = eps_rule(n)
-            dist = embedding_distance_experiment(
-                w0,
-                w1,
-                n,
-                cfg,
-                trials,
-                derive_seed(seed, 2 * idx),
-                share_edge_randomness=share,
-                envelope_const=envelope_const,
-            )
-            mc = monte_carlo_error(
-                w0,
-                w1,
-                n,
-                cfg,
-                eps,
-                trials,
-                derive_seed(seed, 2 * idx + 1),
-                const_c=const_c,
-            )
-            dist_stats_all.append(dist)
-            detail = [
-                {
-                    "trial": i,
-                    "seed": t.seed,
-                    "label": t.true_label,
-                    "decision": t.decision,
-                    "distance": t.embedding_distance,
-                }
-                for i, t in enumerate(mc.outcomes)
-            ]
-            reports["distance"].append(
-                {
-                    "n": dist.n,
-                    "K": dist.depth,
-                    "trials": dist.trials,
-                    "seed": dist.seed,
-                    "median": dist.median,
-                    "p95": dist.p95,
-                    "envelope": dist.envelope,
-                    "regime": dist.regime,
-                    "delta": dist.delta,
-                    "frac_small_coords": dist.frac_small_coords,
-                    "coord_tol_const": COORD_TOL_CONST,
-                    "shared_edge_randomness": dist.shared_edge_randomness,
-                    "distances": list(dist.distances),
-                }
-            )
-            reports["error"].append(
-                {
-                    "n": mc.n,
-                    "K": mc.depth,
-                    "eps_res": mc.eps_res,
-                    "trials": mc.trials,
-                    "seed": mc.seed,
-                    "error_rate": mc.error_rate,
-                    "ci_low": mc.ci_low,
-                    "ci_high": mc.ci_high,
-                    "mean_conditional_tv": mc.mean_conditional_tv,
-                    "lecam_floor": mc.bounds.lecam_lower,
-                    "formula_floor": mc.bounds.formula_floor,
-                    "formula_raw": mc.bounds.formula_raw,
-                    "regime": mc.bounds.regime,
-                    "delta": mc.delta,
-                    "trials_detail": detail,
-                }
-            )
-            for t_i, d in enumerate(dist.distances):
-                distance_rows.append([n, t_i, dist.seed, f"{d:.17g}"])
-            for row in detail:
-                *fields, d = row.values()
-                outcome_rows.append([n, *fields, f"{d:.17g}"])
-            summary_rows.append(
-                {
-                    "n": n,
-                    "K": cfg.depth,
-                    "eps_res": eps,
-                    "delta": dist.delta,
-                    "regime": dist.regime,
-                    "median_distance": dist.median,
-                    "p95_distance": dist.p95,
-                    "envelope": dist.envelope,
-                    "frac_small_coords": dist.frac_small_coords,
-                    "error_rate": mc.error_rate,
-                    "ci_low": mc.ci_low,
-                    "ci_high": mc.ci_high,
-                    "accuracy": 1.0 - mc.error_rate,
-                    "lecam_floor": mc.bounds.lecam_lower,
-                    "formula_floor": mc.bounds.formula_floor,
-                }
-            )
-        exponent = (
-            fit_decay_exponent(doc["n_list"], [s.p95 for s in dist_stats_all])
-            if len(dist_stats_all) >= 2
-            else float("nan")
-        )
-    except BaseException as exc:  # any failure leaves the run marked partial
-        with open(partial_marker, "w") as fh:
-            fh.write(f"{type(exc).__name__}: {exc}\n")
-        if not isinstance(exc, GraphonLabError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
-    distances_csv = os.path.join(out_dir, "distances.csv")
-    _write_csv(distances_csv, ["n", "trial", "seed", "distance"], distance_rows)
-    trials_csv = os.path.join(out_dir, "trials.csv")
+def _run_experiment_n(run, idx, n, depth, eps):
+    """Both harnesses at the idx-th n; returns that n's (distance, error)
+    records of report.json."""
+    w0, w1 = run["models"]
+    cfg = GCNConfig(depth=depth, activation=run["activation"])
+    dist = embedding_distance_experiment(
+        w0, w1, n, cfg, run["trials"], derive_seed(run["seed"], 2 * idx),
+        share_edge_randomness=run["share"], envelope_const=run["envelope_const"],
+    )
+    mc = monte_carlo_error(
+        w0, w1, n, cfg, eps, run["trials"], derive_seed(run["seed"], 2 * idx + 1),
+        const_c=run["const_c"],
+    )
+    distance = {
+        "n": dist.n,
+        "K": dist.depth,
+        "trials": dist.trials,
+        "seed": dist.seed,
+        "median": dist.median,
+        "p95": dist.p95,
+        "envelope": dist.envelope,
+        "regime": dist.regime,
+        "delta": dist.delta,
+        "frac_small_coords": dist.frac_small_coords,
+        "coord_tol_const": COORD_TOL_CONST,
+        "shared_edge_randomness": dist.shared_edge_randomness,
+        "distances": list(dist.distances),
+    }
+    error = {
+        "n": mc.n,
+        "K": mc.depth,
+        "eps_res": mc.eps_res,
+        "trials": mc.trials,
+        "seed": mc.seed,
+        "error_rate": mc.error_rate,
+        "ci_low": mc.ci_low,
+        "ci_high": mc.ci_high,
+        "mean_conditional_tv": mc.mean_conditional_tv,
+        "lecam_floor": mc.bounds.lecam_lower,
+        "formula_floor": mc.bounds.formula_floor,
+        "formula_raw": mc.bounds.formula_raw,
+        "regime": mc.bounds.regime,
+        "delta": mc.delta,
+        "trials_detail": [
+            {"trial": i, "seed": t.seed, "label": t.true_label,
+             "decision": t.decision, "distance": t.embedding_distance}
+            for i, t in enumerate(mc.outcomes)
+        ],
+    }
+    return distance, error
+
+
+# summary.csv's columns: keys of one n's error record overlaid by its distance
+# record, or of the four that _write_experiment adds
+_SUMMARY_COLUMNS = (
+    "n", "K", "eps_res", "delta", "regime", "median_distance", "p95_distance",
+    "envelope", "frac_small_coords", "error_rate", "ci_low", "ci_high",
+    "accuracy", "lecam_floor", "formula_floor", "fitted_exponent",
+)
+
+
+def _write_experiment(out_dir, doc, records):
+    """Write every experiment output from the per-n (distance, error) records
+    alone; returns the summary path and the fitted decay exponent of the p95s."""
+    dists, errors = zip(*records)
+    exponent = fit_decay_exponent([d["n"] for d in dists], [d["p95"] for d in dists])
+    paths = [
+        os.path.join(out_dir, name)
+        for name in ("distances.csv", "trials.csv", "summary.csv", "report.json")
+    ]
+    distances_csv, trials_csv, summary_csv, report_json = paths
+    _write_csv(
+        distances_csv,
+        ["n", "trial", "seed", "distance"],
+        ([d["n"], i, d["seed"], f"{x:.17g}"]
+         for d in dists for i, x in enumerate(d["distances"])),
+    )
     _write_csv(
         trials_csv,
         ["n", "trial", "seed", "label", "decision", "distance"],
-        outcome_rows,
+        ([e["n"], *fields, f"{x:.17g}"]
+         for e in errors for *fields, x in (t.values() for t in e["trials_detail"])),
     )
-    summary_csv = os.path.join(out_dir, "summary.csv")
-    header = list(summary_rows[0].keys()) + ["fitted_exponent"]
+    summary = (
+        {**e, **d, "median_distance": d["median"], "p95_distance": d["p95"],
+         "accuracy": 1.0 - e["error_rate"], "fitted_exponent": exponent}
+        for d, e in records
+    )
     _write_csv(
         summary_csv,
-        header,
-        [
-            [
-                row[k] if not isinstance(row[k], float) else f"{row[k]:.12g}"
-                for k in summary_rows[0]
-            ]
-            + [f"{exponent:.12g}"]
-            for row in summary_rows
-        ],
+        _SUMMARY_COLUMNS,
+        ([f"{row[c]:.12g}" if isinstance(row[c], float) else row[c] for c in _SUMMARY_COLUMNS]
+         for row in summary),
     )
-    report_json = os.path.join(out_dir, "report.json")
     with open(report_json, "w") as fh:
-        json.dump({"fitted_exponent": exponent, **reports}, fh)
+        json.dump({"fitted_exponent": exponent, "distance": dists, "error": errors}, fh)
         fh.write("\n")
-    _write_manifest(
-        out_dir, doc, [distances_csv, trials_csv, summary_csv, report_json]
-    )
+    _write_manifest(out_dir, doc, paths)
+    return summary_csv, exponent
+
+
+def cmd_experiment(args) -> int:
+    doc, run, plan = _plan_experiment(args.config)
+    out_dir = _make_out_dir(doc["output_dir"])
+    partial_marker = os.path.join(out_dir, "PARTIAL")
+    if os.path.exists(partial_marker):
+        os.remove(partial_marker)
+    try:
+        records = [_run_experiment_n(run, idx, *point) for idx, point in enumerate(plan)]
+    except BaseException as exc:  # any failure leaves the run marked partial
+        with open(partial_marker, "w") as fh:
+            fh.write(f"{type(exc).__name__}: {exc}\n")
+        raise
+    summary_csv, exponent = _write_experiment(out_dir, doc, records)
     print(f"wrote {summary_csv} (fitted exponent {exponent:.4g})")
     return 0
 
@@ -578,16 +571,16 @@ def cmd_dataset_profile(args) -> int:
         )
     if not os.path.isdir(args.dir):
         raise ConfigError(f"dataset directory not found: {args.dir}")
-    if not os.path.exists(args.labels):
-        raise ConfigError(f"labels file not found: {args.labels}")
     labels = {}
-    with open(args.labels, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "filename":
-                continue
-            if len(row) < 2:
-                raise ConfigError(f"labels row needs filename,label: {row}")
-            labels[row[0].strip()] = row[1].strip()
+    for row in csv.reader(io.StringIO(_read_text(args.labels, "labels file"))):
+        if not row or row[0].strip().lower() == "filename":
+            continue
+        if len(row) < 2:
+            raise ConfigError(f"labels row needs filename,label: {row}")
+        name = row[0].strip()
+        if name in labels:
+            raise ConfigError(f"labels file lists {name!r} more than once")
+        labels[name] = row[1].strip()
     if not labels:
         raise ConfigError("labels file is empty")
 
@@ -597,13 +590,12 @@ def cmd_dataset_profile(args) -> int:
     missing = []
     for fname in sorted(labels):
         path = os.path.join(args.dir, fname)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             missing.append(fname)
             continue
         try:
-            with open(path) as fh:
-                g = load_edge_list(fh)
-        except (ParseError, GraphonLabError) as exc:
+            g = load_edge_list(_read_text(path, "edge list"))
+        except (ConfigError, GraphonLabError) as exc:
             skipped += 1
             print(f"warning: skipping {fname}: {exc}", file=sys.stderr)
             continue
@@ -623,7 +615,7 @@ def cmd_dataset_profile(args) -> int:
         means[cls] = curves.mean(axis=0)
     empirical_delta = float(np.abs(means[classes[0]] - means[classes[1]]).mean())
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_out_dir(args.out_dir)
     class_csv = os.path.join(args.out_dir, "class_profiles.csv")
     grid_u = (np.arange(grid) + 0.5) / grid
     _write_csv(
@@ -758,9 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the one table from exceptions to exit codes; commands only raise
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, InvalidModel) as exc:
+    except (ConfigError, InvalidModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except GraphonLabError as exc:

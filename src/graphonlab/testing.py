@@ -429,8 +429,13 @@ def embedding_distance_experiment(
 
 
 def fit_decay_exponent(n_values, stat_values) -> float:
-    """Least-squares slope of log(stat) against log(n)."""
-    ln = np.log(np.asarray(n_values, dtype=float))
-    lv = np.log(np.asarray(stat_values, dtype=float))
-    slope = np.polyfit(ln, lv, 1)[0]
-    return float(slope)
+    """Least-squares slope of log(stat) against log(n).
+
+    NaN, without a numpy warning, when fewer than two distinct sizes are given
+    or a statistic is not positive: no slope is defined then.
+    """
+    n_values = np.asarray(n_values, dtype=float)
+    stat_values = np.asarray(stat_values, dtype=float)
+    if np.unique(n_values).size < 2 or not (stat_values > 0).all():
+        return float("nan")
+    return float(np.polyfit(np.log(n_values), np.log(stat_values), 1)[0])

@@ -29,6 +29,35 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def path_placeholders(tmp_path):
+    """Placeholders for arguments, mapped to inputs made in tmp_path.
+
+    "<dir>" is a directory holding two edge lists and a subdirectory, "<bad>"
+    a file that is not UTF-8, "<file>" a plain file where a directory belongs,
+    "<out>" a path that does not exist yet, and "<labels...>" labels files for
+    "<dir>". "<config>" is an experiment config whose output_dir is "<file>".
+    """
+    paths = {"<dir>": tmp_path / "adir", "<bad>": tmp_path / "bad.json",
+             "<file>": tmp_path / "afile", "<out>": tmp_path / "out"}
+    paths["<dir>"].mkdir()
+    (paths["<dir>"] / "sub").mkdir()
+    (paths["<dir>"] / "a.edges").write_text("0 1\n1 2\n")
+    (paths["<dir>"] / "b.edges").write_text("0 1\n")
+    paths["<bad>"].write_bytes(b'{"k1": "\xff"}')
+    paths["<file>"].write_text("x\n")
+    for key, text in (("<labels>", "a.edges,x\nb.edges,y\n"),
+                      ("<labels-subdir>", "a.edges,x\nsub,y\n"),
+                      ("<labels-twice>", "a.edges,x\nb.edges,y\na.edges,y\n")):
+        paths[key] = tmp_path / (key.strip("<>") + ".csv")
+        paths[key].write_text(text)
+    paths["<config>"], _ = write_experiment_config(tmp_path, output_dir=str(paths["<file>"]))
+    return {key: str(path) for key, path in paths.items()}
+
+
 class TestRules:
     def test_k_rule_explicit(self):
         rule = parse_k_rule(16)
@@ -519,7 +548,10 @@ class TestExperimentCommand:
         )
         code = main(["experiment", "--config", str(path)])
         assert code == 3
-        assert os.path.exists(os.path.join(doc["output_dir"], "PARTIAL"))
+        err = capsys.readouterr().err
+        assert err.startswith("model error: vertex") and "Traceback" not in err
+        with open(os.path.join(doc["output_dir"], "PARTIAL")) as fh:
+            assert fh.read().startswith("IsolatedVertex: vertex")
 
     def test_unexpected_failure_writes_partial_marker(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
@@ -542,11 +574,15 @@ MALFORMED_SPECS = {
     "string_k1": '{"k1": "a", "p1": 0.6, "p2": 0.4, "q": 0.2}',
     "string_densities": '{"weights": [1.0], "densities": "x"}',
     "missing_densities": '{"weights": [1.0]}',
+    # spec file paths that exist but cannot be read as text
+    "directory": "<dir>",
+    "non_utf8": "<bad>",
 }
 
 
 class TestMalformedSpecs:
     def run_command(self, tmp_path, command, spec):
+        spec = path_placeholders(tmp_path).get(spec, spec)
         if command == "delta":
             return main(["delta", spec, BASE_JSON])
         if command == "family":
@@ -557,7 +593,8 @@ class TestMalformedSpecs:
                  "--out-dir", str(tmp_path / "mix")]
             )
         path, _ = write_experiment_config(
-            tmp_path, models=[json.loads(spec), json.loads(BASE_JSON)]
+            tmp_path,
+            models=[json.loads(spec) if spec.startswith("{") else spec, json.loads(BASE_JSON)],
         )
         return main(["experiment", "--config", str(path)])
 
@@ -568,6 +605,7 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert not (tmp_path / "mix").exists() and not (tmp_path / "out").exists()
 
 
 PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
@@ -585,19 +623,39 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "0"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "10001"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30,10000000"], "--n-list"),
+        (["delta", "<dir>", "<dir>"], "<dir>"),
+        (["delta", "<bad>", "<bad>"], "<bad>"),
+        (["experiment", "--config", "<dir>"], "<dir>"),
+        (["experiment", "--config", "<bad>"], "<bad>"),
+        (["experiment", "--config", "<config>"], "<file>"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--out-dir", "<file>"],
+         "<file>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels>",
+          "--out-dir", "<file>"], "<file>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<dir>"], "<dir>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<bad>"], "<bad>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-subdir>"], "['sub']"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-twice>"], "'a.edges'"),
     ],
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
         "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
-        "n-list-huge",
+        "n-list-huge", "delta-directory", "delta-non-utf8", "config-directory",
+        "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
+        "profile-out-dir-file", "labels-directory", "labels-non-utf8",
+        "labeled-name-directory", "labels-repeated-name",
     ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
-    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    paths = path_placeholders(tmp_path)
+    if argv[0] in ("mixing", "dataset-profile") and "--out-dir" not in argv:
+        argv = argv + ["--out-dir", "<out>"]
+    before = tree(tmp_path)
+    assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and name in err
+    assert err.startswith("config error:") and paths.get(name, name) in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    assert tree(tmp_path) == before  # no output directory, no file written
 
 
 class TestDatasetProfileCommand:
@@ -700,8 +758,9 @@ class TestDatasetProfileCommand:
         data_dir, labels = self.make_dataset(tmp_path, w0, w1, 80, per_class=2)
         (data_dir / "bad.edges").write_text("x y\n")
         (data_dir / "huge.edges").write_text("0 100000000000\n")
+        (data_dir / "latin.edges").write_bytes(b"0 1\n1 \xe9\n")
         with open(labels, "a") as fh:
-            fh.write("bad.edges,classA\nhuge.edges,classB\n")
+            fh.write("bad.edges,classA\nhuge.edges,classB\nlatin.edges,classA\n")
         code = main(
             [
                 "dataset-profile",
@@ -714,4 +773,6 @@ class TestDatasetProfileCommand:
         assert code == 0
         assert "skipping bad.edges" in captured.err
         assert "skipping huge.edges" in captured.err
-        assert "skipped 2 unreadable file(s)" in captured.err
+        assert "skipping latin.edges" in captured.err
+        assert "skipped 3 unreadable file(s)" in captured.err
+        assert "Traceback" not in captured.err

@@ -19,6 +19,8 @@ from helpers import SBM_BASE
 
 BASE = {"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2}
 SEPARATED = {"k1": 0.5, "p1": 0.55, "p2": 0.45, "q": 0.2}
+# BASE's family point at tau 0.05: the same degree profile, so delta = 0
+FAMILY = {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}
 
 EXPERIMENT_SHA256 = {
     "identity": {
@@ -33,6 +35,19 @@ EXPERIMENT_SHA256 = {
         "summary.csv": "7016208d599e18612b9c3dab05fa0f7c32e27df8445f9636a7312d58258f9783",
         "report.json": "33062a819be2ee42b01c4a5cabd2f8662acd5adc537983045a28e9cd2620c485",
     },
+    "selu": {
+        "distances.csv": "1eb0f353ad7de5ed8ef562197e0e8256dc31d461aaa043437712fac3fc75a455",
+        "trials.csv": "efe66ee435bee9d84cbe4c5c72273b02c482c47209fa79b6ebac0d8567529237",
+        "summary.csv": "35786ba83b7e07d2416399deae2c758a8d8c26ddb9f0c92ebfec1ade7e893fe6",
+        "report.json": "da6d1d8b869819b01acf0f2ad939b1ca01f0a1d14c3ca5cbe10466463e67dd6f",
+    },
+}
+
+# The selu case takes the branches the other two miss: a single n (so
+# fitted_exponent is nan), shared edge randomness, and a delta = 0 pair (the
+# delta_zero floor and envelope).
+EXPERIMENT_OVERRIDES = {
+    "selu": {"models": [BASE, FAMILY], "n_list": [40], "share_edge_randomness": True},
 }
 
 MIXING_SHA256 = {
@@ -48,7 +63,7 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("activation", ["identity", "tanh"])
+@pytest.mark.parametrize("activation", ["identity", "tanh", "selu"])
 def test_experiment_outputs(tmp_path, capsys, activation):
     out_dir = tmp_path / "out"
     doc = {
@@ -61,6 +76,7 @@ def test_experiment_outputs(tmp_path, capsys, activation):
         "trials": 6,
         "seed": 42,
         "output_dir": str(out_dir),
+        **EXPERIMENT_OVERRIDES.get(activation, {}),
     }
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))

@@ -269,3 +269,13 @@ class TestDistanceExperiment:
         n = np.array([100, 200, 400])
         values = 3.0 * n.astype(float) ** -1.5
         assert fit_decay_exponent(n, values) == pytest.approx(-1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, values",
+        [([40, 60], [0.0, 0.0]), ([40, 60], [0.0, 0.2]), ([40, 40], [0.1, 0.2]),
+         ([40], [0.1])],
+        ids=["zero-stats", "one-zero-stat", "one-size-twice", "one-size"],
+    )
+    def test_fit_decay_exponent_undefined_is_nan_without_warning(self, n, values):
+        assert np.isnan(fit_decay_exponent(n, values))
