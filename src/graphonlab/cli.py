@@ -571,8 +571,12 @@ def cmd_dataset_profile(args) -> int:
         )
     if not os.path.isdir(args.dir):
         raise ConfigError(f"dataset directory not found: {args.dir}")
+    try:
+        rows = list(csv.reader(io.StringIO(_read_text(args.labels, "labels file"))))
+    except csv.Error as exc:
+        raise ConfigError(f"cannot parse labels file {args.labels}: {exc}") from None
     labels = {}
-    for row in csv.reader(io.StringIO(_read_text(args.labels, "labels file"))):
+    for row in rows:
         if not row or row[0].strip().lower() == "filename":
             continue
         if len(row) < 2:

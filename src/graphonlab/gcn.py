@@ -194,8 +194,10 @@ def one_blas_thread():
 def blas_info() -> dict | None:
     """numpy's OpenBLAS core kernel and thread counts, or None when not found.
 
-    ``threads`` is the count BLAS calls outside the dense pair path run with;
-    ``dense_path_threads`` is the count each pair's forward pass runs with.
+    ``threads`` is the count BLAS calls outside the Monte Carlo trial loops
+    run with; ``dense_path_threads`` is the count every trial's embedding
+    runs with, on the dense and the vector path alike, since the trial loop
+    keeps numpy's OpenBLAS on one thread.
     """
     lib = _numpy_openblas()
     if lib is None:

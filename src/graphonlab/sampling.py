@@ -17,7 +17,7 @@ a given seed always yields the same adjacency, whatever the block size.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -58,8 +58,11 @@ class SampledGraph:
     latent_positions: np.ndarray | None = None
     seed: int | None = None
     source: str = "sampled"
+    # set only by the samplers, which hand over the edge filler's fresh uint8
+    # array: nothing else holds it, so it is checked but not copied
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _owned):
         a = np.asarray(self.adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidModel("adjacency must be square")
@@ -74,7 +77,8 @@ class SampledGraph:
             raise InvalidModel("adjacency must be symmetric")
         if np.diagonal(a).any():
             raise InvalidModel("adjacency must have zero diagonal")
-        a = a.copy()
+        if not _owned:
+            a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
         if self.latent_positions is not None:
@@ -122,8 +126,9 @@ def _fill_edges(n, targets, rng):
 
     The upper triangle is taken ``rows`` rows at a time. A block's uniforms
     come from one draw and are scattered through its upper-triangle mask in
-    row-major order, which is stream order; each target then compares them,
-    under the mask, with its gathered rows of ``densities[:, blocks]``.
+    row-major order, which is stream order; each target then compares them
+    with its gathered rows of ``densities[:, blocks]``, keeps the comparisons
+    under the mask, and writes the block's upper rows and their transposes.
     Float64 draws take one Philox output each, so the adjacency is the same
     as from one draw per row, whatever ``_BLOCK`` is.
     """
@@ -131,25 +136,30 @@ def _fill_edges(n, targets, rng):
     # row k holds block k's density toward every vertex
     probs = [densities[:, blocks] for blocks, densities in targets]
     adjs = [np.zeros((n, n), dtype=np.uint8) for _ in targets]
-    # bool views of the same bytes, so np.less stores 0/1 without a cast
+    # bool views of the same bytes, so a bool block is stored without a cast
     flags = [adj.view(bool) for adj in adjs]
     # band[k, n - a + j] is j > a + k: the upper-triangle mask of row a + k
     band = np.arange(-n, n) > np.arange(rows)[:, None]
-    u = np.empty((rows, n))
+    # zeroed so the unmasked comparison never meets uninitialised bytes
+    u = np.zeros((rows, n))
     p = np.empty((rows, n))
+    edge = np.empty((rows, n), dtype=bool)
     draws = p.reshape(-1)  # the draws are scattered into u before p is gathered
     for a in range(0, n - 1, rows):
         b = min(a + rows, n - 1)
         mask = band[: b - a, n - a : 2 * n - a]
         # n - 1 - i uniforms for each row i of the block
         count = (b - a) * (2 * n - a - b - 1) // 2
-        ub, pb = u[: b - a], p[: b - a]
+        ub, pb, eb = u[: b - a], p[: b - a], edge[: b - a]
         ub[mask] = rng.random(count, out=draws[:count])
         for (blocks, _), prob, flag in zip(targets, probs, flags):
             np.take(prob, blocks[a:b], axis=0, out=pb)
-            np.less(ub, pb, out=flag[a:b], where=mask)
-    for adj in adjs:
-        adj |= adj.T
+            np.less(ub, pb, out=eb)
+            np.logical_and(eb, mask, out=eb)
+            # columns left of a were written as earlier blocks' transposes
+            flag[a:b, b:] = eb[:, b:]
+            flag[b:, a:b] = eb[:, b:].T
+            np.logical_or(eb[:, a:b], eb[:, a:b].T, out=flag[a:b, a:b])
     return adjs
 
 
@@ -165,7 +175,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     x, blocks = _positions_and_blocks(w, n, seed)
     rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
     (adj,) = _fill_edges(n, [(blocks, w.densities)], rng)
-    return SampledGraph(adj, latent_positions=x, seed=seed)
+    return SampledGraph(adj, latent_positions=x, seed=seed, _owned=True)
 
 
 def sample_coupled(
@@ -195,8 +205,8 @@ def sample_coupled(
         (a0,) = _fill_edges(n, [t0], rng0)
         rng1 = make_rng(derive_seed(seed, _STREAM_EDGES_1))
         (a1,) = _fill_edges(n, [t1], rng1)
-    g0 = SampledGraph(a0, latent_positions=x, seed=seed)
-    g1 = SampledGraph(a1, latent_positions=x, seed=seed)
+    g0 = SampledGraph(a0, latent_positions=x, seed=seed, _owned=True)
+    g1 = SampledGraph(a1, latent_positions=x, seed=seed, _owned=True)
     return CoupledPair(g0, g1)
 
 

@@ -258,10 +258,44 @@ def embed_pair(pair: CoupledPair, cfg: GCNConfig) -> tuple[np.ndarray, np.ndarra
     return graph_embedding(pair.g0, cfg), graph_embedding(pair.g1, cfg)
 
 
-def _mc_trial(w0, w1, n, cfg, eps_res, trial_seed):
+def _each_trial(w0, w1, n, seed, trials, share, trial):
+    """``[trial(pair_i, seed_i) for i in range(trials)]``, sampling ahead.
+
+    Pair i + 1 is sampled on one worker thread while the calling thread runs
+    ``trial`` on pair i, with numpy's OpenBLAS on one thread throughout so
+    the two threads do not contend for the cores. Pair i + 1 is submitted
+    only after pair i has been taken, so at most two pairs are alive and
+    only one walk matrix, the caller's, ever exists. The results, and the
+    exception a trial raises, are those of the serial loop: a pair sampled
+    ahead of a trial that raised is never read, and the pool waits for it
+    before the exception leaves.
+    """
+    # deferred, as in embed_pair: importing the pool costs setup time
+    from concurrent.futures import ThreadPoolExecutor
+
+    seeds = [derive_seed(seed, i) for i in range(trials)]
+    results = []
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+
+        def sample(trial_seed):
+            # the global is read at each call, so a patched sample_coupled runs
+            return pool.submit(
+                sample_coupled, w0, w1, n, trial_seed, share_edge_randomness=share
+            )
+
+        ahead = sample(seeds[0])
+        for i, trial_seed in enumerate(seeds):
+            pair = ahead.result()
+            if i + 1 < trials:
+                ahead = sample(seeds[i + 1])
+            results.append(trial(pair, trial_seed))
+            del pair  # free pair i before waiting for pair i + 1
+    return results
+
+
+def _mc_trial(w0, w1, n, cfg, eps_res, pair, trial_seed):
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
-    pair = sample_coupled(w0, w1, n, trial_seed)
     h0, h1 = embed_pair(pair, cfg)
     observed = h0 if label == 0 else h1
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
@@ -297,10 +331,10 @@ def monte_carlo_error(
         raise InvalidModel("trials must be >= 1")
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
-    outcomes, tvs = zip(*[
-        _mc_trial(w0, w1, n, cfg, eps_res, derive_seed(seed, i))
-        for i in range(trials)
-    ])
+    outcomes, tvs = zip(*_each_trial(
+        w0, w1, n, seed, trials, False,
+        lambda pair, s: _mc_trial(w0, w1, n, cfg, eps_res, pair, s),
+    ))
     tvs = np.array(tvs)
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
@@ -360,8 +394,7 @@ class DistanceStats:
     shared_edge_randomness: bool
 
 
-def _distance_trial(w0, w1, n, cfg, share, trial_seed):
-    pair = sample_coupled(w0, w1, n, trial_seed, share_edge_randomness=share)
+def _distance_trial(n, cfg, pair):
     h0, h1 = embed_pair(pair, cfg)
     diff = np.abs(h0 - h1)
     return float(diff.max()), float((diff <= COORD_TOL_CONST / n**2).mean())
@@ -400,10 +433,10 @@ def embedding_distance_experiment(
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     check_distance_activation(cfg.activation)
-    dists, fracs = zip(*[
-        _distance_trial(w0, w1, n, cfg, share_edge_randomness, derive_seed(seed, i))
-        for i in range(trials)
-    ])
+    dists, fracs = zip(*_each_trial(
+        w0, w1, n, seed, trials, share_edge_randomness,
+        lambda pair, _: _distance_trial(n, cfg, pair),
+    ))
     dists, fracs = np.array(dists), np.array(fracs)
     delta = delta_distance(w0, w1)
     if delta < DELTA_ZERO_TOL:

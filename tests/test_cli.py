@@ -51,7 +51,9 @@ def path_placeholders(tmp_path):
     paths["<file>"].write_text("x\n")
     for key, text in (("<labels>", "a.edges,x\nb.edges,y\n"),
                       ("<labels-subdir>", "a.edges,x\nsub,y\n"),
-                      ("<labels-twice>", "a.edges,x\nb.edges,y\na.edges,y\n")):
+                      ("<labels-twice>", "a.edges,x\nb.edges,y\na.edges,y\n"),
+                      # one field past csv's default field size limit (131,072)
+                      ("<labels-long-field>", "a" * 200_000 + ",x\n")):
         paths[key] = tmp_path / (key.strip("<>") + ".csv")
         paths[key].write_text(text)
     paths["<config>"], _ = write_experiment_config(tmp_path, output_dir=str(paths["<file>"]))
@@ -398,15 +400,17 @@ class TestExperimentCommand:
         with open(os.path.join(doc["output_dir"], "manifest.json")) as fh:
             assert json.load(fh)["blas"] is None
 
-    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
-        # n = 500 with tanh: without the one-thread pin on the dense path,
-        # OPENBLAS_NUM_THREADS=1 and =2 give different bytes here
+    # n = 500 with tanh: without the one-thread pin on the dense path,
+    # OPENBLAS_NUM_THREADS=1 and =2 give different bytes here; the identity
+    # vector path runs under the trial loop's pin as well
+    @pytest.mark.parametrize("activation", ["tanh", "identity"])
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path, activation):
         path, doc = write_experiment_config(
             tmp_path,
             models=[json.loads(BASE_JSON),
                     {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}],
             n_list=[500], k_rule="ceil(6*ln(n))", eps_rule="10/n",
-            activation="tanh", trials=1, seed=5, share_edge_randomness=True,
+            activation=activation, trials=1, seed=5, share_edge_randomness=True,
         )
         digests = set()
         for threads in ("1", "2", "3"):
@@ -636,6 +640,8 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["dataset-profile", "--dir", "<dir>", "--labels", "<bad>"], "<bad>"),
         (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-subdir>"], "['sub']"),
         (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-twice>"], "'a.edges'"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-long-field>"],
+         "<labels-long-field>"),
     ],
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
@@ -643,7 +649,7 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         "n-list-huge", "delta-directory", "delta-non-utf8", "config-directory",
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
-        "labeled-name-directory", "labels-repeated-name",
+        "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",
     ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):

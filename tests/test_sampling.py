@@ -289,6 +289,28 @@ class TestSampledGraphValidation:
     def test_accepts_empty_graph(self):
         assert SampledGraph(np.zeros((0, 0), dtype=np.uint8)).n == 0
 
+    def test_callers_array_is_copied_and_sampled_adjacency_read_only(self):
+        adj = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        g = SampledGraph(adj)
+        adj[0, 1] = adj[1, 0] = 0
+        assert g.adjacency[0, 1] == 1 and adj.flags.writeable
+        w = SBM_BASE.to_step_graphon()
+        pair = sample_coupled(w, w, 20, seed=3)
+        for h in (g, sample_graph(w, 20, seed=3), pair.g0, pair.g1):
+            assert not h.adjacency.flags.writeable
+            with pytest.raises(ValueError):
+                h.adjacency[0, 1] = 1
+
+    @pytest.mark.parametrize(
+        "adj, match",
+        [(np.triu(np.ones((3, 3), dtype=np.uint8), 1), "symmetric"),
+         (np.eye(3, dtype=np.uint8), "diagonal"),
+         (np.full((2, 2), 2, dtype=np.uint8), "0/1")],
+    )
+    def test_owned_array_still_checked(self, adj, match):
+        with pytest.raises(InvalidModel, match=match):
+            SampledGraph(adj, _owned=True)
+
 
 class TestDegreeProfile:
     def test_complete_graph_uniform(self):

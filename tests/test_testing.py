@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from graphonlab import (
     nearest_profile_test,
     tv_perturbed,
 )
-from graphonlab.seeding import derive_seed
+from graphonlab import testing
+from graphonlab.gcn import perturb
+from graphonlab.seeding import derive_seed, make_rng
 
 from helpers import SBM_BASE, SBM_SEPARATED
 
@@ -279,3 +283,104 @@ class TestDistanceExperiment:
     )
     def test_fit_decay_exponent_undefined_is_nan_without_warning(self, n, values):
         assert np.isnan(fit_decay_exponent(n, values))
+
+
+def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share):
+    """Reference: each seed's pair sampled and embedded one after another."""
+    rows = []
+    for i in range(trials):
+        s = derive_seed(seed, i)
+        pair = testing.sample_coupled(w0, w1, n, s, share_edge_randomness=share)
+        h0, h1 = testing.embed_pair(pair, cfg)
+        label = int(make_rng(derive_seed(s, testing._STREAM_COIN)).integers(0, 2))
+        observed = h1 if label else h0
+        noisy = perturb(observed, eps_res, derive_seed(s, testing._STREAM_NOISE))
+        diff = np.abs(h0 - h1)
+        rows.append({
+            "seed": s,
+            "label": label,
+            "decision": nearest_profile_test(noisy, w0, w1, n),
+            "distance": float(diff.max()),
+            "small": float((diff <= testing.COORD_TOL_CONST / n**2).mean()),
+            "tv": tv_perturbed(h0, h1, eps_res).tv,
+        })
+    return rows
+
+
+class TestOverlappedTrials:
+    """Each harness samples the next pair on a worker thread; nothing else changes."""
+
+    W0, W1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_equals_serial_reference(self, activation):
+        n, trials, seed, eps = 60, 5, 31, 0.01
+        cfg = GCNConfig(depth=7, activation=activation)
+        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, False)
+        report = monte_carlo_error(self.W0, self.W1, n, cfg, eps, trials, seed)
+        assert [(t.seed, t.true_label, t.decision, t.embedding_distance)
+                for t in report.outcomes] == [
+            (r["seed"], r["label"], r["decision"], r["distance"]) for r in ref
+        ]
+        assert report.mean_conditional_tv == float(np.mean([r["tv"] for r in ref]))
+        for share in (False, True):
+            ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, share)
+            stats = embedding_distance_experiment(
+                self.W0, self.W1, n, cfg, trials, seed, share_edge_randomness=share
+            )
+            assert stats.distances == tuple(r["distance"] for r in ref)
+            assert stats.frac_small_coords == float(np.mean([r["small"] for r in ref]))
+
+    def harnesses(self):
+        cfg = GCNConfig(depth=5)
+        return {
+            "error": lambda: monte_carlo_error(self.W0, self.W1, 40, cfg, 0.01, 6, 8),
+            "distance": lambda: embedding_distance_experiment(
+                self.W0, self.W1, 40, cfg, 6, 8
+            ),
+        }
+
+    @pytest.mark.parametrize("harness", ["error", "distance"])
+    def test_sampler_error_is_raised_and_cleaned_up(
+        self, monkeypatch, blas_threads, harness
+    ):
+        third = derive_seed(8, 2)
+        sampled = []
+        real = testing.sample_coupled
+
+        def failing(w0, w1, n, seed, **kwargs):
+            sampled.append(seed)
+            if seed == third:
+                raise RuntimeError("third pair")
+            return real(w0, w1, n, seed, **kwargs)
+
+        monkeypatch.setattr(testing, "sample_coupled", failing)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="third pair"):
+            self.harnesses()[harness]()
+        assert threading.active_count() == threads
+        assert blas_threads() == 2
+        assert sampled == [derive_seed(8, i) for i in range(3)]
+
+    @pytest.mark.parametrize("harness", ["error", "distance"])
+    def test_trial_error_wins_over_the_pair_sampled_ahead(self, monkeypatch, harness):
+        # serially, trial 1's embedding fails before pair 2 is ever sampled
+        second, third = derive_seed(8, 1), derive_seed(8, 2)
+        real_sample, real_embed = testing.sample_coupled, testing.embed_pair
+
+        def sample(w0, w1, n, seed, **kwargs):
+            if seed == third:
+                raise RuntimeError("sampling")
+            return real_sample(w0, w1, n, seed, **kwargs)
+
+        def embed(pair, cfg):
+            if pair.g0.seed == second:
+                raise ValueError("embedding")
+            return real_embed(pair, cfg)
+
+        monkeypatch.setattr(testing, "sample_coupled", sample)
+        monkeypatch.setattr(testing, "embed_pair", embed)
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="embedding"):
+            self.harnesses()[harness]()
+        assert threading.active_count() == threads

@@ -15,7 +15,8 @@ every output the workload lists (``Workload.outputs``) are compared, since
 perfbench hashes only the CSVs. A traced pair (``--trace 1``) records the
 per-call p50 of every traced span. The ``machine`` block reads both OpenBLAS
 libraries that the numpy and scipy wheels bundle: build string, the core
-kernel picked at run time and the default thread count.
+kernel picked at run time and the default thread count, and a two-process
+probe records whether the host gave both cores when the runs began.
 Every run gets perfbench's own environment (``run.worker_env``).
 """
 
@@ -113,9 +114,39 @@ print(json.dumps({"numpy": numpy.__version__, "scipy": scipy.__version__,
 """
 
 
+# a fixed single-threaded numpy kernel on a 512 KiB array, which fits in cache
+SCALING_KERNEL = """
+import time, numpy
+a = numpy.random.default_rng(0).random(1 << 16)
+start = time.perf_counter()
+for _ in range(6000):
+    numpy.sqrt(a, out=a)
+    a += 1.0
+print(time.perf_counter() - start)
+"""
+
+
+def scaling(env: dict) -> dict:
+    """Seconds of SCALING_KERNEL alone, then in two processes at once.
+
+    Equal times mean the second core was there when the probe ran; twice the
+    time means the two processes shared one core, and no thread-level gain
+    can show.
+    """
+    def kernel(copies: int) -> list:
+        procs = [subprocess.Popen([sys.executable, "-c", SCALING_KERNEL], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(copies)]
+        return [float(p.communicate(timeout=120)[0]) for p in procs]
+
+    alone, (first, second) = kernel(1)[0], kernel(2)
+    return {"alone_s": alone, "concurrent_s": [first, second],
+            "concurrent_over_alone": max(first, second) / alone}
+
+
 def machine(root: Path, workload: str) -> dict:
-    probe = subprocess.run([sys.executable, "-c", PROBE],
-                           env=run.worker_env(root, workloads.WORKLOADS[workload]),
+    env = run.worker_env(root, workloads.WORKLOADS[workload])
+    probe = subprocess.run([sys.executable, "-c", PROBE], env=env,
                            capture_output=True, text=True, timeout=120, check=True)
     return {
         "nproc": os.cpu_count(),
@@ -123,6 +154,7 @@ def machine(root: Path, workload: str) -> dict:
         "python": platform.python_version(),
         **json.loads(probe.stdout),
         "vars": {k: os.environ.get(k) for k in run.CLEARED_VARS},
+        "two_process_scaling": scaling(env),
         "note": "BLAS thread variables cleared for every run, as perfbench does",
     }
 
