@@ -126,6 +126,12 @@ _EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
 # n x n products; the deepest rule in use, ceil(6*ln(n)), is 42 at n = 1000
 _MAX_DEPTH = 10_000
 
+# an experiment's trials per n
+_MAX_TRIALS = 100_000
+
+# seeds are 64-bit: a seed outside [0, 2^64) would run another seed's trials
+_SEED_LIMIT = 1 << 64
+
 
 def parse_k_rule(rule):
     """Depth rule: explicit integer or 'ceil(D*ln(n))'.
@@ -294,6 +300,8 @@ def cmd_mixing(args) -> int:
         raise ConfigError("seeds must be >= 1")
     if not 1 <= args.t_max <= _MAX_DEPTH:
         raise ConfigError(f"--t-max must be in [1, {_MAX_DEPTH}], got {args.t_max}")
+    if not 0 <= args.seed < _SEED_LIMIT:
+        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
     eps_rule = _parse_eps_arg(args.eps)
     _make_out_dir(args.out_dir)
 
@@ -375,10 +383,10 @@ def _validate_experiment_config(doc) -> dict:
         raise ConfigError(
             f"n_list must be a nonempty list of integers in [2, {MAX_EDGE_LIST_VERTICES}]"
         )
-    if not _is_int(doc["trials"]) or doc["trials"] < 1:
-        raise ConfigError("trials must be an integer >= 1")
-    if not _is_int(doc["seed"]):
-        raise ConfigError("seed must be an integer")
+    if not _is_int(doc["trials"]) or not 1 <= doc["trials"] <= _MAX_TRIALS:
+        raise ConfigError(f"trials must be an integer in [1, {_MAX_TRIALS}]")
+    if not _is_int(doc["seed"]) or not 0 <= doc["seed"] < _SEED_LIMIT:
+        raise ConfigError("seed must be an integer in [0, 2^64)")
     if not isinstance(doc["output_dir"], str) or not doc["output_dir"]:
         raise ConfigError("output_dir must be a nonempty string")
     share = doc.get("share_edge_randomness", False)
@@ -707,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, help="comma-separated sizes")
     p.add_argument("--eps", default="1/n^2", help="float or '1/n^2'")
     p.add_argument("--seeds", type=int, default=5, help="runs per size")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=int, default=0, help="base seed, 0 to 2^64 - 1")
     p.add_argument(
         "--t-max", type=int, default=400, help=f"step cap, 1 to {_MAX_DEPTH}"
     )

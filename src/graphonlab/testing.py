@@ -37,7 +37,7 @@ from .graphon import (
     delta_distance,
     total_degree,
 )
-from .sampling import CoupledPair, sample_coupled
+from .sampling import sample_coupled
 from .seeding import derive_seed, make_rng
 
 DELTA_ZERO_TOL = 1e-9
@@ -234,69 +234,52 @@ def error_not_below_floor(
     return float(binom.cdf(errors, trials, floor)) >= alpha
 
 
-def embed_pair(pair: CoupledPair, cfg: GCNConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Embedding vectors of a coupled pair's two graphs under cfg.
+def _each_trial(w0, w1, n, cfg, seed, trials, share, trial):
+    """``[trial(h0_i, h1_i, seed_i) for i in range(trials)]``, where h0_i and
+    h1_i embed coupled pair i's two graphs under cfg.
 
-    On the dense path (an activation that is not linear on nonnegative
-    inputs) the two forward passes run at once, the second on a worker
-    thread, with numpy's OpenBLAS on one thread for the duration
-    (``gcn.one_blas_thread``). Each pass then has a core to itself for its
-    products, activation and finite checks, and the bytes no longer depend on
-    the caller's BLAS thread count. The identity/ReLU vector path, whose
-    bytes do not depend on it, and the dense path when numpy's OpenBLAS is
-    not found, embed the two graphs one after the other.
+    One worker thread samples pair i + 1 while the calling thread embeds pair
+    i, with numpy's OpenBLAS on one thread throughout so the two do not
+    contend for the cores. On the dense path (an activation that is not
+    linear on nonnegative inputs) the worker first embeds pair i's second
+    graph, so the two forward passes run at once. The identity/ReLU vector
+    path, and the dense path when numpy's OpenBLAS is not found, embed both
+    graphs on the caller: one walk matrix exists there, two on the dense
+    path. At most two pairs are alive. The results, and the exception raised,
+    are those of the serial loop: what the worker did ahead of a failure is
+    never read, and the pool waits for it before the exception leaves.
     """
-    if not cfg.activation.is_linear_on_nonnegative:
-        with one_blas_thread() as pinned:
-            if pinned:
-                # deferred: the vector path never starts a thread
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=1) as pool:
-                    second = pool.submit(graph_embedding, pair.g1, cfg)
-                    return graph_embedding(pair.g0, cfg), second.result()
-    return graph_embedding(pair.g0, cfg), graph_embedding(pair.g1, cfg)
-
-
-def _each_trial(w0, w1, n, seed, trials, share, trial):
-    """``[trial(pair_i, seed_i) for i in range(trials)]``, sampling ahead.
-
-    Pair i + 1 is sampled on one worker thread while the calling thread runs
-    ``trial`` on pair i, with numpy's OpenBLAS on one thread throughout so
-    the two threads do not contend for the cores. Pair i + 1 is submitted
-    only after pair i has been taken, so at most two pairs are alive and
-    only one walk matrix, the caller's, ever exists. The results, and the
-    exception a trial raises, are those of the serial loop: a pair sampled
-    ahead of a trial that raised is never read, and the pool waits for it
-    before the exception leaves.
-    """
-    # deferred, as in embed_pair: importing the pool costs setup time
+    # deferred: importing the pool costs setup time
     from concurrent.futures import ThreadPoolExecutor
 
-    seeds = [derive_seed(seed, i) for i in range(trials)]
     results = []
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+    with one_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
+        on_worker = pinned and not cfg.activation.is_linear_on_nonnegative
 
-        def sample(trial_seed):
-            # the global is read at each call, so a patched sample_coupled runs
+        def sample(i):
+            # the globals are read at each call, so a patched function runs
             return pool.submit(
-                sample_coupled, w0, w1, n, trial_seed, share_edge_randomness=share
+                sample_coupled, w0, w1, n, derive_seed(seed, i),
+                share_edge_randomness=share,
             )
 
-        ahead = sample(seeds[0])
-        for i, trial_seed in enumerate(seeds):
+        ahead = sample(0)
+        for i in range(trials):
             pair = ahead.result()
+            if on_worker:
+                second = pool.submit(graph_embedding, pair.g1, cfg)
             if i + 1 < trials:
-                ahead = sample(seeds[i + 1])
-            results.append(trial(pair, trial_seed))
+                ahead = sample(i + 1)
+            h0 = graph_embedding(pair.g0, cfg)
+            h1 = second.result() if on_worker else graph_embedding(pair.g1, cfg)
             del pair  # free pair i before waiting for pair i + 1
+            results.append(trial(h0, h1, derive_seed(seed, i)))
     return results
 
 
-def _mc_trial(w0, w1, n, cfg, eps_res, pair, trial_seed):
+def _mc_trial(w0, w1, n, eps_res, h0, h1, trial_seed):
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
-    h0, h1 = embed_pair(pair, cfg)
     observed = h0 if label == 0 else h1
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
     decision = nearest_profile_test(noisy, w0, w1, n)
@@ -332,8 +315,8 @@ def monte_carlo_error(
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
     outcomes, tvs = zip(*_each_trial(
-        w0, w1, n, seed, trials, False,
-        lambda pair, s: _mc_trial(w0, w1, n, cfg, eps_res, pair, s),
+        w0, w1, n, cfg, seed, trials, False,
+        lambda h0, h1, s: _mc_trial(w0, w1, n, eps_res, h0, h1, s),
     ))
     tvs = np.array(tvs)
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
@@ -394,8 +377,7 @@ class DistanceStats:
     shared_edge_randomness: bool
 
 
-def _distance_trial(n, cfg, pair):
-    h0, h1 = embed_pair(pair, cfg)
+def _distance_trial(n, h0, h1):
     diff = np.abs(h0 - h1)
     return float(diff.max()), float((diff <= COORD_TOL_CONST / n**2).mean())
 
@@ -434,8 +416,8 @@ def embedding_distance_experiment(
         raise InvalidModel("trials must be >= 1")
     check_distance_activation(cfg.activation)
     dists, fracs = zip(*_each_trial(
-        w0, w1, n, seed, trials, share_edge_randomness,
-        lambda pair, _: _distance_trial(n, cfg, pair),
+        w0, w1, n, cfg, seed, trials, share_edge_randomness,
+        lambda h0, h1, _: _distance_trial(n, h0, h1),
     ))
     dists, fracs = np.array(dists), np.array(fracs)
     delta = delta_distance(w0, w1)

@@ -439,6 +439,12 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path)]) == 2
         assert f"{key} must be an integer" in capsys.readouterr().err
 
+    def test_range_edges_are_accepted(self, tmp_path):
+        for trials, seed in ((1, 0), (100_000, 2**64 - 1)):
+            _, doc = write_experiment_config(tmp_path, trials=trials, seed=seed)
+            run = _validate_experiment_config(doc)
+            assert (run["trials"], run["seed"]) == (trials, seed)
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -456,12 +462,17 @@ class TestExperimentCommand:
             ("n_list", [40, 10_000_000]),
             ("output_dir", 5),
             ("activation", "sigmoid"),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("seed", 2**65),
+            ("trials", 100_001),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
             "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
             "envelope-negative", "envelope-nan", "n_list-int", "n_list-huge",
-            "output_dir-int", "activation-sigmoid",
+            "output_dir-int", "activation-sigmoid", "seed-negative", "seed-2^64",
+            "seed-2^65", "trials-over-cap",
         ],
     )
     def test_optional_key_type_is_config_error(
@@ -627,6 +638,9 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "0"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "10001"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30,10000000"], "--n-list"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", "-5"], "--seed"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", str(2**64)],
+         "--seed"),
         (["delta", "<dir>", "<dir>"], "<dir>"),
         (["delta", "<bad>", "<bad>"], "<bad>"),
         (["experiment", "--config", "<dir>"], "<dir>"),
@@ -646,7 +660,7 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
         "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
-        "n-list-huge", "delta-directory", "delta-non-utf8", "config-directory",
+        "n-list-huge", "seed-negative", "seed-2^64", "delta-directory", "delta-non-utf8", "config-directory",
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
         "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",

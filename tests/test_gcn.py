@@ -24,7 +24,6 @@ from graphonlab import (
 from graphonlab import gcn, testing
 from graphonlab.gcn import _layer, one_blas_thread
 from graphonlab.seeding import derive_seed
-from graphonlab.testing import embed_pair
 
 from helpers import SBM_BASE, SBM_SEPARATED, path_graph
 
@@ -140,82 +139,106 @@ class TestEmbeddingVector:
         )
 
 
-def _pair(n=300, seed=17):
-    return sample_coupled(SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon(), n, seed)
+W0, W1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
 
 
-def _no_thread_start(self):
-    raise AssertionError("a thread was started")
+def _embed_trials(cfg, n=40, trials=2, seed=17):
+    """Each trial's (h0, h1) as the harnesses' trial loop hands them over."""
+    return testing._each_trial(
+        W0, W1, n, cfg, seed, trials, False, lambda h0, h1, _: (h0, h1)
+    )
+
+
+def _serial_embeddings(cfg, n=40, trials=2, seed=17):
+    return [
+        (graph_embedding(pair.g0, cfg), graph_embedding(pair.g1, cfg))
+        for pair in (sample_coupled(W0, W1, n, derive_seed(seed, i))
+                     for i in range(trials))
+    ]
+
+
+def _spy(monkeypatch, blas_threads=None, failing=None):
+    """Record (graph index in its pair, thread, BLAS thread count) per
+    embedding; the embedding of graph ``failing`` raises NonFinite."""
+    pairs, seen = [], []
+    real_sample = testing.sample_coupled
+
+    def sample(*args, **kwargs):
+        pairs.append(real_sample(*args, **kwargs))
+        return pairs[-1]
+
+    def embed(g, cfg):
+        index = 0 if any(g is p.g0 for p in pairs) else 1
+        seen.append((index, threading.get_ident(), blas_threads and blas_threads()))
+        if index == failing:
+            raise NonFinite("non-finite value produced in forward pass")
+        return graph_embedding(g, cfg)
+
+    monkeypatch.setattr(testing, "sample_coupled", sample)
+    monkeypatch.setattr(testing, "graph_embedding", embed)
+    return seen
 
 
 class TestEmbedPair:
-    """``testing.embed_pair``: the two dense forward passes of a coupled pair
-    run at once, each on one OpenBLAS thread (``gcn.one_blas_thread``)."""
+    """How a harness embeds each coupled pair (``testing._each_trial``): on the
+    dense path the caller embeds the first graph while the harness's one
+    worker thread embeds the second, both on one OpenBLAS thread
+    (``gcn.one_blas_thread``); the vector path, and the dense path without
+    numpy's OpenBLAS, embed both graphs on the caller."""
 
     @pytest.mark.parametrize("kind", ["tanh", "selu"])
     def test_bitwise_equal_to_sequential_under_the_pin(self, blas_threads, kind):
-        pair = _pair()
         cfg = GCNConfig(depth=35, activation=kind)  # ceil(6 ln 300)
-        h0, h1 = embed_pair(pair, cfg)
+        out = _embed_trials(cfg, n=300)
         with one_blas_thread() as pinned:
             assert pinned
-            r0 = graph_embedding(pair.g0, cfg)
-            r1 = graph_embedding(pair.g1, cfg)
-        assert h0.tobytes() == r0.tobytes()
-        assert h1.tobytes() == r1.tobytes()
+            ref = _serial_embeddings(cfg, n=300)
+        for (h0, h1), (r0, r1) in zip(out, ref, strict=True):
+            assert h0.tobytes() == r0.tobytes()
+            assert h1.tobytes() == r1.tobytes()
 
     def test_thread_count_pinned_then_restored(self, blas_threads, monkeypatch):
-        seen = []
-
-        def spy(g, cfg):
-            seen.append(blas_threads())
-            return graph_embedding(g, cfg)
-
-        monkeypatch.setattr(testing, "graph_embedding", spy)
-        embed_pair(_pair(n=40), GCNConfig(depth=3, activation="tanh"))
-        assert seen == [1, 1]
+        seen = _spy(monkeypatch, blas_threads)
+        _embed_trials(GCNConfig(depth=3, activation="tanh"))
+        caller = threading.get_ident()
+        assert sorted(index for index, _, _ in seen) == [0, 0, 1, 1]
+        assert {count for _, _, count in seen} == {1}
+        assert {t for index, t, _ in seen if index == 0} == {caller}
+        assert caller not in {t for index, t, _ in seen if index == 1}
         assert blas_threads() == 2
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_restored_when_a_pass_raises(self, blas_threads, monkeypatch, failing):
-        pair = _pair(n=40)
-        bad = (pair.g0, pair.g1)[failing]
-
-        def embed(g, cfg):
-            if g is bad:
-                raise NonFinite("non-finite value produced in forward pass")
-            return graph_embedding(g, cfg)
-
-        monkeypatch.setattr(testing, "graph_embedding", embed)
+        _spy(monkeypatch, failing=failing)
+        threads = threading.active_count()
         with pytest.raises(NonFinite):
-            embed_pair(pair, GCNConfig(depth=3, activation="tanh"))
+            _embed_trials(GCNConfig(depth=3, activation="tanh"))
         assert blas_threads() == 2
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("kind", ["identity", "relu"])
-    def test_vector_path_starts_no_thread(self, blas_threads, monkeypatch, kind):
-        pair = _pair(n=40)
+    def test_vector_path_embeds_on_the_caller(self, blas_threads, monkeypatch, kind):
         cfg = GCNConfig(depth=5, activation=kind)
-        seen = []
-
-        def spy(g, cfg):
-            seen.append(blas_threads())
-            return graph_embedding(g, cfg)
-
-        monkeypatch.setattr(testing, "graph_embedding", spy)
-        monkeypatch.setattr(threading.Thread, "start", _no_thread_start)
-        h0, h1 = embed_pair(pair, cfg)
-        assert seen == [2, 2]  # default BLAS threads, no pin
-        assert h0.tobytes() == graph_embedding(pair.g0, cfg).tobytes()
-        assert h1.tobytes() == graph_embedding(pair.g1, cfg).tobytes()
+        seen = _spy(monkeypatch, blas_threads)
+        out = _embed_trials(cfg)
+        caller = threading.get_ident()
+        assert seen == [(0, caller, 1), (1, caller, 1)] * 2
+        monkeypatch.undo()
+        for (h0, h1), (r0, r1) in zip(out, _serial_embeddings(cfg), strict=True):
+            assert h0.tobytes() == r0.tobytes()
+            assert h1.tobytes() == r1.tobytes()
 
     def test_sequential_without_the_library(self, monkeypatch):
-        pair = _pair(n=40)
         cfg = GCNConfig(depth=3, activation="tanh")
         monkeypatch.setattr(gcn, "_numpy_openblas", lambda: None)
-        monkeypatch.setattr(threading.Thread, "start", _no_thread_start)
-        h0, h1 = embed_pair(pair, cfg)
-        assert h0.tobytes() == graph_embedding(pair.g0, cfg).tobytes()
-        assert h1.tobytes() == graph_embedding(pair.g1, cfg).tobytes()
+        seen = _spy(monkeypatch)
+        out = _embed_trials(cfg)
+        caller = threading.get_ident()
+        assert seen == [(0, caller, None), (1, caller, None)] * 2
+        monkeypatch.undo()
+        for (h0, h1), (r0, r1) in zip(out, _serial_embeddings(cfg), strict=True):
+            assert h0.tobytes() == r0.tobytes()
+            assert h1.tobytes() == r1.tobytes()
 
 
 class TestPerturb:

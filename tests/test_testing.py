@@ -23,7 +23,7 @@ from graphonlab import (
     tv_perturbed,
 )
 from graphonlab import testing
-from graphonlab.gcn import perturb
+from graphonlab.gcn import one_blas_thread, perturb
 from graphonlab.seeding import derive_seed, make_rng
 
 from helpers import SBM_BASE, SBM_SEPARATED
@@ -291,7 +291,9 @@ def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share):
     for i in range(trials):
         s = derive_seed(seed, i)
         pair = testing.sample_coupled(w0, w1, n, s, share_edge_randomness=share)
-        h0, h1 = testing.embed_pair(pair, cfg)
+        with one_blas_thread():
+            h0 = testing.graph_embedding(pair.g0, cfg)
+            h1 = testing.graph_embedding(pair.g1, cfg)
         label = int(make_rng(derive_seed(s, testing._STREAM_COIN)).integers(0, 2))
         observed = h1 if label else h0
         noisy = perturb(observed, eps_res, derive_seed(s, testing._STREAM_NOISE))
@@ -331,8 +333,7 @@ class TestOverlappedTrials:
             assert stats.distances == tuple(r["distance"] for r in ref)
             assert stats.frac_small_coords == float(np.mean([r["small"] for r in ref]))
 
-    def harnesses(self):
-        cfg = GCNConfig(depth=5)
+    def harnesses(self, cfg=GCNConfig(depth=5)):
         return {
             "error": lambda: monte_carlo_error(self.W0, self.W1, 40, cfg, 0.01, 6, 8),
             "distance": lambda: embedding_distance_experiment(
@@ -366,21 +367,37 @@ class TestOverlappedTrials:
     def test_trial_error_wins_over_the_pair_sampled_ahead(self, monkeypatch, harness):
         # serially, trial 1's embedding fails before pair 2 is ever sampled
         second, third = derive_seed(8, 1), derive_seed(8, 2)
-        real_sample, real_embed = testing.sample_coupled, testing.embed_pair
+        real_sample, real_embed = testing.sample_coupled, testing.graph_embedding
 
         def sample(w0, w1, n, seed, **kwargs):
             if seed == third:
                 raise RuntimeError("sampling")
             return real_sample(w0, w1, n, seed, **kwargs)
 
-        def embed(pair, cfg):
-            if pair.g0.seed == second:
+        def embed(g, cfg):
+            if g.seed == second:
                 raise ValueError("embedding")
-            return real_embed(pair, cfg)
+            return real_embed(g, cfg)
 
         monkeypatch.setattr(testing, "sample_coupled", sample)
-        monkeypatch.setattr(testing, "embed_pair", embed)
+        monkeypatch.setattr(testing, "graph_embedding", embed)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="embedding"):
             self.harnesses()[harness]()
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("harness", ["error", "distance"])
+    def test_one_worker_thread_per_harness(self, monkeypatch, harness):
+        run = self.harnesses(GCNConfig(depth=3, activation="tanh"))[harness]
+        real_embed = testing.graph_embedding
+        counts = []
+
+        def embed(g, cfg):
+            counts.append(threading.active_count())
+            return real_embed(g, cfg)
+
+        monkeypatch.setattr(testing, "graph_embedding", embed)
+        threads = threading.active_count()
+        run()
+        assert len(counts) == 12 and max(counts) == threads + 1
         assert threading.active_count() == threads
