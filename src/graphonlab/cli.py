@@ -126,7 +126,8 @@ _EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
 # n x n products; the deepest rule in use, ceil(6*ln(n)), is 42 at n = 1000
 _MAX_DEPTH = 10_000
 
-# an experiment's trials per n
+# an experiment's trials per n and mixing's --seeds; below 100,003, so
+# mixing's run indices n * 100003 + j stay distinct across sizes
 _MAX_TRIALS = 100_000
 
 # seeds are 64-bit: a seed outside [0, 2^64) would run another seed's trials
@@ -296,8 +297,8 @@ def cmd_mixing(args) -> int:
             f"--n-list must be integers in [2, {MAX_EDGE_LIST_VERTICES}], "
             f"got {args.n_list!r}"
         )
-    if args.seeds < 1:
-        raise ConfigError("seeds must be >= 1")
+    if not 1 <= args.seeds <= _MAX_TRIALS:
+        raise ConfigError(f"--seeds must be in [1, {_MAX_TRIALS}], got {args.seeds}")
     if not 1 <= args.t_max <= _MAX_DEPTH:
         raise ConfigError(f"--t-max must be in [1, {_MAX_DEPTH}], got {args.t_max}")
     if not 0 <= args.seed < _SEED_LIMIT:

@@ -8,6 +8,11 @@ average of the final matrix; when the activation is the identity (or ReLU,
 which agrees with it on the nonnegative matrices produced here) it is computed
 by a vector-matrix iteration instead of matrix powers.
 
+The dense pass holds three n x n float64 arrays: A_hat, M and one buffer.
+Each layer writes A_hat @ M into the buffer, applies the activation there in
+place (``Activation.__call__(x, out=)``, with the allocating form's bytes)
+and swaps the buffer with M.
+
 The embedding dimension always equals the number of vertices.
 """
 
@@ -54,21 +59,38 @@ class Activation:
                 f"unknown activation {self.kind!r}; pick one of {ACTIVATION_KINDS}"
             )
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """sigma(x); with ``out`` (which may be ``x`` itself) the result is
+        written there, with the same bytes as the allocating form."""
         x = np.asarray(x, dtype=float)
         if self.kind == "identity":
-            return x
+            if out is None or out is x:
+                return x
+            np.copyto(out, x)
+            return out
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         with np.errstate(over="ignore"):  # exp saturation is handled by callers
-            if self.kind == "sigmoid":
-                return 1.0 / (1.0 + np.exp(-x))
             if self.kind == "tanh":
-                return np.tanh(x)
-            if self.kind == "swish":
-                return x / (1.0 + np.exp(-x))
-            # selu
-            return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+                return np.tanh(x, out=out)
+            if self.kind == "sigmoid":  # 1 / (1 + e^-x)
+                d = np.negative(x, out=np.empty_like(x) if out is None else out)
+                np.exp(d, out=d)
+                d += 1.0
+                return np.divide(1.0, d, out=d)
+            if self.kind == "swish":  # x / (1 + e^-x)
+                d = np.negative(x, out=np.empty_like(x))
+                np.exp(d, out=d)
+                d += 1.0
+                return np.divide(x, d, out=d if out is None else out)
+            # selu: x where x > 0, else e^min(x, 0) - 1
+            y = np.minimum(x, 0.0, out=np.empty_like(x))
+            np.expm1(y, out=y)
+            np.copyto(y, x, where=x > 0)
+            if out is None:
+                return y
+            np.copyto(out, y)
+            return out
 
     @property
     def is_linear_on_nonnegative(self) -> bool:
@@ -126,14 +148,20 @@ def _check_finite(m):
         raise NonFinite("non-finite value produced in forward pass")
 
 
-def _layer(ahat, m, act):
-    """One layer sigma(A_hat M); None stands for the identity M."""
+def _layer(ahat, m, act, out):
+    """Write one layer sigma(A_hat M) into out and return it.
+
+    m = None stands for the identity M; out = None allocates the output.
+    out must be neither m nor A_hat.
+    """
+    if out is None:
+        out = np.empty_like(ahat)
     with np.errstate(over="ignore", invalid="ignore"):  # both surface as NonFinite below
-        x = ahat if m is None else ahat @ m
+        x = ahat if m is None else np.matmul(ahat, m, out=out)
         _check_finite(x)
-        m = act(x)
-        _check_finite(m)
-    return m
+        act(x, out=out)
+        _check_finite(out)
+    return out
 
 
 def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
@@ -142,9 +170,9 @@ def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
     Returns the final n x n embedding matrix, checked finite at every layer.
     """
     ahat = rw_transition_matrix(g)
-    m = None
+    m = buf = None
     for _ in range(cfg.depth):
-        m = _layer(ahat, m, cfg.activation)
+        m, buf = _layer(ahat, m, cfg.activation, buf), m
     return m
 
 
@@ -278,12 +306,12 @@ def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
     ahat = rw_transition_matrix(g)
     n = g.n
     linear = Activation("identity")
-    m_nl = m_lin = None
+    m_nl = m_lin = buf_nl = buf_lin = None
     a_norms = []
     for _ in range(cfg.depth):
         a_norms.append(1.0 if m_nl is None else inf_operator_norm(m_nl.T))
-        m_nl = _layer(ahat, m_nl, cfg.activation)
-        m_lin = _layer(ahat, m_lin, linear)
+        m_nl, buf_nl = _layer(ahat, m_nl, cfg.activation, buf_nl), m_nl
+        m_lin, buf_lin = _layer(ahat, m_lin, linear, buf_lin), m_lin
     gap = float(np.abs(m_nl - m_lin).max())
 
     c = NONLINEARITY_ENVELOPE_CONSTANT

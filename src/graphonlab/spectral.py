@@ -35,9 +35,11 @@ def rw_transition_matrix(g: SampledGraph) -> np.ndarray:
     zero = np.flatnonzero(deg == 0)
     if zero.size:
         raise IsolatedVertex(int(zero[0]))
-    # a * fl(1/d) equals a / d exactly for a in {0, 1}, and reads the uint8
-    # adjacency directly instead of through a float copy
-    return np.multiply(g.adjacency, 1.0 / deg[:, None])
+    # a * fl(1/d) equals a / d exactly for a in {0, 1}: fl(1 * r) = r and
+    # 0 * r = +0; one float copy of the adjacency, scaled in place
+    p = g.adjacency.astype(np.float64)
+    p *= (1.0 / deg)[:, None]
+    return p
 
 
 def is_connected(g: SampledGraph) -> bool:

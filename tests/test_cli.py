@@ -638,6 +638,9 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "0"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--t-max", "10001"], "--t-max"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30,10000000"], "--n-list"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seeds", "0"], "--seeds"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seeds", "100001"],
+         "--seeds"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", "-5"], "--seed"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", str(2**64)],
          "--seed"),
@@ -660,7 +663,7 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
         "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
-        "n-list-huge", "seed-negative", "seed-2^64", "delta-directory", "delta-non-utf8", "config-directory",
+        "n-list-huge", "seeds-zero", "seeds-huge", "seed-negative", "seed-2^64", "delta-directory", "delta-non-utf8", "config-directory",
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
         "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from graphonlab import (
     sample_graph,
 )
 from graphonlab import gcn, testing
-from graphonlab.gcn import _layer, one_blas_thread
+from graphonlab.gcn import ACTIVATION_KINDS, _layer, one_blas_thread
 from graphonlab.seeding import derive_seed
 
 from helpers import SBM_BASE, SBM_SEPARATED, path_graph
@@ -39,6 +40,20 @@ class TestActivation:
         np.testing.assert_allclose(
             Activation("selu")(x), np.where(x > 0, x, np.expm1(np.minimum(x, 0)))
         )
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_out_gives_the_allocating_bytes(self, kind):
+        rng = np.random.default_rng(1707)
+        x = rng.normal(scale=4.0, size=(30, 40))
+        x[::5, ::7] = np.resize([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300], (6, 6))
+        act = Activation(kind)
+        ref = act(x.copy())
+        fresh = np.empty_like(x)
+        assert act(x, out=fresh) is fresh
+        in_place = x.copy()
+        assert act(in_place, out=in_place) is in_place
+        for y in (fresh, in_place):
+            assert y.tobytes() == ref.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidModel):
@@ -102,7 +117,38 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFinite):
-                _layer(ahat, m, Activation("identity"))
+                _layer(ahat, m, Activation("identity"), np.empty_like(ahat))
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_same_bytes_as_a_plain_loop(self, kind):
+        act = Activation(kind)
+        for i in range(2):
+            g = sample_graph(SBM_BASE.to_step_graphon(), 300, seed=derive_seed(31, i))
+            ahat = rw_transition_matrix(g)
+            ref = act(ahat)
+            for _ in range(5):
+                ref = act(ahat @ ref)
+            assert forward(g, GCNConfig(depth=6, activation=act)).tobytes() == ref.tobytes()
+
+    # tracemalloc's peak over one pass at n = 400, in n x n float64 arrays:
+    # A_hat, M and the layer's output buffer, plus isfinite's bool mask (1/8);
+    # swish also holds 1 + e^-x, selu e^min(x, 0) - 1 and its x > 0 mask
+    @pytest.mark.parametrize(
+        "kind, arrays",
+        [("identity", 3.25), ("relu", 3.25), ("tanh", 3.25), ("sigmoid", 3.25),
+         ("swish", 4.25), ("selu", 4.25)],
+    )
+    def test_peak_memory(self, kind, arrays):
+        n = 400
+        g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=4)
+        cfg = GCNConfig(depth=5, activation=kind)
+        tracemalloc.start()
+        try:
+            forward(g, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * n * n * 8
 
 
 class TestEmbeddingVector:

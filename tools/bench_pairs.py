@@ -5,7 +5,8 @@ to a second directory (``git archive <parent> | tar -x -C DIR``):
 
     python3 tools/bench_pairs.py --parent DIR --out BENCH.json \\
         --pairs mixing_sweep:1001:10 --pairs experiment_tanh:1001:6 \\
-        --claim mixing_sweep --traced mixing_sweep:1011
+        --claim mixing_sweep --claim experiment_tanh:peak_rss_mb \\
+        --traced mixing_sweep:1011
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout with the
 same seed, for the run length that BENCHMARK.json sets; even-indexed pairs
@@ -190,10 +191,13 @@ def summarize(pairs: list, bounds: dict, better: dict) -> dict:
     return out
 
 
-def gain_met(summary: dict) -> bool:
-    s = summary["ops_per_ref"]
+def gain_met(summary: dict, metric: str = "ops_per_ref") -> bool:
+    """Whether the change wins 9 in 10 pairs on metric, in its ``better``
+    direction, and the median moves that way by more than the parent's IQR."""
+    s = summary[metric]
+    sign = 1 if s["better"] == "higher" else -1
     return (s["change_wins"] >= 0.9 * s["pairs"]
-            and s["median_diff"] > s["parent_iqr"])
+            and sign * s["median_diff"] > s["parent_iqr"])
 
 
 def main(argv=None) -> int:
@@ -202,11 +206,15 @@ def main(argv=None) -> int:
                         help="root of a checkout of the parent commit")
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD:FIRST_SEED:COUNT")
-    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD",
-                        help="workload on which ops_per_ref is claimed to improve")
+    parser.add_argument("--claim", action="append", default=[], metavar="WORKLOAD[:METRIC]",
+                        help="workload and end-to-end metric (default ops_per_ref) "
+                             "claimed to improve")
     parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD:SEED")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    claims = {w: m or "ops_per_ref" for w, _, m in (c.partition(":") for c in args.claim)}
+    if not set(claims.values()) <= set(END_TO_END):
+        parser.error(f"--claim metric must be one of {', '.join(END_TO_END)}")
     roots = {"parent": args.parent.resolve(), "change": Path.cwd()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -258,9 +266,9 @@ def main(argv=None) -> int:
             "summary": summary,
             "runs": pairs,
         }
-        if workload in args.claim:
-            result["gain_claimed_on"] = "ops_per_ref"
-            result["gain_met"] = gain_met(summary)
+        if workload in claims:
+            result["gain_claimed_on"] = claims[workload]
+            result["gain_met"] = gain_met(summary, claims[workload])
         result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
         doc["workloads"][workload] = result
     for entry in args.traced:
