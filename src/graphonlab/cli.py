@@ -73,8 +73,8 @@ def _read_text(path, what) -> str:
             return fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError, ValueError) as exc:  # ValueError: a NUL
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from None
 
 
 def _parse_json(text, what):
@@ -87,8 +87,8 @@ def _parse_json(text, what):
 def _make_out_dir(path) -> str:
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"cannot make output directory {path!r}: {exc}") from None
     return path
 
 
@@ -119,81 +119,106 @@ def _load_model(entry, sbm: bool = False):
 
 
 _K_RULE_RE = re.compile(r"^ceil\(\s*([0-9.eE+-]+)\s*\*\s*ln\(n\)\s*\)$")
-_EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n$")
+_EPS_RULE_RE = re.compile(r"^([0-9.eE+-]+)\s*/\s*n(\^?2)?$")
+
+# every bounded integer input, (lowest, highest) inclusive, read by _int_in
+_RANGES = {
+    # a sampled graph's n: the dense-adjacency cap
+    "size": (2, MAX_EDGE_LIST_VERTICES),
+    # bounds both the GCN depth K and mixing's --t-max, each a count of dense
+    # n x n products; the deepest rule in use, ceil(6*ln(n)), is 42 at n = 1000
+    "depth": (1, 10_000),
+    # an experiment's trials per n and mixing's --seeds; below 100,003, so
+    # mixing's run indices n * 100003 + j stay distinct across sizes
+    "count": (1, 100_000),
+    # seeds are 64-bit: a seed outside [0, 2^64) would run another seed's trials
+    "seed": (0, 2**64 - 1),
+    # a profile has at most MAX_EDGE_LIST_VERTICES values; a longer grid only
+    # repeats them
+    "grid": (1, MAX_EDGE_LIST_VERTICES),
+}
 
 
-# bounds both the GCN depth K and mixing's --t-max, each a count of dense
-# n x n products; the deepest rule in use, ceil(6*ln(n)), is 42 at n = 1000
-_MAX_DEPTH = 10_000
+def _int_in(value, name, kind):
+    """value if it is an int (not a bool) in _RANGES[kind]; else a ConfigError."""
+    lo, hi = _RANGES[kind]
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        raise ConfigError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return value
 
-# an experiment's trials per n and mixing's --seeds; below 100,003, so
-# mixing's run indices n * 100003 + j stay distinct across sizes
-_MAX_TRIALS = 100_000
 
-# seeds are 64-bit: a seed outside [0, 2^64) would run another seed's trials
-_SEED_LIMIT = 1 << 64
+def _number(value, name, lowest=-math.inf, above=-math.inf):
+    """float(value) if value is a finite number (not a bool), >= lowest and
+    > above; else a ConfigError."""
+    x = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    if not (math.isfinite(x) and x >= lowest and x > above):
+        bound = (f" >= {lowest:g}" if lowest > -math.inf
+                 else f" > {above:g}" if above > -math.inf else "")
+        raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
+    return x
 
 
 def parse_k_rule(rule):
     """Depth rule: explicit integer or 'ceil(D*ln(n))'.
 
-    The returned rule raises ConfigError at an n where the depth exceeds
-    _MAX_DEPTH, which includes D*ln(n) overflowing.
+    The returned rule raises ConfigError at an n where the depth is outside
+    _RANGES["depth"], which includes D*ln(n) overflowing.
     """
     if isinstance(rule, int) and not isinstance(rule, bool):
-        if rule < 1:
-            raise ConfigError("explicit K must be >= 1")
-        raw = lambda n: rule
-    else:
-        m = _K_RULE_RE.match(rule.strip()) if isinstance(rule, str) else None
-        if m is None:
-            raise ConfigError(
-                f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'"
-            )
-        d = float(m.group(1))
-        if not (math.isfinite(d) and d > 0):
-            raise ConfigError(
-                f"k_rule constant D in {rule!r} must be positive and finite"
-            )
-        raw = lambda n: d * math.log(n)
+        _int_in(rule, "k_rule", "depth")
+        return lambda n: rule
+    m = _K_RULE_RE.match(rule.strip()) if isinstance(rule, str) else None
+    try:
+        d = float(m.group(1) if m else "")
+    except ValueError:
+        raise ConfigError(
+            f"cannot parse k_rule {rule!r}; use an int or 'ceil(D*ln(n))'"
+        ) from None
 
     def depth(n):
-        k = raw(n)
-        if not k <= _MAX_DEPTH:  # also false for an overflow to inf
-            raise ConfigError(
-                f"k_rule {rule!r} exceeds the depth limit {_MAX_DEPTH} at n = {n}"
-            )
-        return max(1, math.ceil(k))
+        k = d * math.log(n)
+        # a k far outside the range (inf, NaN) is refused as it stands
+        k = math.ceil(k) if abs(k) <= _RANGES["depth"][1] else k
+        return _int_in(k, f"k_rule {rule!r} at n = {n}", "depth")
 
     return depth
 
 
-def parse_eps_rule(rule):
-    """Noise rule: explicit float or 'c/n'.
+def parse_eps_rule(rule, name="eps_rule"):
+    """Noise rule: a number, 'c/n' or 'c/n^2' (eps_rule and mixing --eps).
 
-    The noise is uniform on [-eps, eps], so an explicit eps must be positive
-    with 2*eps finite; c/n with a positive finite c meets that for n >= 2.
+    The noise is uniform on [-eps, eps], so the returned rule raises
+    ConfigError at an n where eps is not positive or 2*eps overflows; a tiny
+    c can underflow to eps = 0.
     """
-    if isinstance(rule, (int, float)) and not isinstance(rule, bool):
-        try:
-            eps = float(rule)
-        except OverflowError:  # an int beyond the float range
-            eps = math.inf
-        if not (eps > 0 and math.isfinite(2 * eps)):
+    m = _EPS_RULE_RE.match(rule.strip()) if isinstance(rule, str) else None
+    text, power = (m.group(1), 2 if m.group(2) else 1) if m else (rule, 0)
+    try:
+        if isinstance(text, bool):
+            raise TypeError(text)
+        c = float(text)
+    except OverflowError:  # an int beyond the float range
+        c = math.inf
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"cannot parse {name} {rule!r}; use a number, 'c/n' or 'c/n^2'"
+        ) from None
+
+    def eps(n):
+        value = c / n**power
+        if not (value > 0 and math.isfinite(2 * value)):
             raise ConfigError(
-                f"explicit eps_rule {rule!r} must be positive, with 2*eps finite"
+                f"{name} {rule!r} gives eps = {value!r} at n = {n}; eps must be "
+                "positive, with 2*eps finite"
             )
-        return lambda n: eps
-    if isinstance(rule, str):
-        m = _EPS_RULE_RE.match(rule.strip())
-        if m:
-            c = float(m.group(1))
-            if not (math.isfinite(c) and c > 0):
-                raise ConfigError(
-                    f"eps_rule constant c in {rule!r} must be positive and finite"
-                )
-            return lambda n: c / n
-    raise ConfigError(f"cannot parse eps_rule {rule!r}; use a number or 'c/n'")
+        return value
+
+    return eps
 
 
 def _sha256(path) -> str:
@@ -234,6 +259,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_delta(args) -> int:
+    threshold = _number(args.threshold, "--threshold", 0.0)
     w0 = _load_model(args.model0)
     w1 = _load_model(args.model1)
     d = delta_distance(w0, w1)
@@ -244,16 +270,17 @@ def cmd_delta(args) -> int:
             f"({wt:.6g}, {val:.10g})" for wt, val in zip(prof.weights, prof.values)
         )
         print(f"{tag} normalized degree profile: {pairs}")
-    verdict = "exceptional" if d <= args.threshold + 1e-12 else "separated"
-    print(f"verdict at threshold {args.threshold:g}: {verdict}")
+    verdict = "exceptional" if d <= threshold + 1e-12 else "separated"
+    print(f"verdict at threshold {threshold:g}: {verdict}")
     return 0
 
 
 def cmd_family(args) -> int:
+    tau = _number(args.tau, "--tau")
     base = _load_model(args.base, sbm=True)
     lo, hi = family_validity_range(base)
     binding = family_binding_constraints(base)
-    point = family_generate(FamilySpec(base=base, tau=args.tau))
+    point = family_generate(FamilySpec(base=base, tau=tau))
     print(
         f"generated: p1={point.p1:.12g} p2={point.p2:.12g} q={point.q:.12g} "
         f"(k1={point.k1:g})"
@@ -274,16 +301,11 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _parse_eps_arg(text):
-    if re.match(r"^1\s*/\s*n\^?2$", text.strip()):
-        return lambda n: 1.0 / (n * n)
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse --eps {text!r}; use a float or '1/n^2'")
-    if not (math.isfinite(v) and v > 0):
-        raise ConfigError(f"--eps must be positive and finite, got {text!r}")
-    return lambda n: v
+def _n_list(sizes, name):
+    """A nonempty list of graph sizes, each in _RANGES["size"]."""
+    if not isinstance(sizes, list) or not sizes:
+        raise ConfigError(f"{name} must be a nonempty list of sizes, got {sizes!r}")
+    return [_int_in(n, f"each {name} size", "size") for n in sizes]
 
 
 def cmd_mixing(args) -> int:
@@ -291,25 +313,18 @@ def cmd_mixing(args) -> int:
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x]
     except ValueError:
-        n_list = []
-    if not n_list or any(not 2 <= n <= MAX_EDGE_LIST_VERTICES for n in n_list):
-        raise ConfigError(
-            f"--n-list must be integers in [2, {MAX_EDGE_LIST_VERTICES}], "
-            f"got {args.n_list!r}"
-        )
-    if not 1 <= args.seeds <= _MAX_TRIALS:
-        raise ConfigError(f"--seeds must be in [1, {_MAX_TRIALS}], got {args.seeds}")
-    if not 1 <= args.t_max <= _MAX_DEPTH:
-        raise ConfigError(f"--t-max must be in [1, {_MAX_DEPTH}], got {args.t_max}")
-    if not 0 <= args.seed < _SEED_LIMIT:
-        raise ConfigError(f"--seed must be in [0, 2^64), got {args.seed}")
-    eps_rule = _parse_eps_arg(args.eps)
+        n_list = args.n_list  # not a list of integers: _n_list names it
+    n_list = _n_list(n_list, "--n-list")
+    _int_in(args.seeds, "--seeds", "count")
+    _int_in(args.t_max, "--t-max", "depth")
+    _int_in(args.seed, "--seed", "seed")
+    eps_rule = parse_eps_rule(args.eps, "--eps")
+    eps_list = [eps_rule(n) for n in n_list]
     _make_out_dir(args.out_dir)
 
     rows = []
     traces = []
-    for n in n_list:
-        eps = eps_rule(n)
+    for n, eps in zip(n_list, eps_list):
         for j in range(args.seeds):
             run_seed = derive_seed(args.seed, n * 100003 + j)
             g = sample_graph(w, n, run_seed)
@@ -367,7 +382,8 @@ def _validate_experiment_config(doc) -> dict:
     the optional keys' defaults filled in."""
     if not isinstance(doc, dict):
         raise ConfigError("experiment config must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     for key in ("models", "n_list", "k_rule", "eps_rule", "trials", "seed", "output_dir"):
         if key not in doc:
@@ -375,54 +391,22 @@ def _validate_experiment_config(doc) -> dict:
     models = doc["models"]
     if not (isinstance(models, list) and len(models) == 2):
         raise ConfigError("models must be a list of exactly two specs")
-    n_list = doc["n_list"]
-    if (
-        not isinstance(n_list, list)
-        or not n_list
-        or any(not _is_int(n) or not 2 <= n <= MAX_EDGE_LIST_VERTICES for n in n_list)
-    ):
-        raise ConfigError(
-            f"n_list must be a nonempty list of integers in [2, {MAX_EDGE_LIST_VERTICES}]"
-        )
-    if not _is_int(doc["trials"]) or not 1 <= doc["trials"] <= _MAX_TRIALS:
-        raise ConfigError(f"trials must be an integer in [1, {_MAX_TRIALS}]")
-    if not _is_int(doc["seed"]) or not 0 <= doc["seed"] < _SEED_LIMIT:
-        raise ConfigError("seed must be an integer in [0, 2^64)")
+    _n_list(doc["n_list"], "n_list")
     if not isinstance(doc["output_dir"], str) or not doc["output_dir"]:
         raise ConfigError("output_dir must be a nonempty string")
     share = doc.get("share_edge_randomness", False)
     if not isinstance(share, bool):
         raise ConfigError("share_edge_randomness must be true or false")
-    const_c = _finite_number(doc, "const_c")
-    if const_c <= 0:
-        raise ConfigError("const_c must be > 0")
-    envelope_const = _finite_number(doc, "envelope_const")
-    if envelope_const < 0:
-        raise ConfigError("envelope_const must be >= 0")
     activation = Activation(doc.get("activation", "identity"))
     check_distance_activation(activation)
     return dict(
-        trials=doc["trials"], seed=doc["seed"], activation=activation,
-        share=share, const_c=const_c, envelope_const=envelope_const,
+        trials=_int_in(doc["trials"], "trials", "count"),
+        seed=_int_in(doc["seed"], "seed", "seed"),
+        activation=activation,
+        share=share,
+        const_c=_number(doc.get("const_c", 1.0), "const_c", above=0.0),
+        envelope_const=_number(doc.get("envelope_const", 1.0), "envelope_const", 0.0),
     )
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_number(doc, key) -> float:
-    """Optional numeric key (default 1.0); bools, NaN, inf, ints beyond the
-    float range and non-numbers are a ConfigError."""
-    value = doc.get(key, 1.0)
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ConfigError(f"{key} must be a finite number")
-    return float(value)
 
 
 def _plan_experiment(path):
@@ -571,13 +555,7 @@ def _profile_on_grid(profile, grid_length):
 
 
 def cmd_dataset_profile(args) -> int:
-    # a profile has at most MAX_EDGE_LIST_VERTICES values; a longer grid only
-    # repeats them
-    if not 1 <= args.grid_length <= MAX_EDGE_LIST_VERTICES:
-        raise ConfigError(
-            f"--grid-length must be in [1, {MAX_EDGE_LIST_VERTICES}], "
-            f"got {args.grid_length}"
-        )
+    grid = _int_in(args.grid_length, "--grid-length", "grid")
     if not os.path.isdir(args.dir):
         raise ConfigError(f"dataset directory not found: {args.dir}")
     try:
@@ -597,7 +575,6 @@ def cmd_dataset_profile(args) -> int:
     if not labels:
         raise ConfigError("labels file is empty")
 
-    grid = args.grid_length
     per_graph = []
     skipped = 0
     missing = []
@@ -667,8 +644,16 @@ def cmd_dataset_profile(args) -> int:
 # ---------------------------------------------------------------- plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors; its
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphonlab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -714,11 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--n-list", required=True, help="comma-separated sizes")
-    p.add_argument("--eps", default="1/n^2", help="float or '1/n^2'")
+    p.add_argument("--eps", default="1/n^2", help="number, 'c/n' or 'c/n^2'")
     p.add_argument("--seeds", type=int, default=5, help="runs per size")
     p.add_argument("--seed", type=int, default=0, help="base seed, 0 to 2^64 - 1")
     p.add_argument(
-        "--t-max", type=int, default=400, help=f"step cap, 1 to {_MAX_DEPTH}"
+        "--t-max", type=int, default=400, help=f"step cap, 1 to {_RANGES['depth'][1]}"
     )
     p.add_argument("--lazy", action="store_true", help="use the lazy chain (P+I)/2")
     p.add_argument("--out-dir", required=True)
@@ -729,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coupled-distance and error-rate experiment from a JSON config",
         description=(
             "Config keys: schema_version=1, models (two specs), n_list, "
-            "k_rule (int or 'ceil(D*ln(n))'), eps_rule (float or 'c/n'), "
+            "k_rule (int or 'ceil(D*ln(n))'), eps_rule (number, 'c/n' or 'c/n^2'), "
             "activation, trials, seed, output_dir, plus optional "
             "share_edge_randomness, const_c, envelope_const. Outputs: "
             "distances.csv (n,trial,seed,distance), trials.csv "
@@ -761,10 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # the one table from exceptions to exit codes; commands only raise
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, InvalidModel) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -309,12 +309,15 @@ def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
     m_nl = m_lin = buf_nl = buf_lin = None
     a_norms = []
     for _ in range(cfg.depth):
-        a_norms.append(1.0 if m_nl is None else inf_operator_norm(m_nl.T))
+        # inf_operator_norm(m_nl.T), with |m_nl| in the buffer the layer overwrites
+        a_norms.append(
+            1.0 if m_nl is None else np.abs(m_nl, out=buf_nl).sum(axis=0).max()
+        )
         m_nl, buf_nl = _layer(ahat, m_nl, cfg.activation, buf_nl), m_nl
         m_lin, buf_lin = _layer(ahat, m_lin, linear, buf_lin), m_lin
-    gap = float(np.abs(m_nl - m_lin).max())
+    gap = float(np.abs(np.subtract(m_nl, m_lin, out=buf_nl), out=buf_nl).max())
 
     c = NONLINEARITY_ENVELOPE_CONSTANT
     factors = 1.0 + c * np.array(a_norms) ** 2 / n**2
-    envelope = float(np.abs(m_lin).max() * (np.prod(factors) - 1.0))
+    envelope = float(np.abs(m_lin, out=buf_lin).max() * (np.prod(factors) - 1.0))
     return gap, envelope

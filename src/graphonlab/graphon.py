@@ -15,7 +15,6 @@ the caller first.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -425,8 +424,6 @@ def parse_model_spec(doc) -> StepGraphon:
     Accepts either {"weights": [...], "densities": [[...]]} or the SBM form
     {"k1":..., "p1":..., "p2":..., "q":...}.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if "weights" in doc:
         return StepGraphon(doc["weights"], doc["densities"])
     if {"k1", "p1", "p2", "q"} <= set(doc):

@@ -86,13 +86,19 @@ class TestRules:
         [
             (parse_k_rule, "ceil(1e400*ln(n))", "k_rule"),
             (parse_k_rule, "ceil(1e308*ln(n))", "k_rule"),
+            (parse_k_rule, "ceil(-1e400*ln(n))", "k_rule"),
+            (parse_k_rule, "ceil(1.2.3*ln(n))", "k_rule"),
+            (parse_eps_rule, "1.2.3/n", "eps_rule"),
+            (parse_eps_rule, "-1/n^2", "eps_rule"),
             (parse_eps_rule, "1e400/n", "eps_rule"),
             (parse_eps_rule, json.loads("1e400"), "eps_rule"),
             (parse_eps_rule, 1e308, "eps_rule"),
             (parse_eps_rule, 10**400, "eps_rule"),
         ],
         ids=[
-            "k_rule-overflow", "k_rule-depth-overflow", "eps_rule-overflow",
+            "k_rule-overflow", "k_rule-depth-overflow", "k_rule-negative-overflow",
+            "k_rule-two-points", "eps_rule-two-points", "eps_rule-negative",
+            "eps_rule-overflow",
             "eps_rule-json-1e400", "eps_rule-width-overflow", "eps_rule-huge-int",
         ],
     )
@@ -466,13 +472,14 @@ class TestExperimentCommand:
             ("seed", 2**64),
             ("seed", 2**65),
             ("trials", 100_001),
+            ("eps_rule", "1e-323/n"),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
             "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
             "envelope-negative", "envelope-nan", "n_list-int", "n_list-huge",
             "output_dir-int", "activation-sigmoid", "seed-negative", "seed-2^64",
-            "seed-2^65", "trials-over-cap",
+            "seed-2^65", "trials-over-cap", "eps_rule-underflow",
         ],
     )
     def test_optional_key_type_is_config_error(
@@ -483,10 +490,21 @@ class TestExperimentCommand:
         # the activation check raises the library's InvalidModel, which main()
         # reports as a config error like any other
         with pytest.raises((ConfigError, InvalidModel), match=key):
-            _validate_experiment_config(doc)
+            cli._plan_experiment(str(path))
         assert main(["experiment", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("key", ["output_dir", "models"])
+    def test_nul_in_path_is_config_error(self, tmp_path, monkeypatch, capsys, key):
+        monkeypatch.chdir(tmp_path)
+        value = ["o\0x", json.loads(BASE_JSON)] if key == "models" else "o\0x"
+        path, _ = write_experiment_config(tmp_path, **{key: value})
+        assert main(["experiment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'o\\x00x'" in err
+        assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_report_json_keys(self, tmp_path, capsys):
@@ -644,6 +662,16 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", "-5"], "--seed"),
         (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seed", str(2**64)],
          "--seed"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--eps", "1e-323/n^2"],
+         "--eps"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--seeds", "x"], "--seeds"),
+        (["mixing", "--model", "m\0x", "--n-list", "30"], "'m\\x00x'"),
+        (["mixing", "--model", BASE_JSON, "--n-list", "30", "--out-dir", "o\0x"],
+         "'o\\x00x'"),
+        (["experiment"], "--config"),
+        (["delta", BASE_JSON, BASE_JSON, "--threshold", "nan"], "--threshold"),
+        (["family", "--base", BASE_JSON, "--tau", "nan"], "--tau"),
+        (["family", "--base", BASE_JSON, "--tau", "inf"], "--tau"),
         (["delta", "<dir>", "<dir>"], "<dir>"),
         (["delta", "<bad>", "<bad>"], "<bad>"),
         (["experiment", "--config", "<dir>"], "<dir>"),
@@ -663,7 +691,10 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
         "grid-length-negative", "grid-length-huge", "t-max-zero", "t-max-huge",
-        "n-list-huge", "seeds-zero", "seeds-huge", "seed-negative", "seed-2^64", "delta-directory", "delta-non-utf8", "config-directory",
+        "n-list-huge", "seeds-zero", "seeds-huge", "seed-negative", "seed-2^64",
+        "eps-underflow", "seeds-not-int", "model-nul", "out-dir-nul",
+        "missing-config", "threshold-nan", "tau-nan", "tau-inf",
+        "delta-directory", "delta-non-utf8", "config-directory",
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
         "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",

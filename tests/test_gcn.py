@@ -373,3 +373,16 @@ class TestLinearizationGap:
         g = path_graph(3)
         with pytest.raises(InvalidModel):
             linearization_gap(g, GCNConfig(depth=1, activation=Activation("swish")))
+
+    # tracemalloc's peak at n = 400, in n x n float64 arrays: A_hat and each
+    # pass's M and buffer, plus isfinite's bool mask (1/8)
+    def test_peak_memory(self):
+        n = 400
+        g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=4)
+        tracemalloc.start()
+        try:
+            linearization_gap(g, GCNConfig(depth=5, activation="tanh"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * n * n * 8
