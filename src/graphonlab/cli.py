@@ -576,7 +576,9 @@ def cmd_dataset_profile(args) -> int:
         raise ConfigError("labels file is empty")
 
     per_graph = []
-    skipped = 0
+    # printed once the command knows it goes on, so a config error is the
+    # first line on stderr
+    skipped = []
     missing = []
     for fname in sorted(labels):
         path = os.path.join(args.dir, fname)
@@ -586,8 +588,7 @@ def cmd_dataset_profile(args) -> int:
         try:
             g = load_edge_list(_read_text(path, "edge list"))
         except (ConfigError, GraphonLabError) as exc:
-            skipped += 1
-            print(f"warning: skipping {fname}: {exc}", file=sys.stderr)
+            skipped.append(f"warning: skipping {fname}: {exc}")
             continue
         curve = _profile_on_grid(empirical_degree_profile(g), grid)
         per_graph.append((fname, labels[fname], curve))
@@ -606,6 +607,8 @@ def cmd_dataset_profile(args) -> int:
     empirical_delta = float(np.abs(means[classes[0]] - means[classes[1]]).mean())
 
     _make_out_dir(args.out_dir)
+    for line in skipped:
+        print(line, file=sys.stderr)
     class_csv = os.path.join(args.out_dir, "class_profiles.csv")
     grid_u = (np.arange(grid) + 0.5) / grid
     _write_csv(
@@ -636,7 +639,7 @@ def cmd_dataset_profile(args) -> int:
     print(f"classes: {classes[0]} ({sum(1 for _, l, _ in per_graph if l == classes[0])} graphs), "
           f"{classes[1]} ({sum(1 for _, l, _ in per_graph if l == classes[1])} graphs)")
     if skipped:
-        print(f"skipped {skipped} unreadable file(s)", file=sys.stderr)
+        print(f"skipped {len(skipped)} unreadable file(s)", file=sys.stderr)
     print(f"empirical delta between class means = {empirical_delta:.6g}")
     return 0
 

@@ -223,9 +223,10 @@ def blas_info() -> dict | None:
     """numpy's OpenBLAS core kernel and thread counts, or None when not found.
 
     ``threads`` is the count BLAS calls outside the Monte Carlo trial loops
-    run with; ``dense_path_threads`` is the count every trial's embedding
-    runs with, on the dense and the vector path alike, since the trial loop
-    keeps numpy's OpenBLAS on one thread.
+    run with; ``dense_path_threads`` is the count every trial's embeddings
+    run with, on the dense and the vector path alike: the trial loop embeds
+    a pair's two graphs at once, on the caller and one worker thread, and
+    keeps numpy's OpenBLAS on one thread so the two do not contend.
     """
     lib = _numpy_openblas()
     if lib is None:

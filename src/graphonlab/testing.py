@@ -37,7 +37,7 @@ from .graphon import (
     delta_distance,
     total_degree,
 )
-from .sampling import sample_coupled
+from .sampling import fork_join, sample_coupled
 from .seeding import derive_seed, make_rng
 
 DELTA_ZERO_TOL = 1e-9
@@ -238,42 +238,34 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial):
     """``[trial(h0_i, h1_i, seed_i) for i in range(trials)]``, where h0_i and
     h1_i embed coupled pair i's two graphs under cfg.
 
-    One worker thread samples pair i + 1 while the calling thread embeds pair
-    i, with numpy's OpenBLAS on one thread throughout so the two do not
-    contend for the cores. On the dense path (an activation that is not
-    linear on nonnegative inputs) the worker first embeds pair i's second
-    graph, so the two forward passes run at once. The identity/ReLU vector
-    path, and the dense path when numpy's OpenBLAS is not found, embed both
-    graphs on the caller: one walk matrix exists there, two on the dense
-    path. At most two pairs are alive. The results, and the exception raised,
-    are those of the serial loop: what the worker did ahead of a failure is
-    never read, and the pool waits for it before the exception leaves.
+    Each trial forks and joins twice on one worker thread, with numpy's
+    OpenBLAS on one thread throughout so the two threads do not contend for
+    the cores: with independent edges the worker fills the pair's second
+    graph while the caller fills the first, then the worker embeds the second
+    graph while the caller embeds the first, on the vector and the dense path
+    alike. The caller then runs ``trial``. So one pair and two embeddings (two
+    walk matrices) are alive at a time. When numpy's OpenBLAS is not found
+    the loop is serial, on the caller. The results, and the exception raised,
+    are those of the serial loop, and the worker is done before an exception
+    leaves.
     """
     # deferred: importing the pool costs setup time
     from concurrent.futures import ThreadPoolExecutor
 
     results = []
     with one_blas_thread() as pinned, ThreadPoolExecutor(max_workers=1) as pool:
-        on_worker = pinned and not cfg.activation.is_linear_on_nonnegative
-
-        def sample(i):
-            # the globals are read at each call, so a patched function runs
-            return pool.submit(
-                sample_coupled, w0, w1, n, derive_seed(seed, i),
-                share_edge_randomness=share,
-            )
-
-        ahead = sample(0)
+        worker = pool if pinned else None
         for i in range(trials):
-            pair = ahead.result()
-            if on_worker:
-                second = pool.submit(graph_embedding, pair.g1, cfg)
-            if i + 1 < trials:
-                ahead = sample(i + 1)
-            h0 = graph_embedding(pair.g0, cfg)
-            h1 = second.result() if on_worker else graph_embedding(pair.g1, cfg)
-            del pair  # free pair i before waiting for pair i + 1
-            results.append(trial(h0, h1, derive_seed(seed, i)))
+            trial_seed = derive_seed(seed, i)
+            # the globals are read at each call, so a patched function runs
+            pair = sample_coupled(
+                w0, w1, n, trial_seed, share_edge_randomness=share, pool=worker
+            )
+            h0, h1 = fork_join(
+                worker, lambda g: graph_embedding(g, cfg), pair.g0, pair.g1
+            )
+            del pair  # free pair i before pair i + 1 is sampled
+            results.append(trial(h0, h1, trial_seed))
     return results
 
 

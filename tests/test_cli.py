@@ -806,6 +806,27 @@ class TestDatasetProfileCommand:
         )
         assert code == 2
 
+    def test_no_readable_graph_is_config_error_first(self, tmp_path, capsys):
+        data_dir = tmp_path / "graphs"
+        data_dir.mkdir()
+        (data_dir / "bad.edges").write_text("x y\n")
+        (data_dir / "odd.edges").write_text("0 1 2\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("filename,label\nbad.edges,classA\nodd.edges,classB\n")
+        code = main(
+            [
+                "dataset-profile",
+                "--dir", str(data_dir),
+                "--labels", str(labels),
+                "--out-dir", str(tmp_path / "prof"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: no readable graphs")
+        assert "skipping" not in captured.err
+        assert not (tmp_path / "prof").exists()
+
     def test_unreadable_file_skipped_with_warning(self, tmp_path, capsys):
         w0 = SBM_BASE.to_step_graphon()
         w1 = SBM_SEPARATED.to_step_graphon()

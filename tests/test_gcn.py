@@ -226,11 +226,11 @@ def _spy(monkeypatch, blas_threads=None, failing=None):
 
 
 class TestEmbedPair:
-    """How a harness embeds each coupled pair (``testing._each_trial``): on the
-    dense path the caller embeds the first graph while the harness's one
-    worker thread embeds the second, both on one OpenBLAS thread
-    (``gcn.one_blas_thread``); the vector path, and the dense path without
-    numpy's OpenBLAS, embed both graphs on the caller."""
+    """How a harness embeds each coupled pair (``testing._each_trial``): the
+    caller embeds the first graph while the harness's one worker thread
+    embeds the second, both on one OpenBLAS thread (``gcn.one_blas_thread``),
+    on the vector and the dense path alike; without numpy's OpenBLAS both
+    graphs embed on the caller."""
 
     @pytest.mark.parametrize("kind", ["tanh", "selu"])
     def test_bitwise_equal_to_sequential_under_the_pin(self, blas_threads, kind):
@@ -262,15 +262,21 @@ class TestEmbedPair:
         assert blas_threads() == 2
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("kind", ["identity", "relu"])
-    def test_vector_path_embeds_on_the_caller(self, blas_threads, monkeypatch, kind):
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_second_graph_embeds_on_the_worker(self, blas_threads, monkeypatch, kind):
         cfg = GCNConfig(depth=5, activation=kind)
         seen = _spy(monkeypatch, blas_threads)
         out = _embed_trials(cfg)
         caller = threading.get_ident()
-        assert seen == [(0, caller, 1), (1, caller, 1)] * 2
+        assert sorted(index for index, _, _ in seen) == [0, 0, 1, 1]
+        assert {(index, t == caller, count) for index, t, count in seen} == {
+            (0, True, 1), (1, False, 1)
+        }
         monkeypatch.undo()
-        for (h0, h1), (r0, r1) in zip(out, _serial_embeddings(cfg), strict=True):
+        with one_blas_thread() as pinned:
+            assert pinned
+            ref = _serial_embeddings(cfg)
+        for (h0, h1), (r0, r1) in zip(out, ref, strict=True):
             assert h0.tobytes() == r0.tobytes()
             assert h1.tobytes() == r1.tobytes()
 

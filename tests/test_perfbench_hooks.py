@@ -1,7 +1,9 @@
-"""perfbench's tracer patches graphonlab attributes by name: each must exist.
+"""perfbench's tracer patches graphonlab attributes by name: each must exist,
+and every call the trial loop makes through them must reach the patch.
 
-The benchmark's own tests are not part of this suite, so a renamed function
-would otherwise go unnoticed until a traced run. The tracer module is loaded
+The benchmark's own tests are not part of this suite, so a renamed function,
+or a call that binds the function before the tracer patches it, would
+otherwise go unnoticed until a traced run. The tracer module is loaded
 from its file without writing bytecode next to it.
 """
 
@@ -42,3 +44,28 @@ def test_every_hook_resolves(tracer):
 def test_rwchain_from_graph_resolves():
     chain_cls = importlib.import_module("graphonlab.spectral").RWChain
     assert isinstance(chain_cls.__dict__.get("from_graph"), classmethod)
+
+
+@pytest.mark.parametrize("kind", ["identity", "tanh"])
+def test_every_trial_loop_call_is_traced(tracer, kind):
+    # the worker thread's calls too: each harness samples one pair and embeds
+    # two graphs per trial
+    from graphonlab import GCNConfig, testing
+
+    from helpers import SBM_BASE, SBM_SEPARATED
+
+    w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
+    cfg, trials = GCNConfig(depth=3, activation=kind), 3
+    spans = tracer.Tracer()
+    with spans.installed(0):
+        testing.monte_carlo_error(w0, w1, 40, cfg, 0.01, trials, 5)
+        testing.embedding_distance_experiment(w0, w1, 40, cfg, trials, 5)
+        testing.embedding_distance_experiment(
+            w0, w1, 40, cfg, trials, 5, share_edge_randomness=True
+        )
+    names = [s.name for s in spans.run_spans(0)]
+    assert names.count("sampling.sample_coupled.indep") == 2 * trials
+    assert names.count("sampling.sample_coupled.shared") == trials
+    inner = "gcn.fast_linear_embedding" if kind == "identity" else "gcn.forward"
+    assert names.count("gcn.graph_embedding") == 3 * 2 * trials
+    assert names.count(inner) == 3 * 2 * trials

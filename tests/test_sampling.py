@@ -1,5 +1,6 @@
 import hashlib
 import io
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -278,6 +279,28 @@ class TestSamplerMatchesReference:
         assert hashlib.sha256(g.adjacency.tobytes()).hexdigest() == digest
 
 
+class TestPooledSampler:
+    @pytest.mark.parametrize("n", [2, 3, 50, 257])
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_pool_equals_serial_and_reference(self, pair, share, n):
+        w0, w1 = PAIRS[pair]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for seed in (0, 17, 2**40 + 5):
+                e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
+                serial = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
+                pooled = sample_coupled(
+                    w0, w1, n, seed, share_edge_randomness=share, pool=pool
+                )
+                for got in (serial, pooled):
+                    assert got.g0.adjacency.tobytes() == e0.tobytes()
+                    assert got.g1.adjacency.tobytes() == e1.tobytes()
+                    assert got.g1.seed == got.g0.seed == seed
+                    assert np.array_equal(
+                        got.g0.latent_positions, serial.g0.latent_positions
+                    )
+
+
 class TestSampledGraphValidation:
     # -1 casts to uint8 255; 0.5, 256 and NaN would cast to 0, 257 to 1
     @pytest.mark.parametrize("bad", [2, -1, 0.5, 256, 257, float("nan")])
@@ -285,6 +308,29 @@ class TestSampledGraphValidation:
         adj = np.array([[0, bad], [bad, 0]])
         with pytest.raises(InvalidModel, match="0/1"):
             SampledGraph(adj)
+
+    @pytest.mark.parametrize("strip", [None, 1, 5])
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    def test_one_flipped_entry_is_asymmetric(self, monkeypatch, n, strip):
+        # strip boundaries and the last, partial strip of the symmetry check
+        if strip is not None:
+            monkeypatch.setattr(sampling, "_STRIP", strip)
+        s = sampling._STRIP
+        spots = {0, 1, s - 1, s, s + 1, 2 * s - 1, 2 * s, n // 2, n - 2, n - 1}
+        spots = sorted(i for i in spots if 0 <= i < n)
+        adj = sample_graph(SBM_BASE.to_step_graphon(), n, seed=5).adjacency
+        SampledGraph(adj)
+        for i in spots:
+            for j in spots:
+                if i == j:
+                    continue
+                bad = adj.copy()
+                bad[i, j] ^= 1
+                for owned in (False, True):
+                    with pytest.raises(InvalidModel, match="symmetric"):
+                        SampledGraph(bad, _owned=owned)
+                with pytest.raises(InvalidModel, match="symmetric"):
+                    SampledGraph(bad.astype(np.int64))
 
     def test_accepts_empty_graph(self):
         assert SampledGraph(np.zeros((0, 0), dtype=np.uint8)).n == 0

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from graphonlab import (
     nearest_profile_test,
     tv_perturbed,
 )
-from graphonlab import testing
+from graphonlab import sampling, testing
 from graphonlab.gcn import one_blas_thread, perturb
 from graphonlab.seeding import derive_seed, make_rng
 
@@ -310,7 +311,8 @@ def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share):
 
 
 class TestOverlappedTrials:
-    """Each harness samples the next pair on a worker thread; nothing else changes."""
+    """Each harness fills and embeds a pair's second graph on a worker thread;
+    nothing else changes."""
 
     W0, W1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
 
@@ -362,6 +364,39 @@ class TestOverlappedTrials:
         assert threading.active_count() == threads
         assert blas_threads() == 2
         assert sampled == [derive_seed(8, i) for i in range(3)]
+
+    @pytest.mark.parametrize("harness", ["error", "distance"])
+    def test_worker_fill_error_is_raised_and_cleaned_up(
+        self, monkeypatch, blas_threads, harness
+    ):
+        caller = threading.get_ident()
+        real = sampling._fill_edges
+
+        def fill(n, targets, rng):
+            if threading.get_ident() != caller:
+                raise RuntimeError("second graph")
+            return real(n, targets, rng)
+
+        monkeypatch.setattr(sampling, "_fill_edges", fill)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second graph"):
+            self.harnesses()[harness]()
+        assert threading.active_count() == threads
+        assert blas_threads() == 2
+
+    def test_vector_loop_peak_memory(self):
+        # tracemalloc's peak over the loop, in n x n float64 arrays: the two
+        # walk matrices of a pair embedding at once, the pair's two uint8
+        # adjacencies (1/8 each) and the filler's scratch
+        n, cfg = 600, GCNConfig(depth=39)  # ceil(6 ln 600)
+        testing._each_trial(self.W0, self.W1, 40, cfg, 3, 1, False, lambda *_: None)
+        tracemalloc.start()
+        try:
+            testing._each_trial(self.W0, self.W1, n, cfg, 3, 3, False, lambda *_: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * n * n * 8
 
     @pytest.mark.parametrize("harness", ["error", "distance"])
     def test_trial_error_wins_over_the_pair_sampled_ahead(self, monkeypatch, harness):
