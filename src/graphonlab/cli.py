@@ -26,6 +26,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,7 +54,8 @@ from .spectral import RWChain, mixing_time
 from .testing import (
     COORD_TOL_CONST,
     check_distance_activation,
-    embedding_distance_experiment,
+    distance_stats,
+    embedding_distance_experiment,  # unused here; perfbench's tracer hooks this name
     fit_decay_exponent,
     monte_carlo_error,
 )
@@ -425,17 +427,17 @@ def _plan_experiment(path):
 
 
 def _run_experiment_n(run, idx, n, depth, eps):
-    """Both harnesses at the idx-th n; returns that n's (distance, error)
-    records of report.json."""
+    """One trial loop at the idx-th n; returns that n's (distance, error)
+    records of report.json, both read from the same coupled pairs."""
     w0, w1 = run["models"]
     cfg = GCNConfig(depth=depth, activation=run["activation"])
-    dist = embedding_distance_experiment(
-        w0, w1, n, cfg, run["trials"], derive_seed(run["seed"], 2 * idx),
-        share_edge_randomness=run["share"], envelope_const=run["envelope_const"],
-    )
     mc = monte_carlo_error(
-        w0, w1, n, cfg, eps, run["trials"], derive_seed(run["seed"], 2 * idx + 1),
-        const_c=run["const_c"],
+        w0, w1, n, cfg, eps, run["trials"], derive_seed(run["seed"], 2 * idx),
+        const_c=run["const_c"], share_edge_randomness=run["share"],
+    )
+    dist = distance_stats(
+        n, depth, mc.seed, mc.delta, [t.embedding_distance for t in mc.outcomes],
+        mc.small_coord_fracs, run["share"], run["envelope_const"],
     )
     distance = {
         "n": dist.n,
@@ -579,6 +581,7 @@ def cmd_dataset_profile(args) -> int:
     # printed once the command knows it goes on, so a config error is the
     # first line on stderr
     skipped = []
+    dropped = []  # load_edge_list's warnings, such as dropped self-loops
     missing = []
     for fname in sorted(labels):
         path = os.path.join(args.dir, fname)
@@ -586,10 +589,13 @@ def cmd_dataset_profile(args) -> int:
             missing.append(fname)
             continue
         try:
-            g = load_edge_list(_read_text(path, "edge list"))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                g = load_edge_list(_read_text(path, "edge list"))
         except (ConfigError, GraphonLabError) as exc:
             skipped.append(f"warning: skipping {fname}: {exc}")
             continue
+        dropped.extend(f"warning: {fname}: {w.message}" for w in caught)
         curve = _profile_on_grid(empirical_degree_profile(g), grid)
         per_graph.append((fname, labels[fname], curve))
     if missing:
@@ -607,7 +613,7 @@ def cmd_dataset_profile(args) -> int:
     empirical_delta = float(np.abs(means[classes[0]] - means[classes[1]]).mean())
 
     _make_out_dir(args.out_dir)
-    for line in skipped:
+    for line in skipped + dropped:
         print(line, file=sys.stderr)
     class_csv = os.path.join(args.out_dir, "class_profiles.csv")
     grid_u = (np.arange(grid) + 0.5) / grid
@@ -719,7 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
             "Config keys: schema_version=1, models (two specs), n_list, "
             "k_rule (int or 'ceil(D*ln(n))'), eps_rule (number, 'c/n' or 'c/n^2'), "
             "activation, trials, seed, output_dir, plus optional "
-            "share_edge_randomness, const_c, envelope_const. Outputs: "
+            "share_edge_randomness, const_c, envelope_const. Each n runs one "
+            "seeded trial loop under the configured coupling: each trial samples "
+            "and embeds one coupled pair, which gives both its distances.csv and "
+            "its trials.csv row. Outputs: "
             "distances.csv (n,trial,seed,distance), trials.csv "
             "(n,trial,seed,label,decision,distance), summary.csv (per-n "
             "medians/percentiles/floors plus fitted_exponent), report.json, "
@@ -758,6 +767,9 @@ def main(argv=None) -> int:
         return 2
     except GraphonLabError as exc:
         print(f"model error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"model error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return 3
 
 

@@ -199,6 +199,7 @@ class ExperimentReport:
     trials: int
     seed: int
     outcomes: tuple
+    small_coord_fracs: tuple
     error_rate: float
     ci_low: float
     ci_high: float
@@ -276,13 +277,14 @@ def _mc_trial(w0, w1, n, eps_res, h0, h1, trial_seed):
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
     decision = nearest_profile_test(noisy, w0, w1, n)
     tv = tv_perturbed(h0, h1, eps_res).tv
+    distance, small = _distance_trial(n, h0, h1)
     outcome = TrialOutcome(
         true_label=label,
         decision=decision,
-        embedding_distance=float(np.abs(h0 - h1).max()),
+        embedding_distance=distance,
         seed=trial_seed,
     )
-    return outcome, tv
+    return outcome, tv, small
 
 
 def monte_carlo_error(
@@ -294,20 +296,22 @@ def monte_carlo_error(
     trials: int,
     seed: int,
     const_c: float = 1.0,
+    share_edge_randomness: bool = False,
 ) -> ExperimentReport:
     """Estimate the error rate of the nearest-profile test over seeded trials.
 
     Trial i runs with seed derived from (seed, i): coin, coupled sample,
     embedding, perturbation, decision. Reports the error rate with an exact
-    95% interval, the per-trial coupled embedding distances, and the averaged
-    conditional Le Cam floor next to the closed-form floor.
+    95% interval, each trial's coupled distance and small-coordinate fraction,
+    and the mean conditional Le Cam floor, valid under either coupling by joint
+    convexity of TV, next to the closed-form floor.
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
-    outcomes, tvs = zip(*_each_trial(
-        w0, w1, n, cfg, seed, trials, False,
+    outcomes, tvs, small = zip(*_each_trial(
+        w0, w1, n, cfg, seed, trials, share_edge_randomness,
         lambda h0, h1, s: _mc_trial(w0, w1, n, eps_res, h0, h1, s),
     ))
     tvs = np.array(tvs)
@@ -335,6 +339,7 @@ def monte_carlo_error(
         trials=trials,
         seed=seed,
         outcomes=outcomes,
+        small_coord_fracs=small,
         error_rate=rate,
         ci_low=lo,
         ci_high=hi,
@@ -411,8 +416,12 @@ def embedding_distance_experiment(
         w0, w1, n, cfg, seed, trials, share_edge_randomness,
         lambda h0, h1, _: _distance_trial(n, h0, h1),
     ))
-    dists, fracs = np.array(dists), np.array(fracs)
-    delta = delta_distance(w0, w1)
+    return distance_stats(n, cfg.depth, seed, delta_distance(w0, w1), dists, fracs,
+                          share_edge_randomness, envelope_const)
+
+
+def distance_stats(n, depth, seed, delta, dists, fracs, share, envelope_const):
+    """The DistanceStats of per-trial distances and small-coordinate fractions."""
     if delta < DELTA_ZERO_TOL:
         regime = "delta_zero"
         envelope = envelope_const * float(n) ** (-1.5 + 0.1)
@@ -421,8 +430,8 @@ def embedding_distance_experiment(
         envelope = (delta / n) * (1.0 + envelope_const / np.sqrt(n))
     return DistanceStats(
         n=n,
-        depth=cfg.depth,
-        trials=trials,
+        depth=depth,
+        trials=len(dists),
         seed=seed,
         distances=tuple(float(d) for d in dists),
         median=float(np.median(dists)),
@@ -430,8 +439,8 @@ def embedding_distance_experiment(
         envelope=float(envelope),
         regime=regime,
         delta=delta,
-        frac_small_coords=float(fracs.mean()),
-        shared_edge_randomness=share_edge_randomness,
+        frac_small_coords=float(np.mean(fracs)),
+        shared_edge_randomness=share,
     )
 
 

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -586,6 +587,37 @@ class TestExperimentCommand:
         with open(os.path.join(doc["output_dir"], "PARTIAL")) as fh:
             assert fh.read().startswith("IsolatedVertex: vertex")
 
+    def test_each_coupled_pair_is_sampled_and_embedded_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from graphonlab import testing
+
+        calls = []  # appended from the trial loop's worker thread too
+        for name in ("sample_coupled", "graph_embedding"):
+            def counted(*args, _real=getattr(testing, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(testing, name, counted)
+        path, doc = write_experiment_config(tmp_path, n_list=[40, 60], trials=3)
+        assert main(["experiment", "--config", str(path)]) == 0
+        pairs = doc["trials"] * len(doc["n_list"])
+        assert calls.count("sample_coupled") == pairs
+        assert calls.count("graph_embedding") == 2 * pairs
+
+    def test_memory_error_is_one_line_exit_3(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "monte_carlo_error", failing)
+        path, doc = write_experiment_config(tmp_path, trials=2)
+        assert main(["experiment", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model error: out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        with open(os.path.join(doc["output_dir"], "PARTIAL")) as fh:
+            assert fh.read().startswith("MemoryError: Unable to allocate")
+
     def test_unexpected_failure_writes_partial_marker(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise RuntimeError("boom")
@@ -826,6 +858,39 @@ class TestDatasetProfileCommand:
         assert captured.err.startswith("config error: no readable graphs")
         assert "skipping" not in captured.err
         assert not (tmp_path / "prof").exists()
+
+    def self_loop_dataset(self, tmp_path, labels):
+        data_dir = tmp_path / "graphs"
+        data_dir.mkdir()
+        (data_dir / "loop.edges").write_text("0 1\n1 1\n1 2\n")
+        (data_dir / "path.edges").write_text("0 1\n1 2\n2 3\n")
+        (tmp_path / "labels.csv").write_text(labels)
+        return ["dataset-profile", "--dir", str(data_dir),
+                "--labels", str(tmp_path / "labels.csv"),
+                "--out-dir", str(tmp_path / "prof")]
+
+    def test_self_loop_warning_is_held_behind_config_error(self, tmp_path, capsys):
+        argv = self.self_loop_dataset(tmp_path, "loop.edges,classA\n")
+        before = tree(tmp_path)
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: need exactly two classes")
+        assert "UserWarning" not in err and "self-loop" not in err
+        assert escaped == []
+        assert tree(tmp_path) == before
+
+    def test_self_loop_warning_is_one_line(self, tmp_path, capsys):
+        argv = self.self_loop_dataset(
+            tmp_path, "loop.edges,classA\npath.edges,classB\n"
+        )
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: loop.edges: dropped 1 self-loop(s)\n"
+        assert escaped == []
 
     def test_unreadable_file_skipped_with_warning(self, tmp_path, capsys):
         w0 = SBM_BASE.to_step_graphon()

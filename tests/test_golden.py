@@ -7,6 +7,7 @@ version may round differently and then fails these tests without any change
 in the library.
 """
 
+import csv
 import hashlib
 import json
 
@@ -25,21 +26,21 @@ FAMILY = {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}
 EXPERIMENT_SHA256 = {
     "identity": {
         "distances.csv": "b2d2746cc4a675972c1fc69f5f5659eb5bd3cf625e749ea2b7881feb2b417397",
-        "trials.csv": "4e8bf040349ab0498615479cb001c942e8a5c81e3c47a5be3817eb1b21c07147",
-        "summary.csv": "84252dae441593b90dfb72f5883bc105d640fdf567a38a9c692714bde03e1eb9",
-        "report.json": "12d1fe35fd4034cbc32a104b764344f282725daa48686303b06adafc025f425c",
+        "trials.csv": "72c13b968f4950217ac6962b17900c0bf072dd2ffe2296404e19c294e9256247",
+        "summary.csv": "a88a2f2bfec6232e477f917ec1cd0d24b9f79160b03056795c8582bee917f8c1",
+        "report.json": "a01550bfce3efb23e04e7c145ac0a4a086842d3aac7893c020b945ce5cffb7bf",
     },
     "tanh": {
         "distances.csv": "96ca34ae13f56ba09adb9951e130ff98f9168f4067cba85927f0a688340d9a3f",
-        "trials.csv": "aea0aa2c1bf06c0053bf1f8fbd7a4cd875371cad5e7b2a180a9171f326b141ad",
-        "summary.csv": "7016208d599e18612b9c3dab05fa0f7c32e27df8445f9636a7312d58258f9783",
-        "report.json": "33062a819be2ee42b01c4a5cabd2f8662acd5adc537983045a28e9cd2620c485",
+        "trials.csv": "86fbf5f9d1f2992968a45725923f28785f24b11c431826ab16e98194f25451d4",
+        "summary.csv": "78abb03d62c969fd8165255d4d92dc80ff70d7ec5850ed738e3a6ae008db03ca",
+        "report.json": "314a0f4669e5a11b09f9405b564a4b347ffc9d5464d385c316c051a74b4a7a82",
     },
     "selu": {
         "distances.csv": "1eb0f353ad7de5ed8ef562197e0e8256dc31d461aaa043437712fac3fc75a455",
-        "trials.csv": "efe66ee435bee9d84cbe4c5c72273b02c482c47209fa79b6ebac0d8567529237",
-        "summary.csv": "35786ba83b7e07d2416399deae2c758a8d8c26ddb9f0c92ebfec1ade7e893fe6",
-        "report.json": "da6d1d8b869819b01acf0f2ad939b1ca01f0a1d14c3ca5cbe10466463e67dd6f",
+        "trials.csv": "f840f4340d72e2bd44d1706bb8eeae12dd9352b480b6493c13be3449f0137c47",
+        "summary.csv": "f28bec94ed7859fe5a73c50d7a82ef9cc48714f2d8589c3ad24c5e1fbcfb5005",
+        "report.json": "668edd4c27c12418d0a37bad8f1173ec6e296a0eb1e8f887dbac39c05fee5fd9",
     },
 }
 
@@ -63,8 +64,8 @@ def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("activation", ["identity", "tanh", "selu"])
-def test_experiment_outputs(tmp_path, capsys, activation):
+def run_experiment(tmp_path, activation):
+    """Run the golden experiment config for activation; return its out dir."""
     out_dir = tmp_path / "out"
     doc = {
         "schema_version": 1,
@@ -81,8 +82,28 @@ def test_experiment_outputs(tmp_path, capsys, activation):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(config)]) == 0
+    return out_dir
+
+
+@pytest.mark.parametrize("activation", ["identity", "tanh", "selu"])
+def test_experiment_outputs(tmp_path, capsys, activation):
+    out_dir = run_experiment(tmp_path, activation)
     got = {name: sha256_of(out_dir / name) for name in EXPERIMENT_SHA256[activation]}
     assert got == EXPERIMENT_SHA256[activation]
+
+
+@pytest.mark.parametrize("activation", ["identity", "tanh", "selu"])
+def test_error_trials_read_the_distance_pairs(tmp_path, capsys, activation):
+    # one trial loop per n: trials.csv's distance column is distances.csv's,
+    # row for row (distances.csv's seed column holds the per-n seed, trials.csv's
+    # each trial's)
+    out_dir = run_experiment(tmp_path, activation)
+
+    def rows(name):
+        with open(out_dir / name, newline="") as fh:
+            return [(r["n"], r["trial"], r["distance"]) for r in csv.DictReader(fh)]
+
+    assert rows("trials.csv") == rows("distances.csv")
 
 
 def test_mixing_outputs(tmp_path, capsys):

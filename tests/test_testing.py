@@ -334,6 +334,19 @@ class TestOverlappedTrials:
             )
             assert stats.distances == tuple(r["distance"] for r in ref)
             assert stats.frac_small_coords == float(np.mean([r["small"] for r in ref]))
+        # the error harness on shared edges, as the experiment command runs it
+        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, True)
+        report = monte_carlo_error(
+            self.W0, self.W1, n, cfg, eps, trials, seed, share_edge_randomness=True
+        )
+        assert [(t.seed, t.true_label, t.decision, t.embedding_distance)
+                for t in report.outcomes] == [
+            (r["seed"], r["label"], r["decision"], r["distance"]) for r in ref
+        ]
+        assert report.mean_conditional_tv == float(np.mean([r["tv"] for r in ref]))
+        assert float(np.mean(report.small_coord_fracs)) == float(
+            np.mean([r["small"] for r in ref])
+        )
 
     def harnesses(self, cfg=GCNConfig(depth=5)):
         return {

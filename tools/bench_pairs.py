@@ -13,7 +13,9 @@ same seed, for the run length that BENCHMARK.json sets; even-indexed pairs
 run the parent first, odd-indexed the change first. Each seed's command
 also runs once outside the benchmark in each checkout, and the sha256 of
 every output the workload lists (``Workload.outputs``) are compared, since
-perfbench hashes only the CSVs. A traced pair (``--trace 1``) records the
+perfbench hashes only the CSVs: each pair names the outputs whose hashes
+differ (``outputs_changed``), and each workload the outputs identical on
+every seed (``unchanged_every_seed``). A traced pair (``--trace 1``) records the
 per-call p50 of every traced span. The ``machine`` block reads both OpenBLAS
 libraries that the numpy and scipy wheels bundle: build string, the core
 kernel picked at run time and the default thread count, and a two-process
@@ -254,6 +256,10 @@ def main(argv=None) -> int:
             digests = {side: output_digests(roots[side], workload, seed) for side in order}
             pair["output_sha256"] = digests["change"]
             pair["outputs_identical"] = digests["parent"] == digests["change"]
+            pair["outputs_changed"] = sorted(
+                name for name in digests["parent"].keys() | digests["change"].keys()
+                if digests["parent"].get(name) != digests["change"].get(name)
+            )
             print(f"{workload} seed {seed}: " + json.dumps(
                 {s: pair[s]["ops_per_ref"] for s in order}), file=sys.stderr, flush=True)
             pairs.append(pair)
@@ -270,6 +276,10 @@ def main(argv=None) -> int:
             result["gain_claimed_on"] = claims[workload]
             result["gain_met"] = gain_met(summary, claims[workload])
         result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
+        result["unchanged_every_seed"] = sorted(
+            set(workloads.WORKLOADS[workload].outputs)
+            - {name for p in pairs for name in p["outputs_changed"]}
+        )
         doc["workloads"][workload] = result
     for entry in args.traced:
         workload, seed = entry.split(":")
