@@ -6,7 +6,10 @@ identity, so the first layer is sigma(A_hat) and no O(n^3) right-multiplication
 by a weight matrix ever runs. The graph-level embedding vector is the row
 average of the final matrix; when the activation is the identity (or ReLU,
 which agrees with it on the nonnegative matrices produced here) it is computed
-by a vector-matrix iteration instead of matrix powers.
+by a vector-matrix iteration instead of matrix powers. Given an error limit,
+that iteration runs in float32, reading half the bytes per layer, whenever a
+rounding-error certificate puts its coordinatewise error within the limit,
+and in float64 otherwise (``fast_linear_embedding``).
 
 The dense pass holds three n x n float64 arrays: A_hat, M and one buffer.
 Each layer writes A_hat @ M into the buffer, applies the activation there in
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import InvalidModel, NonFinite
 from .sampling import SampledGraph
 from .seeding import make_rng
-from .spectral import rw_transition_matrix
+from .spectral import positive_degrees, rw_transition_matrix
 
 ACTIVATION_KINDS = ("identity", "relu", "sigmoid", "tanh", "swish", "selu")
 
@@ -243,25 +246,75 @@ def embedding_vector(m: np.ndarray) -> np.ndarray:
     return m.mean(axis=0)
 
 
-def fast_linear_embedding(g: SampledGraph, depth: int) -> np.ndarray:
+def walk32_relative_error(n: int, depth: int) -> float:
+    """rel(n, K) = (1 + u)^(K(n + 2)) - 1 with u = 2^-24, float32's unit
+    roundoff: the coordinatewise relative error of the float32 K-step walk.
+
+    Every entry of A, r = fl32(1/d) and h is nonnegative, so each float32
+    step h <- (h r) A errs by at most (1 + u)^(n + 1) - 1 relatively in every
+    coordinate, whatever the summation order, FMA or not: one rounding for r,
+    one for each product h_j r_j (a_jk in {0, 1} makes the second exact) and
+    n - 1 for the sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). K steps and the rounding of h_0 = fl32(1/n) stay
+    within K(n + 2) roundings.
+    """
+    return math.expm1(depth * (n + 2) * math.log1p(2.0**-24))
+
+
+def _walk32(g: SampledGraph, depth: int) -> np.ndarray:
+    """h_0 A_hat^K in float32, as h <- (h r) A with A the 0/1 adjacency."""
+    # exact: degrees up to 2^24 and the 0/1 entries are float32 integers
+    r = np.float32(1.0) / positive_degrees(g).astype(np.float32)
+    a = g.adjacency.astype(np.float32)
+    h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
+    for _ in range(depth):
+        h = (h * r) @ a
+    return h
+
+
+def fast_linear_embedding(g: SampledGraph, depth: int, limit: float | None = None):
     """Row average of A_hat^K without forming matrix powers.
 
     Equals embedding_vector(forward(g, cfg)) for the identity (or ReLU)
     activation: the row-average vector is pushed through the chain one
-    vector-matrix product per layer.
+    vector-matrix product per layer, in float64.
+
+    With a limit, returns (h, bound) instead. The walk then runs in float32,
+    reading half the bytes per layer, and h is its float64 copy, when the
+    certified coordinatewise error bound = rel/(1 - rel) max h + (underflow
+    term) is at most limit, rel being walk32_relative_error; otherwise h is
+    the float64 result, with the bytes of the call without a limit, and bound
+    is None. The float32 pass is skipped outright when rel/n exceeds the
+    limit, since max h >= 1/n then fails the check anyway, and its matrix is
+    freed before the float64 one is built.
     """
+    n = g.n
+    if limit is not None:
+        rel = walk32_relative_error(n, depth)
+        if rel < 1.0 and rel / n <= limit:
+            h = _walk32(g, depth)
+            # gradual underflow adds at most 2^-150 absolutely per product
+            # h_j r_j; the walk never grows l1 norms, which bound max norms
+            bound = rel / (1.0 - rel) * float(h.max()) + depth * n * n * 2.0**-148
+            if bound <= limit:
+                return h.astype(np.float64), bound
     ahat = rw_transition_matrix(g)
-    h = np.full(g.n, 1.0 / g.n)
+    h = np.full(n, 1.0 / n)
     for _ in range(depth):
         h = h @ ahat
-    return h
+    return h if limit is None else (h, None)
 
 
-def graph_embedding(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
-    """Embedding vector of a graph under cfg, via the cheapest valid path."""
+def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None):
+    """Embedding vector of a graph under cfg, via the cheapest valid path.
+
+    With a limit, returns (h, bound) as fast_linear_embedding does; the dense
+    path always runs in float64, so its bound is None.
+    """
     if cfg.activation.is_linear_on_nonnegative:
-        return fast_linear_embedding(g, cfg.depth)
-    return embedding_vector(forward(g, cfg))
+        return fast_linear_embedding(g, cfg.depth, limit)
+    h = embedding_vector(forward(g, cfg))
+    return h if limit is None else (h, None)
 
 
 def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:

@@ -29,12 +29,18 @@ _EXHAUSTIVE_LIMIT = 20  # vertices; bottleneck_ratio enumerates 2^n subsets
 _TV_BLOCK = 1 << 16  # entries per worst_row_tv block: 512 KB, cache-sized
 
 
-def rw_transition_matrix(g: SampledGraph) -> np.ndarray:
-    """D^{-1} A; rows sum to 1. Raises IsolatedVertex on degree-0 vertices."""
+def positive_degrees(g: SampledGraph) -> np.ndarray:
+    """The vertex degrees; raises IsolatedVertex on the first degree-0 vertex."""
     deg = g.degrees()
     zero = np.flatnonzero(deg == 0)
     if zero.size:
         raise IsolatedVertex(int(zero[0]))
+    return deg
+
+
+def rw_transition_matrix(g: SampledGraph) -> np.ndarray:
+    """D^{-1} A; rows sum to 1. Raises IsolatedVertex on degree-0 vertices."""
+    deg = positive_degrees(g)
     # a * fl(1/d) equals a / d exactly for a in {0, 1}: fl(1 * r) = r and
     # 0 * r = +0; one float copy of the adjacency, scaled in place
     p = g.adjacency.astype(np.float64)

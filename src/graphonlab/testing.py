@@ -49,6 +49,14 @@ _STREAM_NOISE = 13
 # is at most COORD_TOL_CONST / n^2
 COORD_TOL_CONST = 1.0
 
+# The error harness embeds on the identity/ReLU path in float32 only when the
+# certified rounding error (gcn.fast_linear_embedding) is at most this share
+# of the trial's noise half-width eps. A quarter keeps that error small next
+# to the uniform noise every decision sees, on a bound about 500 times above
+# the error observed, and still admits float32 up to n = 1000 at
+# eps = delta/(4n) (bound 0.19 eps there, 0.39 eps at n = 2000).
+F32_ERROR_SHARE = 0.25
+
 
 @dataclass(frozen=True)
 class TVResult:
@@ -168,19 +176,23 @@ def expected_sorted_profile(w: StepGraphon, n: int) -> np.ndarray:
 
 
 def nearest_profile_test(
-    h_perturbed, w0: StepGraphon, w1: StepGraphon, n: int
+    h_perturbed, w0: StepGraphon, w1: StepGraphon, n: int, *, profiles=None
 ) -> int:
     """Decide which model produced a perturbed embedding vector.
 
     Sorts the observed vector decreasingly and picks the model whose expected
     sorted stationary profile is nearer in L1; ties go to model 0. Sorting
-    makes the statistic invariant to any vertex relabeling.
+    makes the statistic invariant to any vertex relabeling. ``profiles``, if
+    given, is the pair of both models' ``expected_sorted_profile(w, n)``,
+    built once by a caller that decides many trials.
     """
     h = np.sort(np.asarray(h_perturbed, dtype=float).ravel())[::-1]
     if h.size != n:
         raise ShapeMismatch(f"embedding has {h.size} coordinates, expected {n}")
-    d0 = float(np.abs(h - expected_sorted_profile(w0, n)).sum())
-    d1 = float(np.abs(h - expected_sorted_profile(w1, n)).sum())
+    if profiles is None:
+        profiles = expected_sorted_profile(w0, n), expected_sorted_profile(w1, n)
+    d0 = float(np.abs(h - profiles[0]).sum())
+    d1 = float(np.abs(h - profiles[1]).sum())
     return 0 if d0 <= d1 else 1
 
 
@@ -191,6 +203,10 @@ class ExperimentReport:
     ``error_rate`` carries an exact (Clopper-Pearson) 95% binomial interval.
     ``mean_conditional_tv`` averages the per-trial TV between the two coupled
     unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
+    On the identity/ReLU path, ``f32_bound_max`` is the largest certified
+    error bound of the graphs embedded in float32 (None when none was) and
+    ``f64_fallbacks`` counts the graphs embedded in float64; both are None on
+    the dense path.
     """
 
     n: int
@@ -206,6 +222,8 @@ class ExperimentReport:
     mean_conditional_tv: float
     bounds: ErrorBounds
     delta: float
+    f32_bound_max: float | None = None
+    f64_fallbacks: int | None = None
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -235,9 +253,9 @@ def error_not_below_floor(
     return float(binom.cdf(errors, trials, floor)) >= alpha
 
 
-def _each_trial(w0, w1, n, cfg, seed, trials, share, trial):
+def _each_trial(w0, w1, n, cfg, seed, trials, share, trial, limit=None):
     """``[trial(h0_i, h1_i, seed_i) for i in range(trials)]``, where h0_i and
-    h1_i embed coupled pair i's two graphs under cfg.
+    h1_i are ``graph_embedding(g, cfg, limit)`` of coupled pair i's two graphs.
 
     Each trial forks and joins twice on one worker thread, with numpy's
     OpenBLAS on one thread throughout so the two threads do not contend for
@@ -245,10 +263,10 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial):
     graph while the caller fills the first, then the worker embeds the second
     graph while the caller embeds the first, on the vector and the dense path
     alike. The caller then runs ``trial``. So one pair and two embeddings (two
-    walk matrices) are alive at a time. When numpy's OpenBLAS is not found
-    the loop is serial, on the caller. The results, and the exception raised,
-    are those of the serial loop, and the worker is done before an exception
-    leaves.
+    walk matrices, float32 or float64) are alive at a time. When numpy's
+    OpenBLAS is not found the loop is serial, on the caller. The results, and
+    the exception raised, are those of the serial loop, and the worker is done
+    before an exception leaves.
     """
     # deferred: importing the pool costs setup time
     from concurrent.futures import ThreadPoolExecutor
@@ -263,19 +281,20 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial):
                 w0, w1, n, trial_seed, share_edge_randomness=share, pool=worker
             )
             h0, h1 = fork_join(
-                worker, lambda g: graph_embedding(g, cfg), pair.g0, pair.g1
+                worker, lambda g: graph_embedding(g, cfg, limit), pair.g0, pair.g1
             )
             del pair  # free pair i before pair i + 1 is sampled
             results.append(trial(h0, h1, trial_seed))
     return results
 
 
-def _mc_trial(w0, w1, n, eps_res, h0, h1, trial_seed):
+def _mc_trial(w0, w1, n, eps_res, profiles, embedded0, embedded1, trial_seed):
+    (h0, bound0), (h1, bound1) = embedded0, embedded1
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
     observed = h0 if label == 0 else h1
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
-    decision = nearest_profile_test(noisy, w0, w1, n)
+    decision = nearest_profile_test(noisy, w0, w1, n, profiles=profiles)
     tv = tv_perturbed(h0, h1, eps_res).tv
     distance, small = _distance_trial(n, h0, h1)
     outcome = TrialOutcome(
@@ -284,7 +303,7 @@ def _mc_trial(w0, w1, n, eps_res, h0, h1, trial_seed):
         embedding_distance=distance,
         seed=trial_seed,
     )
-    return outcome, tv, small
+    return outcome, tv, small, bound0, bound1
 
 
 def monte_carlo_error(
@@ -304,16 +323,25 @@ def monte_carlo_error(
     embedding, perturbation, decision. Reports the error rate with an exact
     95% interval, each trial's coupled distance and small-coordinate fraction,
     and the mean conditional Le Cam floor, valid under either coupling by joint
-    convexity of TV, next to the closed-form floor.
+    convexity of TV, next to the closed-form floor. The identity/ReLU path
+    embeds in float32 where its certified error is at most
+    F32_ERROR_SHARE * eps_res, and the report records those bounds.
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
-    outcomes, tvs, small = zip(*_each_trial(
+    profiles = expected_sorted_profile(w0, n), expected_sorted_profile(w1, n)
+    outcomes, tvs, small, bounds0, bounds1 = zip(*_each_trial(
         w0, w1, n, cfg, seed, trials, share_edge_randomness,
-        lambda h0, h1, s: _mc_trial(w0, w1, n, eps_res, h0, h1, s),
+        lambda e0, e1, s: _mc_trial(w0, w1, n, eps_res, profiles, e0, e1, s),
+        limit=F32_ERROR_SHARE * eps_res,
     ))
+    f32_bound_max = f64_fallbacks = None
+    if cfg.activation.is_linear_on_nonnegative:
+        f32 = [b for b in bounds0 + bounds1 if b is not None]
+        f32_bound_max = max(f32, default=None)
+        f64_fallbacks = 2 * trials - len(f32)
     tvs = np.array(tvs)
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
@@ -346,6 +374,8 @@ def monte_carlo_error(
         mean_conditional_tv=float(tvs.mean()),
         bounds=bounds,
         delta=delta,
+        f32_bound_max=f32_bound_max,
+        f64_fallbacks=f64_fallbacks,
     )
 
 

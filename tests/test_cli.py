@@ -523,8 +523,12 @@ class TestExperimentCommand:
         assert list(error) == [
             "n", "K", "eps_res", "trials", "seed", "error_rate", "ci_low",
             "ci_high", "mean_conditional_tv", "lecam_floor", "formula_floor",
-            "formula_raw", "regime", "delta", "trials_detail",
+            "formula_raw", "regime", "delta", "f32_bound_max", "f64_fallbacks",
+            "trials_detail",
         ]
+        # identity activation: all six graphs certified in float32
+        assert 0 < error["f32_bound_max"] <= error["eps_res"] / 4
+        assert error["f64_fallbacks"] == 0
         assert len(error["trials_detail"]) == 3
         assert list(error["trials_detail"][0]) == [
             "trial", "seed", "label", "decision", "distance",

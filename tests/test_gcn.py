@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 import warnings
@@ -9,6 +10,7 @@ from graphonlab import (
     Activation,
     GCNConfig,
     InvalidModel,
+    IsolatedVertex,
     NonFinite,
     classify_activation,
     embedding_vector,
@@ -26,7 +28,7 @@ from graphonlab import gcn, testing
 from graphonlab.gcn import ACTIVATION_KINDS, _layer, one_blas_thread
 from graphonlab.seeding import derive_seed
 
-from helpers import SBM_BASE, SBM_SEPARATED, path_graph
+from helpers import SBM_BASE, SBM_SEPARATED, graph_from_edges, path_graph
 
 
 class TestActivation:
@@ -213,12 +215,12 @@ def _spy(monkeypatch, blas_threads=None, failing=None):
         pairs.append(real_sample(*args, **kwargs))
         return pairs[-1]
 
-    def embed(g, cfg):
+    def embed(g, cfg, limit=None):
         index = 0 if any(g is p.g0 for p in pairs) else 1
         seen.append((index, threading.get_ident(), blas_threads and blas_threads()))
         if index == failing:
             raise NonFinite("non-finite value produced in forward pass")
-        return graph_embedding(g, cfg)
+        return graph_embedding(g, cfg, limit)
 
     monkeypatch.setattr(testing, "sample_coupled", sample)
     monkeypatch.setattr(testing, "graph_embedding", embed)
@@ -291,6 +293,94 @@ class TestEmbedPair:
         for (h0, h1), (r0, r1) in zip(out, _serial_embeddings(cfg), strict=True):
             assert h0.tobytes() == r0.tobytes()
             assert h1.tobytes() == r1.tobytes()
+
+
+def _float64_walk(g, depth):
+    """The float64 vector iteration, written out as it was before the float32
+    path existed."""
+    ahat = rw_transition_matrix(g)
+    h = np.full(g.n, 1.0 / g.n)
+    for _ in range(depth):
+        h = h @ ahat
+    return h
+
+
+class TestWalk32:
+    """The identity/ReLU vector path in float32 under its certificate, and
+    the float64 path wherever the certificate fails."""
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    @pytest.mark.parametrize("kind", ["identity", "relu"])
+    def test_error_within_the_certified_bound(self, n, kind):
+        depth = math.ceil(6 * math.log(n))
+        limit = testing.F32_ERROR_SHARE * (1 / 14) / (4 * n)  # eps = delta/(4n)
+        g = sample_graph(W0, n, seed=derive_seed(22, n))
+        h32, bound = graph_embedding(g, GCNConfig(depth, kind), limit)
+        h64 = _float64_walk(g, depth)
+        assert 0 < bound <= limit
+        assert h32.dtype == np.float64 and (h32.astype(np.float32) == h32).all()
+        # the float64 path's own bound: the same argument with u = 2^-53
+        rel64 = math.expm1(depth * (n + 2) * math.log1p(2.0**-53))
+        bound64 = rel64 / (1 - rel64) * h64.max()
+        assert (np.abs(h32 - h64) <= bound + bound64).all()
+
+    def test_skip_rule_never_runs_float32(self, monkeypatch):
+        n, depth = 300, 35
+        g = sample_graph(W0, n, seed=4)
+        rel = gcn.walk32_relative_error(n, depth)
+
+        def float32_walk(*_):
+            raise AssertionError("the float32 pass ran")
+
+        monkeypatch.setattr(gcn, "_walk32", float32_walk)
+        for limit in (0.0, 0.99 * rel / n):
+            h, bound = fast_linear_embedding(g, depth, limit)
+            assert bound is None
+            assert h.tobytes() == _float64_walk(g, depth).tobytes()
+        assert fast_linear_embedding(g, depth).tobytes() == h.tobytes()
+
+    def test_failed_check_falls_back_after_freeing_float32(self, monkeypatch):
+        n, depth = 300, 35
+        g = sample_graph(W0, n, seed=4)
+        _, bound = fast_linear_embedding(g, depth, 1.0)
+        rel = gcn.walk32_relative_error(n, depth)
+        limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
+        assert rel / n < limit < bound
+        runs = []
+        real = gcn._walk32
+
+        def float32_walk(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gcn, "_walk32", float32_walk)
+        peaks = []
+        for run in (lambda: _float64_walk(g, depth),
+                    lambda: fast_linear_embedding(g, depth, limit)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        h, bound = out
+        assert len(runs) == 1 and bound is None
+        assert h.tobytes() == _float64_walk(g, depth).tobytes()
+        # the float32 matrix is gone before the float64 one is built: at most
+        # a few length-n vectors above the float64 path's peak
+        assert peaks[1] <= peaks[0] + 4 * n * 8
+
+    def test_dense_path_ignores_the_limit(self):
+        g = sample_graph(W0, 40, seed=4)
+        cfg = GCNConfig(depth=5, activation="tanh")
+        h, bound = graph_embedding(g, cfg, 1.0)
+        assert bound is None and h.tobytes() == graph_embedding(g, cfg).tobytes()
+
+    def test_isolated_vertex_is_refused_on_both_paths(self):
+        g = graph_from_edges(3, [(0, 1)])
+        for limit in (None, 1.0):
+            with pytest.raises(IsolatedVertex, match="vertex 2"):
+                fast_linear_embedding(g, 3, limit)
 
 
 class TestPerturb:

@@ -25,10 +25,10 @@ FAMILY = {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}
 
 EXPERIMENT_SHA256 = {
     "identity": {
-        "distances.csv": "b2d2746cc4a675972c1fc69f5f5659eb5bd3cf625e749ea2b7881feb2b417397",
-        "trials.csv": "72c13b968f4950217ac6962b17900c0bf072dd2ffe2296404e19c294e9256247",
-        "summary.csv": "a88a2f2bfec6232e477f917ec1cd0d24b9f79160b03056795c8582bee917f8c1",
-        "report.json": "a01550bfce3efb23e04e7c145ac0a4a086842d3aac7893c020b945ce5cffb7bf",
+        "distances.csv": "fd9d06e5327e274c2e386f42f42bd6cdbfc5eb2e4ed1d6286498f3a63075aff6",
+        "trials.csv": "d334d2dfea1f46a5823d18daaa7ae8dd0de932b4d1ac491f58e7197f3f3e5c81",
+        "summary.csv": "5c99b4917da91dd016ff8437bd66b4eeaf9b8f1353a299409aecfe084a18700b",
+        "report.json": "05f5c682605c6c87753985a18f39056111b4479cebc90f1b688e57667f04e693",
     },
     "tanh": {
         "distances.csv": "96ca34ae13f56ba09adb9951e130ff98f9168f4067cba85927f0a688340d9a3f",

@@ -179,6 +179,19 @@ class TestNearestProfile:
         d2 = nearest_profile_test(h[rng.permutation(n)], w0, w1, n)
         assert d1 == d2
 
+    def test_given_profiles_decide_alike(self):
+        w0 = SBM_BASE.to_step_graphon()
+        w1 = SBM_SEPARATED.to_step_graphon()
+        n = 60
+        profiles = expected_sorted_profile(w0, n), expected_sorted_profile(w1, n)
+        rng = np.random.default_rng(9)
+        mid = (profiles[0] + profiles[1]) / 2
+        for _ in range(20):
+            h = mid + rng.normal(0, 1e-4, n)
+            assert nearest_profile_test(h, w0, w1, n, profiles=profiles) == (
+                nearest_profile_test(h, w0, w1, n)
+            )
+
     def test_tie_breaks_toward_zero(self):
         w = SBM_BASE.to_step_graphon()
         n = 40
@@ -224,6 +237,40 @@ class TestMonteCarlo:
         a = monte_carlo_error(w0, w1, 30, cfg, 0.01, trials=25, seed=77)
         b = monte_carlo_error(w0, w1, 30, cfg, 0.01, trials=25, seed=77)
         assert a == b
+
+    def test_records_the_float32_certificate(self):
+        w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
+        n, trials, seed, eps = 60, 3, 31, 0.01
+        cfg = GCNConfig(depth=7)
+        report = monte_carlo_error(w0, w1, n, cfg, eps, trials, seed)
+        with one_blas_thread():
+            bounds = [
+                testing.graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)[1]
+                for pair in (testing.sample_coupled(w0, w1, n, derive_seed(seed, i))
+                             for i in range(trials))
+                for g in (pair.g0, pair.g1)
+            ]
+        assert report.f32_bound_max == max(bounds) and report.f64_fallbacks == 0
+        # noise so small that the skip rule sends every graph to float64
+        report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
+        assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
+        # the dense path records nothing
+        tanh = GCNConfig(depth=7, activation="tanh")
+        report = monte_carlo_error(w0, w1, n, tanh, eps, trials, seed)
+        assert report.f32_bound_max is None and report.f64_fallbacks is None
+
+    def test_profiles_built_once_per_call(self, monkeypatch):
+        w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
+        calls = []
+        real = testing.expected_sorted_profile
+
+        def counted(w, n):
+            calls.append((w, n))
+            return real(w, n)
+
+        monkeypatch.setattr(testing, "expected_sorted_profile", counted)
+        monte_carlo_error(w0, w1, 30, GCNConfig(depth=4), 0.01, trials=5, seed=3)
+        assert calls == [(w0, 30), (w1, 30)]
 
     def test_rejects_bad_args(self):
         w = SBM_BASE.to_step_graphon()
@@ -286,15 +333,18 @@ class TestDistanceExperiment:
         assert np.isnan(fit_decay_exponent(n, values))
 
 
-def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share):
-    """Reference: each seed's pair sampled and embedded one after another."""
+def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share, limit=None):
+    """Reference: each seed's pair sampled and embedded one after another,
+    under the float32 error limit ``limit`` (None: the float64 path)."""
     rows = []
     for i in range(trials):
         s = derive_seed(seed, i)
         pair = testing.sample_coupled(w0, w1, n, s, share_edge_randomness=share)
         with one_blas_thread():
-            h0 = testing.graph_embedding(pair.g0, cfg)
-            h1 = testing.graph_embedding(pair.g1, cfg)
+            h0 = testing.graph_embedding(pair.g0, cfg, limit)
+            h1 = testing.graph_embedding(pair.g1, cfg, limit)
+        if limit is not None:
+            (h0, _), (h1, _) = h0, h1
         label = int(make_rng(derive_seed(s, testing._STREAM_COIN)).integers(0, 2))
         observed = h1 if label else h0
         noisy = perturb(observed, eps_res, derive_seed(s, testing._STREAM_NOISE))
@@ -320,7 +370,8 @@ class TestOverlappedTrials:
     def test_equals_serial_reference(self, activation):
         n, trials, seed, eps = 60, 5, 31, 0.01
         cfg = GCNConfig(depth=7, activation=activation)
-        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, False)
+        limit = testing.F32_ERROR_SHARE * eps  # as monte_carlo_error sets it
+        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, False, limit)
         report = monte_carlo_error(self.W0, self.W1, n, cfg, eps, trials, seed)
         assert [(t.seed, t.true_label, t.decision, t.embedding_distance)
                 for t in report.outcomes] == [
@@ -335,7 +386,7 @@ class TestOverlappedTrials:
             assert stats.distances == tuple(r["distance"] for r in ref)
             assert stats.frac_small_coords == float(np.mean([r["small"] for r in ref]))
         # the error harness on shared edges, as the experiment command runs it
-        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, True)
+        ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, True, limit)
         report = monte_carlo_error(
             self.W0, self.W1, n, cfg, eps, trials, seed, share_edge_randomness=True
         )
@@ -398,18 +449,22 @@ class TestOverlappedTrials:
         assert blas_threads() == 2
 
     def test_vector_loop_peak_memory(self):
-        # tracemalloc's peak over the loop, in n x n float64 arrays: the two
-        # walk matrices of a pair embedding at once, the pair's two uint8
-        # adjacencies (1/8 each) and the filler's scratch
+        # tracemalloc's peak over the loop, in n x n float64 arrays, under the
+        # error harness's limit at eps = delta/(4n): the two float32 walk
+        # matrices of a pair embedding at once (1/2 each), the pair's two
+        # uint8 adjacencies (1/8 each) and the filler's scratch
         n, cfg = 600, GCNConfig(depth=39)  # ceil(6 ln 600)
+        limit = testing.F32_ERROR_SHARE * (1 / 14) / (4 * n)
         testing._each_trial(self.W0, self.W1, 40, cfg, 3, 1, False, lambda *_: None)
         tracemalloc.start()
         try:
-            testing._each_trial(self.W0, self.W1, n, cfg, 3, 3, False, lambda *_: None)
+            testing._each_trial(
+                self.W0, self.W1, n, cfg, 3, 3, False, lambda *_: None, limit=limit
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.4 * n * n * 8
+        assert peak <= 1.4 * n * n * 8
 
     @pytest.mark.parametrize("harness", ["error", "distance"])
     def test_trial_error_wins_over_the_pair_sampled_ahead(self, monkeypatch, harness):
@@ -422,10 +477,10 @@ class TestOverlappedTrials:
                 raise RuntimeError("sampling")
             return real_sample(w0, w1, n, seed, **kwargs)
 
-        def embed(g, cfg):
+        def embed(g, cfg, limit=None):
             if g.seed == second:
                 raise ValueError("embedding")
-            return real_embed(g, cfg)
+            return real_embed(g, cfg, limit)
 
         monkeypatch.setattr(testing, "sample_coupled", sample)
         monkeypatch.setattr(testing, "graph_embedding", embed)
@@ -440,9 +495,9 @@ class TestOverlappedTrials:
         real_embed = testing.graph_embedding
         counts = []
 
-        def embed(g, cfg):
+        def embed(g, cfg, limit=None):
             counts.append(threading.active_count())
-            return real_embed(g, cfg)
+            return real_embed(g, cfg, limit)
 
         monkeypatch.setattr(testing, "graph_embedding", embed)
         threads = threading.active_count()

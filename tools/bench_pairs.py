@@ -15,11 +15,16 @@ also runs once outside the benchmark in each checkout, and the sha256 of
 every output the workload lists (``Workload.outputs``) are compared, since
 perfbench hashes only the CSVs: each pair names the outputs whose hashes
 differ (``outputs_changed``), and each workload the outputs identical on
-every seed (``unchanged_every_seed``). A traced pair (``--trace 1``) records the
-per-call p50 of every traced span. The ``machine`` block reads both OpenBLAS
-libraries that the numpy and scipy wheels bundle: build string, the core
-kernel picked at run time and the default thread count, and a two-process
-probe records whether the host gave both cores when the runs began.
+every seed (``unchanged_every_seed``). On experiment workloads each pair also
+says whether the science moved: ``decisions_changed`` counts the
+``trials.csv`` rows whose ``decision`` differs between parent and change, and
+``distance_max_rel_change`` is the largest relative change of a row's
+``distance``; each workload sums and maxes them over its pairs. A traced
+pair (``--trace 1``) records the per-call p50 of every traced span. The
+``machine`` block reads both OpenBLAS libraries that the numpy and scipy
+wheels bundle: build string, the core kernel picked at run time and the
+default thread count, and a two-process probe records whether the host gave
+both cores when the runs began.
 Every run gets perfbench's own environment (``run.worker_env``).
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import re
@@ -67,7 +73,7 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 OUTPUT_DIGESTS = """
-import json, os, sys, tempfile
+import csv, json, os, sys, tempfile
 sys.path.insert(0, "perfbench")
 import workloads
 from graphonlab.cli import main
@@ -77,16 +83,36 @@ with tempfile.TemporaryDirectory() as work:
     if main(argv) != 0:
         sys.exit(1)
     out = os.path.join(work, "out")
-    print(json.dumps({n: workloads.sha256(os.path.join(out, n)) for n in w.outputs}))
+    rows = []
+    if "trials.csv" in w.outputs:
+        with open(os.path.join(out, "trials.csv"), newline="") as fh:
+            rows = [(r["decision"], float(r["distance"])) for r in csv.DictReader(fh)]
+    print(json.dumps({"sha256": {n: workloads.sha256(os.path.join(out, n))
+                                 for n in w.outputs},
+                      "trials": rows}))
 """
 
 
-def output_digests(root: Path, workload: str, seed: int) -> dict:
+def run_outputs(root: Path, workload: str, seed: int) -> dict:
+    """sha256 of each output of one command, and its trials.csv (decision,
+    distance) rows (empty on mixing)."""
     env = run.worker_env(root, workloads.WORKLOADS[workload])
     proc = subprocess.run([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
                           cwd=root, env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def trials_diff(parent: list, change: list) -> tuple[int, float]:
+    """Rows whose decision differs, and the largest relative change of a
+    distance, between two trials.csv row lists of the same trials."""
+    if len(parent) != len(change):
+        raise RuntimeError(f"trials.csv has {len(parent)} rows at the parent, "
+                           f"{len(change)} at the change")
+    decisions = sum(p[0] != c[0] for p, c in zip(parent, change))
+    rel = max((abs(c[1] - p[1]) / p[1] if p[1] else (math.inf if c[1] else 0.0)
+               for p, c in zip(parent, change)), default=0.0)
+    return decisions, rel
 
 
 PROBE = """
@@ -253,13 +279,17 @@ def main(argv=None) -> int:
                 pair[f"{side}_correct"] = r["correct"]
                 pair[f"{side}_failed"] = r["failed"]
                 pair[f"{side}_attempted"] = r["attempted"]
-            digests = {side: output_digests(roots[side], workload, seed) for side in order}
+            outputs = {side: run_outputs(roots[side], workload, seed) for side in order}
+            digests = {side: outputs[side]["sha256"] for side in order}
             pair["output_sha256"] = digests["change"]
             pair["outputs_identical"] = digests["parent"] == digests["change"]
             pair["outputs_changed"] = sorted(
                 name for name in digests["parent"].keys() | digests["change"].keys()
                 if digests["parent"].get(name) != digests["change"].get(name)
             )
+            if workloads.WORKLOADS[workload].command == "experiment":
+                pair["decisions_changed"], pair["distance_max_rel_change"] = trials_diff(
+                    outputs["parent"]["trials"], outputs["change"]["trials"])
             print(f"{workload} seed {seed}: " + json.dumps(
                 {s: pair[s]["ops_per_ref"] for s in order}), file=sys.stderr, flush=True)
             pairs.append(pair)
@@ -276,6 +306,10 @@ def main(argv=None) -> int:
             result["gain_claimed_on"] = claims[workload]
             result["gain_met"] = gain_met(summary, claims[workload])
         result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
+        if workloads.WORKLOADS[workload].command == "experiment":
+            result["decisions_changed"] = sum(p["decisions_changed"] for p in pairs)
+            result["distance_max_rel_change"] = max(
+                p["distance_max_rel_change"] for p in pairs)
         result["unchanged_every_seed"] = sorted(
             set(workloads.WORKLOADS[workload].outputs)
             - {name for p in pairs for name in p["outputs_changed"]}
