@@ -17,6 +17,7 @@ codes: 0 success, 2 config error, 3 runtime model error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -92,6 +93,21 @@ def _make_out_dir(path) -> str:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot make output directory {path!r}: {exc}") from None
     return path
+
+
+@contextlib.contextmanager
+def _partial_on_failure(out_dir):
+    """Clear out_dir's stale PARTIAL marker; if the body raises, write
+    ``<Type>: <message>`` to a new one and let the exception go on."""
+    marker = os.path.join(out_dir, "PARTIAL")
+    if os.path.exists(marker):
+        os.remove(marker)
+    try:
+        yield
+    except BaseException as exc:  # any failure leaves the run marked partial
+        with open(marker, "w") as fh:
+            fh.write(f"{type(exc).__name__}: {exc}\n")
+        raise
 
 
 def _load_model(entry, sbm: bool = False):
@@ -326,37 +342,30 @@ def cmd_mixing(args) -> int:
 
     rows = []
     traces = []
-    for n, eps in zip(n_list, eps_list):
-        for j in range(args.seeds):
-            run_seed = derive_seed(args.seed, n * 100003 + j)
-            g = sample_graph(w, n, run_seed)
-            try:
-                chain = RWChain.from_graph(g)
-                if args.lazy:
-                    chain = chain.lazy()
-                report = mixing_time(chain, eps, args.t_max)
-                slope = report.fitted_slope
-                rows.append(
-                    [
-                        n,
-                        run_seed,
-                        report.t_mix,
-                        f"{report.gap:.12g}",
-                        "" if slope is None else f"{slope:.12g}",
-                        "ok",
-                    ]
-                )
-                trace = report.worst_row_tv_trace
-            except NotMixed as exc:
-                rows.append([n, run_seed, "", "", "", f"not_mixed(t_max={exc.t_max})"])
-                trace = exc.trace
-                print(
-                    f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
-                    file=sys.stderr,
-                )
-            traces.append(
-                {"n": n, "seed": run_seed, "eps": eps, "trace": [list(p) for p in trace]}
-            )
+    with _partial_on_failure(args.out_dir):
+        for n, eps in zip(n_list, eps_list):
+            for j in range(args.seeds):
+                run_seed = derive_seed(args.seed, n * 100003 + j)
+                g = sample_graph(w, n, run_seed)
+                try:
+                    chain = RWChain.from_graph(g)
+                    if args.lazy:
+                        chain = chain.lazy()
+                    report = mixing_time(chain, eps, args.t_max)
+                    slope = report.fitted_slope
+                    slope = "" if slope is None else f"{slope:.12g}"
+                    row = [report.t_mix, f"{report.gap:.12g}", slope, "ok"]
+                    trace = report.worst_row_tv_trace
+                except NotMixed as exc:
+                    row = ["", "", "", f"not_mixed(t_max={exc.t_max})"]
+                    trace = exc.trace
+                    print(
+                        f"warning: n={n} seed={run_seed} not mixed within {exc.t_max}",
+                        file=sys.stderr,
+                    )
+                rows.append([n, run_seed, *row])
+                trace = [list(p) for p in trace]
+                traces.append({"n": n, "seed": run_seed, "eps": eps, "trace": trace})
 
     runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
     _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)
@@ -533,15 +542,8 @@ def _write_experiment(out_dir, doc, records):
 def cmd_experiment(args) -> int:
     doc, run, plan = _plan_experiment(args.config)
     out_dir = _make_out_dir(doc["output_dir"])
-    partial_marker = os.path.join(out_dir, "PARTIAL")
-    if os.path.exists(partial_marker):
-        os.remove(partial_marker)
-    try:
+    with _partial_on_failure(out_dir):
         records = [_run_experiment_n(run, idx, *point) for idx, point in enumerate(plan)]
-    except BaseException as exc:  # any failure leaves the run marked partial
-        with open(partial_marker, "w") as fh:
-            fh.write(f"{type(exc).__name__}: {exc}\n")
-        raise
     summary_csv, exponent = _write_experiment(out_dir, doc, records)
     print(f"wrote {summary_csv} (fitted exponent {exponent:.4g})")
     return 0
@@ -574,6 +576,8 @@ def cmd_dataset_profile(args) -> int:
         if len(row) < 2:
             raise ConfigError(f"labels row needs filename,label: {row}")
         name = row[0].strip()
+        if os.path.isabs(name) or os.pardir in name.split(os.sep):
+            raise ConfigError(f"labeled name {name!r} leaves the dataset directory")
         if name in labels:
             raise ConfigError(f"labels file lists {name!r} more than once")
         labels[name] = row[1].strip()

@@ -7,11 +7,11 @@ Sampling is dense and exact: one uniform draw per unordered vertex pair
 
 All edges come from one filler, ``_fill_edges``: it takes the upper triangle
 in blocks of whole rows, draws each block's uniforms in one call, and
-thresholds them against the densities of every requested graph. A plain
-sample is one graph on its own stream; a coupled pair is two graphs on two
-streams, or, with shared edge randomness, two graphs on one stream. Either
-way each graph consumes its stream in row-major order, one value per pair, so
-a given seed always yields the same adjacency, whatever the block size.
+thresholds them against one graph's densities. A plain sample is one graph
+on its own stream; in a coupled pair the coupling is only the stream g1
+reads: its own, or, with shared edge randomness, g0's stream once more. Each
+graph consumes its stream in row-major order, one value per pair, so a given
+seed always yields the same adjacency, whatever the block size.
 """
 
 from __future__ import annotations
@@ -152,23 +152,23 @@ def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
     return x, block_index(w.block_weights, x)
 
 
-def _fill_edges(n, targets, rng):
-    """One symmetric 0/1 adjacency per ``(blocks, densities)`` target.
+def _fill_edges(n, blocks, densities, rng):
+    """The symmetric 0/1 adjacency: {i, j} is an edge when its uniform from
+    ``rng`` is below ``densities[blocks[i], blocks[j]]``.
 
     The upper triangle is taken ``rows`` rows at a time. A block's uniforms
-    come from one draw and are scattered through its upper-triangle mask in
-    row-major order, which is stream order; each target then compares them
-    with its gathered rows of ``densities[:, blocks]``, keeps the comparisons
-    under the mask, and writes the block's upper rows and their transposes.
-    Float64 draws take one Philox output each, so the adjacency is the same
-    as from one draw per row, whatever ``_BLOCK`` is.
+    come from one draw, are scattered through its upper-triangle mask in
+    row-major order (stream order) and compared with the block's rows of
+    ``densities[:, blocks]``; the masked comparisons are written with their
+    transposes. Float64 draws take one Philox output each, so the adjacency
+    is the same as from one draw per row, whatever ``_BLOCK`` is.
     """
     rows = max(1, min(n - 1, _BLOCK // n))
     # row k holds block k's density toward every vertex
-    probs = [densities[:, blocks] for blocks, densities in targets]
-    adjs = [np.zeros((n, n), dtype=np.uint8) for _ in targets]
-    # bool views of the same bytes, so a bool block is stored without a cast
-    flags = [adj.view(bool) for adj in adjs]
+    prob = densities[:, blocks]
+    adj = np.zeros((n, n), dtype=np.uint8)
+    # a bool view of the same bytes, so a bool block is stored without a cast
+    flag = adj.view(bool)
     # band[k, n - a + j] is j > a + k: the upper-triangle mask of row a + k
     band = np.arange(-n, n) > np.arange(rows)[:, None]
     # zeroed so the unmasked comparison never meets uninitialised bytes
@@ -183,15 +183,22 @@ def _fill_edges(n, targets, rng):
         count = (b - a) * (2 * n - a - b - 1) // 2
         ub, pb, eb = u[: b - a], p[: b - a], edge[: b - a]
         ub[mask] = rng.random(count, out=draws[:count])
-        for (blocks, _), prob, flag in zip(targets, probs, flags):
-            np.take(prob, blocks[a:b], axis=0, out=pb)
-            np.less(ub, pb, out=eb)
-            np.logical_and(eb, mask, out=eb)
-            # columns left of a were written as earlier blocks' transposes
-            flag[a:b, b:] = eb[:, b:]
-            flag[b:, a:b] = eb[:, b:].T
-            np.logical_or(eb[:, a:b], eb[:, a:b].T, out=flag[a:b, a:b])
-    return adjs
+        np.take(prob, blocks[a:b], axis=0, out=pb)
+        np.less(ub, pb, out=eb)
+        np.logical_and(eb, mask, out=eb)
+        # columns left of a were written as earlier blocks' transposes
+        flag[a:b, b:] = eb[:, b:]
+        flag[b:, a:b] = eb[:, b:].T
+        np.logical_or(eb[:, a:b], eb[:, a:b].T, out=flag[a:b, a:b])
+    return adj
+
+
+def _sample(x, seed, w, blocks, stream):
+    """The graph of ``w`` on positions x, which fall in ``w``'s ``blocks``,
+    with its edges filled from the seed's sub-stream ``stream``."""
+    rng = make_rng(derive_seed(seed, stream))
+    adj = _fill_edges(len(x), blocks, w.densities, rng)
+    return SampledGraph(adj, latent_positions=x, seed=seed, _owned=True)
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
@@ -204,9 +211,7 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks = _positions_and_blocks(w, n, seed)
-    rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
-    (adj,) = _fill_edges(n, [(blocks, w.densities)], rng)
-    return SampledGraph(adj, latent_positions=x, seed=seed, _owned=True)
+    return _sample(x, seed, w, blocks, _STREAM_EDGES_0)
 
 
 def sample_coupled(
@@ -220,36 +225,21 @@ def sample_coupled(
     """Sample one graph from each graphon with a shared latent-position draw.
 
     By default the edge indicators of the two graphs are conditionally
-    independent given the positions. With ``share_edge_randomness`` the same
-    per-pair uniform drives both graphs (the maximal per-edge coupling),
-    which minimizes degree discrepancies between the two samples.
+    independent given the positions: g1 reads its own edge stream. With
+    ``share_edge_randomness`` g1 reads g0's stream, so the same per-pair
+    uniform drives both graphs (the maximal per-edge coupling), which
+    minimizes degree discrepancies between the two samples.
 
-    With independent edges and an executor ``pool``, g1 is filled from its
-    own stream on the pool's worker while the caller fills g0 (``fork_join``);
-    the pair is the same, bit for bit.
+    With an executor ``pool`` g1 is filled on its worker while the caller
+    fills g0 (``fork_join``); the pair is the same, bit for bit.
     """
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks0 = _positions_and_blocks(w0, n, seed)
     blocks1 = block_index(w1.block_weights, x)  # partitions may differ
-    t0 = (blocks0, w0.densities)
-    t1 = (blocks1, w1.densities)
-
-    def graph(adj):
-        return SampledGraph(adj, latent_positions=x, seed=seed, _owned=True)
-
-    if share_edge_randomness:
-        rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
-        a0, a1 = _fill_edges(n, [t0, t1], rng)
-        return CoupledPair(graph(a0), graph(a1))
-
-    def fill(stream_target):
-        stream, target = stream_target
-        (adj,) = _fill_edges(n, [target], make_rng(derive_seed(seed, stream)))
-        return graph(adj)
-
-    g0, g1 = fork_join(pool, fill, (_STREAM_EDGES_0, t0), (_STREAM_EDGES_1, t1))
-    return CoupledPair(g0, g1)
+    stream1 = _STREAM_EDGES_0 if share_edge_randomness else _STREAM_EDGES_1
+    jobs = (w0, blocks0, _STREAM_EDGES_0), (w1, blocks1, stream1)
+    return CoupledPair(*fork_join(pool, lambda job: _sample(x, seed, *job), *jobs))
 
 
 def empirical_degree_profile(g: SampledGraph) -> np.ndarray:

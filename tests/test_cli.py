@@ -39,20 +39,25 @@ def path_placeholders(tmp_path):
 
     "<dir>" is a directory holding two edge lists and a subdirectory, "<bad>"
     a file that is not UTF-8, "<file>" a plain file where a directory belongs,
-    "<out>" a path that does not exist yet, and "<labels...>" labels files for
-    "<dir>". "<config>" is an experiment config whose output_dir is "<file>".
+    "<out>" a path that does not exist yet, "<outside>" an edge list next to
+    "<dir>", and "<labels...>" labels files for "<dir>". "<config>" is an
+    experiment config whose output_dir is "<file>".
     """
     paths = {"<dir>": tmp_path / "adir", "<bad>": tmp_path / "bad.json",
-             "<file>": tmp_path / "afile", "<out>": tmp_path / "out"}
+             "<file>": tmp_path / "afile", "<out>": tmp_path / "out",
+             "<outside>": tmp_path / "outside.txt"}
     paths["<dir>"].mkdir()
     (paths["<dir>"] / "sub").mkdir()
     (paths["<dir>"] / "a.edges").write_text("0 1\n1 2\n")
     (paths["<dir>"] / "b.edges").write_text("0 1\n")
     paths["<bad>"].write_bytes(b'{"k1": "\xff"}')
     paths["<file>"].write_text("x\n")
+    paths["<outside>"].write_text("0 1\n1 2\n")
     for key, text in (("<labels>", "a.edges,x\nb.edges,y\n"),
                       ("<labels-subdir>", "a.edges,x\nsub,y\n"),
                       ("<labels-twice>", "a.edges,x\nb.edges,y\na.edges,y\n"),
+                      ("<labels-parent>", "a.edges,x\n../outside.txt,y\n"),
+                      ("<labels-absolute>", f"a.edges,x\n{paths['<outside>']},y\n"),
                       # one field past csv's default field size limit (131,072)
                       ("<labels-long-field>", "a" * 200_000 + ",x\n")):
         paths[key] = tmp_path / (key.strip("<>") + ".csv")
@@ -325,6 +330,44 @@ class TestMixingCommand:
         rows = read_csv(out_dir / "mixing_runs.csv")
         assert rows[1][5].startswith("not_mixed")
         assert "not mixed" in capsys.readouterr().err
+
+    def test_lazy_chain_mixes_on_the_periodic_edge(self, tmp_path, capsys):
+        # the same single edge as above: (P + I)/2 is aperiodic and mixes in one step
+        out_dir = tmp_path / "mixl"
+        code = main(
+            [
+                "mixing",
+                "--model", '{"weights": [1.0], "densities": [[1.0]]}',
+                "--n-list", "2",
+                "--eps", "0.01",
+                "--seeds", "1",
+                "--t-max", "20",
+                "--lazy",
+                "--out-dir", str(out_dir),
+            ]
+        )
+        assert code == 0
+        rows = read_csv(out_dir / "mixing_runs.csv")
+        assert (rows[1][2], rows[1][5]) == ("1", "ok")
+        assert "not mixed" not in capsys.readouterr().err
+
+    def test_runtime_failure_writes_partial_marker(self, tmp_path, capsys):
+        # n=3 samples from a sparse model have isolated vertices
+        out_dir = tmp_path / "mixf"
+        argv = [
+            "mixing",
+            "--n-list", "3",
+            "--seeds", "1",
+            "--out-dir", str(out_dir),
+        ]
+        sparse = '{"weights": [1.0], "densities": [[1e-6]]}'
+        assert main(argv + ["--model", sparse]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("model error: vertex") and "Traceback" not in err
+        assert (out_dir / "PARTIAL").read_text().startswith("IsolatedVertex: vertex")
+        # a later successful run into the same directory clears the marker
+        assert main(argv + ["--model", '{"weights": [1.0], "densities": [[1.0]]}']) == 0
+        assert not (out_dir / "PARTIAL").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = [
@@ -723,6 +766,10 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-twice>"], "'a.edges'"),
         (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-long-field>"],
          "<labels-long-field>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-parent>"],
+         "'../outside.txt'"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-absolute>"],
+         "<outside>"),
     ],
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
@@ -734,6 +781,7 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
         "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",
+        "labeled-name-parent", "labeled-name-absolute",
     ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
@@ -895,6 +943,19 @@ class TestDatasetProfileCommand:
         err = capsys.readouterr().err
         assert err == "warning: loop.edges: dropped 1 self-loop(s)\n"
         assert escaped == []
+
+    def test_name_in_a_subdirectory_is_read(self, tmp_path, capsys):
+        w0 = SBM_BASE.to_step_graphon()
+        w1 = SBM_SEPARATED.to_step_graphon()
+        data_dir, labels = self.make_dataset(tmp_path, w0, w1, 80, per_class=1)
+        (data_dir / "sub").mkdir()
+        (data_dir / "b0.edges").rename(data_dir / "sub" / "b0.edges")
+        labels.write_text("a0.edges,classA\nsub/b0.edges,classB\n")
+        out_dir = tmp_path / "prof"
+        argv = ["dataset-profile", "--dir", str(data_dir), "--labels", str(labels)]
+        assert main(argv + ["--out-dir", str(out_dir)]) == 0
+        names = {row[0] for row in read_csv(out_dir / "per_graph_profiles.csv")[1:]}
+        assert names == {"a0.edges", "sub/b0.edges"}
 
     def test_unreadable_file_skipped_with_warning(self, tmp_path, capsys):
         w0 = SBM_BASE.to_step_graphon()

@@ -244,7 +244,7 @@ class TestSamplerMatchesReference:
 
     @pytest.mark.parametrize("n", [2, 3, 57, 300])
     def test_exact_zero_and_one_densities(self, monkeypatch, n):
-        # two partitions of the vertices on one shared stream
+        # two partitions of the vertices, each filled from the same stream
         targets = [
             (np.arange(n) % 3, ZERO_ONE),
             (np.arange(n)[::-1] // 7 % 3, ZERO_ONE),
@@ -259,9 +259,9 @@ class TestSamplerMatchesReference:
             expected.append(adj)
         for block in block_sizes(n):
             monkeypatch.setattr(sampling, "_BLOCK", block)
-            got = sampling._fill_edges(n, targets, make_rng(11))
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e), f"_BLOCK = {block}"
+            for (blocks, densities), e in zip(targets, expected):
+                got = sampling._fill_edges(n, blocks, densities, make_rng(11))
+                assert np.array_equal(got, e), f"_BLOCK = {block}"
 
     @pytest.mark.parametrize(
         "model, n, seed, digest",

@@ -399,11 +399,13 @@ class TestOverlappedTrials:
             np.mean([r["small"] for r in ref])
         )
 
-    def harnesses(self, cfg=GCNConfig(depth=5)):
+    def harnesses(self, cfg=GCNConfig(depth=5), share=False):
         return {
-            "error": lambda: monte_carlo_error(self.W0, self.W1, 40, cfg, 0.01, 6, 8),
+            "error": lambda: monte_carlo_error(
+                self.W0, self.W1, 40, cfg, 0.01, 6, 8, share_edge_randomness=share
+            ),
             "distance": lambda: embedding_distance_experiment(
-                self.W0, self.W1, 40, cfg, 6, 8
+                self.W0, self.W1, 40, cfg, 6, 8, share_edge_randomness=share
             ),
         }
 
@@ -429,22 +431,23 @@ class TestOverlappedTrials:
         assert blas_threads() == 2
         assert sampled == [derive_seed(8, i) for i in range(3)]
 
+    @pytest.mark.parametrize("share", [False, True])
     @pytest.mark.parametrize("harness", ["error", "distance"])
     def test_worker_fill_error_is_raised_and_cleaned_up(
-        self, monkeypatch, blas_threads, harness
+        self, monkeypatch, blas_threads, harness, share
     ):
         caller = threading.get_ident()
         real = sampling._fill_edges
 
-        def fill(n, targets, rng):
+        def fill(n, blocks, densities, rng):
             if threading.get_ident() != caller:
                 raise RuntimeError("second graph")
-            return real(n, targets, rng)
+            return real(n, blocks, densities, rng)
 
         monkeypatch.setattr(sampling, "_fill_edges", fill)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="second graph"):
-            self.harnesses()[harness]()
+            self.harnesses(share=share)[harness]()
         assert threading.active_count() == threads
         assert blas_threads() == 2
 

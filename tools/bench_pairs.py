@@ -19,7 +19,11 @@ every seed (``unchanged_every_seed``). On experiment workloads each pair also
 says whether the science moved: ``decisions_changed`` counts the
 ``trials.csv`` rows whose ``decision`` differs between parent and change, and
 ``distance_max_rel_change`` is the largest relative change of a row's
-``distance``; each workload sums and maxes them over its pairs. A traced
+``distance``; each workload sums and maxes them over its pairs. Each run
+also records its CPU seconds per attempted operation (``cpu_s_per_op``: the
+``RUSAGE_CHILDREN`` user plus system time of the perfbench process and its
+worker, over ``attempted``), and each workload the parent and change
+medians, so a change that spends CPU on an idle core shows it. A traced
 pair (``--trace 1``) records the per-call p50 of every traced span. The
 ``machine`` block reads both OpenBLAS libraries that the numpy and scipy
 wheels bundle: build string, the core kernel picked at run time and the
@@ -36,6 +40,7 @@ import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,10 +55,18 @@ END_TO_END = ("ops_per_ref", "setup_s", "peak_rss_mb")
 TIMING_LINE = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\d+)\s+([0-9.]+)")
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU seconds of every waited-for child process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    before = child_cpu_s()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=300)
+    cpu_s = child_cpu_s() - before
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr}")
     lines = proc.stdout.strip().splitlines()
@@ -62,6 +75,7 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
+        "cpu_s_per_op": cpu_s / result["attempted"] if result["attempted"] else math.nan,
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
     if trace:
@@ -279,6 +293,7 @@ def main(argv=None) -> int:
                 pair[f"{side}_correct"] = r["correct"]
                 pair[f"{side}_failed"] = r["failed"]
                 pair[f"{side}_attempted"] = r["attempted"]
+                pair[f"{side}_cpu_s_per_op"] = r["cpu_s_per_op"]
             outputs = {side: run_outputs(roots[side], workload, seed) for side in order}
             digests = {side: outputs[side]["sha256"] for side in order}
             pair["output_sha256"] = digests["change"]
@@ -299,6 +314,9 @@ def main(argv=None) -> int:
             "attempted": {s: sum(p[f"{s}_attempted"] for p in pairs) for s in roots},
             "failed": {s: sum(p[f"{s}_failed"] for p in pairs) for s in roots},
             "all_runs_correct": all(p[f"{s}_correct"] for p in pairs for s in roots),
+            "cpu_s_per_op_median": {
+                s: statistics.median(p[f"{s}_cpu_s_per_op"] for p in pairs) for s in roots
+            },
             "summary": summary,
             "runs": pairs,
         }
