@@ -478,9 +478,8 @@ def _run_experiment_n(run, idx, n, depth, eps):
         "formula_raw": mc.bounds.formula_raw,
         "regime": mc.bounds.regime,
         "delta": mc.delta,
-        # the identity/ReLU path's float32 certificate; no CSV reads these
-        **({} if mc.f64_fallbacks is None else
-           {"f32_bound_max": mc.f32_bound_max, "f64_fallbacks": mc.f64_fallbacks}),
+        "f32_bound_max": mc.f32_bound_max,  # no CSV reads these two
+        "f64_fallbacks": mc.f64_fallbacks,
         "trials_detail": [
             {"trial": i, "seed": t.seed, "label": t.true_label,
              "decision": t.decision, "distance": t.embedding_distance}

@@ -49,12 +49,14 @@ _STREAM_NOISE = 13
 # is at most COORD_TOL_CONST / n^2
 COORD_TOL_CONST = 1.0
 
-# The error harness embeds on the identity/ReLU path in float32 only when the
-# certified rounding error (gcn.fast_linear_embedding) is at most this share
-# of the trial's noise half-width eps. A quarter keeps that error small next
-# to the uniform noise every decision sees, on a bound about 500 times above
-# the error observed, and still admits float32 up to n = 1000 at
-# eps = delta/(4n) (bound 0.19 eps there, 0.39 eps at n = 2000).
+# The error harness embeds in float32 (the identity/ReLU/selu vector walk and
+# the tanh forward pass) only when the certified rounding error
+# (gcn.graph_embedding) is at most this share of the trial's noise half-width
+# eps. A quarter keeps that error small next to the uniform noise every
+# decision sees, on bounds about 500 (walk) and 250 to 1400 (tanh) times
+# above the errors observed. It still admits the walk up to n = 1000 at
+# eps = delta/(4n) (bound 0.19 eps there, 0.39 eps at n = 2000), and tanh's
+# bound is below 2e-4 eps at eps = 10/n and n <= 500.
 F32_ERROR_SHARE = 0.25
 
 
@@ -203,10 +205,9 @@ class ExperimentReport:
     ``error_rate`` carries an exact (Clopper-Pearson) 95% binomial interval.
     ``mean_conditional_tv`` averages the per-trial TV between the two coupled
     unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
-    On the identity/ReLU path, ``f32_bound_max`` is the largest certified
-    error bound of the graphs embedded in float32 (None when none was) and
-    ``f64_fallbacks`` counts the graphs embedded in float64; both are None on
-    the dense path.
+    ``f32_bound_max`` is the largest certified error bound of the graphs
+    embedded in float32 (None when none was) and ``f64_fallbacks`` counts the
+    graphs embedded in float64.
     """
 
     n: int
@@ -222,8 +223,8 @@ class ExperimentReport:
     mean_conditional_tv: float
     bounds: ErrorBounds
     delta: float
-    f32_bound_max: float | None = None
-    f64_fallbacks: int | None = None
+    f32_bound_max: float | None
+    f64_fallbacks: int
 
 
 def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
@@ -323,8 +324,8 @@ def monte_carlo_error(
     embedding, perturbation, decision. Reports the error rate with an exact
     95% interval, each trial's coupled distance and small-coordinate fraction,
     and the mean conditional Le Cam floor, valid under either coupling by joint
-    convexity of TV, next to the closed-form floor. The identity/ReLU path
-    embeds in float32 where its certified error is at most
+    convexity of TV, next to the closed-form floor. The vector path and the
+    tanh forward pass embed in float32 where their certified error is at most
     F32_ERROR_SHARE * eps_res, and the report records those bounds.
     """
     if trials < 1:
@@ -337,11 +338,7 @@ def monte_carlo_error(
         lambda e0, e1, s: _mc_trial(w0, w1, n, eps_res, profiles, e0, e1, s),
         limit=F32_ERROR_SHARE * eps_res,
     ))
-    f32_bound_max = f64_fallbacks = None
-    if cfg.activation.is_linear_on_nonnegative:
-        f32 = [b for b in bounds0 + bounds1 if b is not None]
-        f32_bound_max = max(f32, default=None)
-        f64_fallbacks = 2 * trials - len(f32)
+    f32 = [b for b in bounds0 + bounds1 if b is not None]
     tvs = np.array(tvs)
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
@@ -374,8 +371,8 @@ def monte_carlo_error(
         mean_conditional_tv=float(tvs.mean()),
         bounds=bounds,
         delta=delta,
-        f32_bound_max=f32_bound_max,
-        f64_fallbacks=f64_fallbacks,
+        f32_bound_max=max(f32, default=None),
+        f64_fallbacks=2 * trials - len(f32),
     )
 
 

@@ -12,6 +12,7 @@ from graphonlab import (
     InvalidModel,
     IsolatedVertex,
     NonFinite,
+    SBMParams,
     classify_activation,
     embedding_vector,
     fast_linear_embedding,
@@ -57,6 +58,20 @@ class TestActivation:
         for y in (fresh, in_place):
             assert y.tobytes() == ref.tobytes()
 
+    def test_tanh_of_float32_is_the_rounded_float64_value(self):
+        rng = np.random.default_rng(2501)
+        x = rng.normal(scale=3.0, size=(50, 60)).astype(np.float32)
+        x[::7, ::9] = np.resize(
+            np.array([0.0, -0.0, 1e-45, 1e-30, 20.0, -20.0, np.inf], np.float32), (8, 7)
+        )
+        ref = np.tanh(x.astype(np.float64)).astype(np.float32)
+        act = Activation("tanh")
+        fresh = np.empty_like(x)
+        assert act(x, out=fresh) is fresh
+        in_place = x.copy()
+        for y in (act(x), fresh, act(in_place, out=in_place)):
+            assert y.dtype == np.float32 and y.tobytes() == ref.tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidModel):
             Activation("gelu")
@@ -81,10 +96,12 @@ class TestForward:
         np.testing.assert_allclose(forward(g, cfg), rw_transition_matrix(g))
 
     def test_relu_matches_identity_on_nonnegative(self):
-        g = sample_graph(SBM_BASE.to_step_graphon(), 30, seed=1)
-        ident = forward(g, GCNConfig(depth=4))
-        relu = forward(g, GCNConfig(depth=4, activation=Activation("relu")))
-        np.testing.assert_array_equal(ident, relu)
+        # and selu, which is x for x > 0 and expm1(0) = 0 at 0
+        for n in (30, 300):
+            g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=1)
+            ident = forward(g, GCNConfig(depth=4)).tobytes()
+            for kind in ("relu", "selu"):
+                assert forward(g, GCNConfig(depth=4, activation=kind)).tobytes() == ident
 
     def test_identity_depth_t_equals_matrix_power(self):
         g = path_graph(3)
@@ -179,6 +196,7 @@ class TestEmbeddingVector:
         g = sample_graph(SBM_BASE.to_step_graphon(), 25, seed=5)
         assert GCNConfig(depth=2).activation.is_linear_on_nonnegative
         assert Activation("relu").is_linear_on_nonnegative
+        assert Activation("selu").is_linear_on_nonnegative
         assert not Activation("tanh").is_linear_on_nonnegative
         np.testing.assert_allclose(
             graph_embedding(g, GCNConfig(depth=3)),
@@ -234,7 +252,7 @@ class TestEmbedPair:
     on the vector and the dense path alike; without numpy's OpenBLAS both
     graphs embed on the caller."""
 
-    @pytest.mark.parametrize("kind", ["tanh", "selu"])
+    @pytest.mark.parametrize("kind", ["tanh", "swish"])
     def test_bitwise_equal_to_sequential_under_the_pin(self, blas_threads, kind):
         cfg = GCNConfig(depth=35, activation=kind)  # ceil(6 ln 300)
         out = _embed_trials(cfg, n=300)
@@ -327,7 +345,7 @@ class TestWalk32:
     def test_skip_rule_never_runs_float32(self, monkeypatch):
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
-        rel = gcn.walk32_relative_error(n, depth)
+        rel = gcn.f32_relative_error(n, depth, 2)
 
         def float32_walk(*_):
             raise AssertionError("the float32 pass ran")
@@ -343,7 +361,7 @@ class TestWalk32:
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
         _, bound = fast_linear_embedding(g, depth, 1.0)
-        rel = gcn.walk32_relative_error(n, depth)
+        rel = gcn.f32_relative_error(n, depth, 2)
         limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
         assert rel / n < limit < bound
         runs = []
@@ -370,17 +388,101 @@ class TestWalk32:
         # a few length-n vectors above the float64 path's peak
         assert peaks[1] <= peaks[0] + 4 * n * 8
 
-    def test_dense_path_ignores_the_limit(self):
-        g = sample_graph(W0, 40, seed=4)
-        cfg = GCNConfig(depth=5, activation="tanh")
-        h, bound = graph_embedding(g, cfg, 1.0)
-        assert bound is None and h.tobytes() == graph_embedding(g, cfg).tobytes()
-
     def test_isolated_vertex_is_refused_on_both_paths(self):
         g = graph_from_edges(3, [(0, 1)])
         for limit in (None, 1.0):
             with pytest.raises(IsolatedVertex, match="vertex 2"):
                 fast_linear_embedding(g, 3, limit)
+
+
+# the experiment_tanh benchmark pair: delta = 0 against W0
+MATCHED = SBMParams(0.5, 0.7, 0.5, 0.1).to_step_graphon()
+
+
+def _forward_spy(monkeypatch, float32_raises=False):
+    """Record the dtype of every gcn.forward call; a float32 one raises when
+    float32_raises."""
+    dtypes = []
+    real = gcn.forward
+
+    def spy(g, cfg, dtype=np.float64):
+        dtypes.append(np.dtype(dtype))
+        if float32_raises and dtypes[-1] == np.float32:
+            raise AssertionError("the float32 pass ran")
+        return real(g, cfg, dtype)
+
+    monkeypatch.setattr(gcn, "forward", spy)
+    return dtypes
+
+
+class TestForward32:
+    """The tanh forward pass in float32 under its certificate, and the
+    float64 pass wherever the certificate fails or does not apply."""
+
+    @pytest.mark.parametrize("n", [250, 500])
+    @pytest.mark.parametrize("model", ["base", "matched"])
+    def test_error_within_the_certified_bound(self, n, model):
+        depth = math.ceil(6 * math.log(n))
+        limit = testing.F32_ERROR_SHARE * 10 / n  # eps = 10/n
+        cfg = GCNConfig(depth, "tanh")
+        for i in range(3):
+            g = sample_graph(W0 if model == "base" else MATCHED, n,
+                             seed=derive_seed(25, i))
+            h32, bound = graph_embedding(g, cfg, limit)
+            assert 0 < bound <= limit
+            assert h32.dtype == np.float64
+            assert (np.abs(h32 - embedding_vector(forward(g, cfg))) <= bound).all()
+
+    def test_skip_rule_never_runs_float32(self, monkeypatch):
+        n, depth = 300, 35
+        g = sample_graph(W0, n, seed=4)
+        cfg = GCNConfig(depth, "tanh")
+        ref = embedding_vector(forward(g, cfg)).tobytes()
+        rel = gcn.f32_relative_error(n, depth, 4)
+        dtypes = _forward_spy(monkeypatch, float32_raises=True)
+        for limit in (0.0, 0.99 * rel / n):
+            h, bound = graph_embedding(g, cfg, limit)
+            assert bound is None and h.tobytes() == ref
+        assert dtypes == [np.float64, np.float64]
+
+    def test_limit_below_the_bound_falls_back(self, monkeypatch):
+        n, depth = 300, 35
+        g = sample_graph(W0, n, seed=4)
+        cfg = GCNConfig(depth, "tanh")
+        _, bound = graph_embedding(g, cfg, 1.0)
+        rel = gcn.f32_relative_error(n, depth, 4)
+        limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
+        assert rel / n < limit < bound
+        dtypes = _forward_spy(monkeypatch)
+        h, bound = graph_embedding(g, cfg, limit)
+        assert dtypes == [np.float32, np.float64] and bound is None
+        monkeypatch.undo()
+        assert h.tobytes() == graph_embedding(g, cfg).tobytes()
+
+    def test_peak_memory(self):
+        # tracemalloc's peak over one certified pass at n = 400: A_hat, M and
+        # the layer's buffer in float32 (1.5 float64 arrays) and isfinite's
+        # bool mask; tanh's float64 evaluation is buffered in small chunks
+        n = 400
+        g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=4)
+        cfg = GCNConfig(depth=5, activation="tanh")
+        tracemalloc.start()
+        try:
+            _, bound = graph_embedding(g, cfg, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound is not None
+        assert peak < 2 * n * n * 8
+
+    def test_swish_ignores_the_limit(self, monkeypatch):
+        # swish is convex near 0, so a relative error can grow through it
+        g = sample_graph(W0, 40, seed=4)
+        cfg = GCNConfig(depth=5, activation="swish")
+        dtypes = _forward_spy(monkeypatch)
+        h, bound = graph_embedding(g, cfg, 1.0)
+        assert bound is None and dtypes == [np.float64]
+        assert h.tobytes() == graph_embedding(g, cfg).tobytes()
 
 
 class TestPerturb:

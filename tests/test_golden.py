@@ -31,16 +31,16 @@ EXPERIMENT_SHA256 = {
         "report.json": "05f5c682605c6c87753985a18f39056111b4479cebc90f1b688e57667f04e693",
     },
     "tanh": {
-        "distances.csv": "96ca34ae13f56ba09adb9951e130ff98f9168f4067cba85927f0a688340d9a3f",
-        "trials.csv": "86fbf5f9d1f2992968a45725923f28785f24b11c431826ab16e98194f25451d4",
-        "summary.csv": "78abb03d62c969fd8165255d4d92dc80ff70d7ec5850ed738e3a6ae008db03ca",
-        "report.json": "314a0f4669e5a11b09f9405b564a4b347ffc9d5464d385c316c051a74b4a7a82",
+        "distances.csv": "889636c780a664fa4ed74444bf52b07f41ef557b0c0a484ce0fc420ed3c7dc5b",
+        "trials.csv": "edd43ac72f0a9cf395ab88a6979eac14b3aa0773e4ccc585deb1ac5e0f5273da",
+        "summary.csv": "0c905f6296906a63d59287f2f340394f5c4811918e7c9ba5abee7e2dd6df98ab",
+        "report.json": "251b342deca4ed602cadea64707c04519ca44f5d1b5e479bae9709d84b34351f",
     },
     "selu": {
-        "distances.csv": "1eb0f353ad7de5ed8ef562197e0e8256dc31d461aaa043437712fac3fc75a455",
-        "trials.csv": "f840f4340d72e2bd44d1706bb8eeae12dd9352b480b6493c13be3449f0137c47",
-        "summary.csv": "f28bec94ed7859fe5a73c50d7a82ef9cc48714f2d8589c3ad24c5e1fbcfb5005",
-        "report.json": "668edd4c27c12418d0a37bad8f1173ec6e296a0eb1e8f887dbac39c05fee5fd9",
+        "distances.csv": "18208b3c721a27ff655cc6cde7d29bc7186ae72f4aa1b0ffd6b5f738c8034582",
+        "trials.csv": "fbe0c2ebcad5dce599409c9a1821470e330bd603e38f9b459a09020686b5ea2d",
+        "summary.csv": "d95a7d037ab952922bc0317340b8e7ebd5edc533e5406ad0799b57c5bfbe454c",
+        "report.json": "ec2e4826dbacc0874109ad43a2531f80aa2d5e6fdc7c24b6cdeaa133cd543f71",
     },
 }
 

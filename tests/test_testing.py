@@ -241,23 +241,25 @@ class TestMonteCarlo:
     def test_records_the_float32_certificate(self):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
         n, trials, seed, eps = 60, 3, 31, 0.01
-        cfg = GCNConfig(depth=7)
-        report = monte_carlo_error(w0, w1, n, cfg, eps, trials, seed)
-        with one_blas_thread():
-            bounds = [
-                testing.graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)[1]
-                for pair in (testing.sample_coupled(w0, w1, n, derive_seed(seed, i))
-                             for i in range(trials))
-                for g in (pair.g0, pair.g1)
-            ]
-        assert report.f32_bound_max == max(bounds) and report.f64_fallbacks == 0
-        # noise so small that the skip rule sends every graph to float64
-        report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
+        # the vector walk and the dense tanh pass, both certified here
+        for kind in ("identity", "tanh"):
+            cfg = GCNConfig(depth=7, activation=kind)
+            report = monte_carlo_error(w0, w1, n, cfg, eps, trials, seed)
+            with one_blas_thread():
+                bounds = [
+                    testing.graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)[1]
+                    for pair in (testing.sample_coupled(w0, w1, n, derive_seed(seed, i))
+                                 for i in range(trials))
+                    for g in (pair.g0, pair.g1)
+                ]
+            assert report.f32_bound_max == max(bounds) and report.f64_fallbacks == 0
+            # noise so small that the skip rule sends every graph to float64
+            report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
+            assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
+        # swish has no float32 certificate: every graph is a float64 fallback
+        swish = GCNConfig(depth=7, activation="swish")
+        report = monte_carlo_error(w0, w1, n, swish, eps, trials, seed)
         assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
-        # the dense path records nothing
-        tanh = GCNConfig(depth=7, activation="tanh")
-        report = monte_carlo_error(w0, w1, n, tanh, eps, trials, seed)
-        assert report.f32_bound_max is None and report.f64_fallbacks is None
 
     def test_profiles_built_once_per_call(self, monkeypatch):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()

@@ -19,7 +19,12 @@ every seed (``unchanged_every_seed``). On experiment workloads each pair also
 says whether the science moved: ``decisions_changed`` counts the
 ``trials.csv`` rows whose ``decision`` differs between parent and change, and
 ``distance_max_rel_change`` is the largest relative change of a row's
-``distance``; each workload sums and maxes them over its pairs. Each run
+``distance``; each workload sums and maxes them over its pairs. They also
+record each side's float32 certificate per n from ``report.json``
+(``certificate``: ``eps_res``, ``f32_bound_max`` and ``f64_fallbacks`` of
+each error record, None where that side writes no such key), and each
+workload, per side, the largest bound as a share of eps and the total
+fallbacks (``certificate_summary``). Each run
 also records its CPU seconds per attempted operation (``cpu_s_per_op``: the
 ``RUSAGE_CHILDREN`` user plus system time of the perfbench process and its
 worker, over ``attempted``), and each workload the parent and change
@@ -97,19 +102,24 @@ with tempfile.TemporaryDirectory() as work:
     if main(argv) != 0:
         sys.exit(1)
     out = os.path.join(work, "out")
-    rows = []
+    rows, certificate = [], []
     if "trials.csv" in w.outputs:
         with open(os.path.join(out, "trials.csv"), newline="") as fh:
             rows = [(r["decision"], float(r["distance"])) for r in csv.DictReader(fh)]
+        with open(os.path.join(out, "report.json")) as fh:
+            certificate = [{k: e.get(k) for k in
+                            ("n", "eps_res", "f32_bound_max", "f64_fallbacks")}
+                           for e in json.load(fh)["error"]]
     print(json.dumps({"sha256": {n: workloads.sha256(os.path.join(out, n))
                                  for n in w.outputs},
-                      "trials": rows}))
+                      "trials": rows, "certificate": certificate}))
 """
 
 
 def run_outputs(root: Path, workload: str, seed: int) -> dict:
-    """sha256 of each output of one command, and its trials.csv (decision,
-    distance) rows (empty on mixing)."""
+    """sha256 of each output of one command, its trials.csv (decision,
+    distance) rows and its report.json certificate records (both empty on
+    mixing)."""
     env = run.worker_env(root, workloads.WORKLOADS[workload])
     proc = subprocess.run([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
                           cwd=root, env=env, capture_output=True,
@@ -127,6 +137,18 @@ def trials_diff(parent: list, change: list) -> tuple[int, float]:
     rel = max((abs(c[1] - p[1]) / p[1] if p[1] else (math.inf if c[1] else 0.0)
                for p, c in zip(parent, change)), default=0.0)
     return decisions, rel
+
+
+def certificate_summary(pairs: list, side: str) -> dict:
+    """One side's largest f32_bound_max / eps_res over every pair and n
+    (None when no graph was certified), and its f64_fallbacks total (None
+    when that side records none)."""
+    records = [r for p in pairs for r in p["certificate"][side]]
+    shares = [r["f32_bound_max"] / r["eps_res"] for r in records
+              if r["f32_bound_max"] is not None]
+    fallbacks = [r["f64_fallbacks"] for r in records if r["f64_fallbacks"] is not None]
+    return {"f32_bound_max_over_eps": max(shares, default=None),
+            "f64_fallbacks": sum(fallbacks) if fallbacks else None}
 
 
 PROBE = """
@@ -305,6 +327,7 @@ def main(argv=None) -> int:
             if workloads.WORKLOADS[workload].command == "experiment":
                 pair["decisions_changed"], pair["distance_max_rel_change"] = trials_diff(
                     outputs["parent"]["trials"], outputs["change"]["trials"])
+                pair["certificate"] = {side: outputs[side]["certificate"] for side in order}
             print(f"{workload} seed {seed}: " + json.dumps(
                 {s: pair[s]["ops_per_ref"] for s in order}), file=sys.stderr, flush=True)
             pairs.append(pair)
@@ -328,6 +351,8 @@ def main(argv=None) -> int:
             result["decisions_changed"] = sum(p["decisions_changed"] for p in pairs)
             result["distance_max_rel_change"] = max(
                 p["distance_max_rel_change"] for p in pairs)
+            result["certificate_summary"] = {
+                s: certificate_summary(pairs, s) for s in roots}
         result["unchanged_every_seed"] = sorted(
             set(workloads.WORKLOADS[workload].outputs)
             - {name for p in pairs for name in p["outputs_changed"]}
