@@ -8,16 +8,17 @@ average of the final matrix; when the activation is the identity (or ReLU or
 this selu, which agree with it on the nonnegative matrices produced here) it
 is computed by a vector-matrix iteration instead of matrix powers.
 
-Given an error limit, ``graph_embedding`` runs the vector iteration and the
-tanh forward pass in float32, moving half the bytes per layer, whenever a
-rounding-error certificate puts the embedding's coordinatewise error within
-the limit, and in float64 otherwise (``_certified``). Every other dense
-activation runs in float64.
+Given an error limit, ``graph_embedding`` embeds through the float32 walk
+wherever a certificate puts the embedding's coordinatewise error within the
+limit, and in float64 otherwise (``_certified``). Under tanh and swish the
+walk's result is scaled into a per-graph bracket around it (``_bracket``): a
+certified scalar multiple of the walk. ``forward``, ``linearization_gap`` and
+every call without a limit stay dense float64 for the nonlinear activations.
 
-The dense pass holds three n x n arrays, float64 or float32: A_hat, M and one
-buffer. Each layer writes A_hat @ M into the buffer, applies the activation
-there in place (``Activation.__call__(x, out=)``, with the allocating form's
-bytes) and swaps the buffer with M.
+The dense pass holds three n x n float64 arrays: A_hat, M and one buffer.
+Each layer writes A_hat @ M into the buffer, applies the activation there in
+place (``Activation.__call__(x, out=)``, with the allocating form's bytes)
+and swaps the buffer with M.
 
 The embedding dimension always equals the number of vertices.
 """
@@ -67,15 +68,8 @@ class Activation:
 
     def __call__(self, x, out=None):
         """sigma(x); with ``out`` (which may be ``x`` itself) the result is
-        written there, with the same bytes as the allocating form.
-
-        A float32 x keeps its dtype; any other input is taken as float64.
-        tanh of a float32 x is evaluated in float64 and rounded once, so it
-        equals fl32(tanh64(x)) bit for bit.
-        """
-        x = np.asarray(x)
-        if x.dtype != np.float32:
-            x = np.asarray(x, dtype=float)
+        written there, with the same bytes as the allocating form."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "identity":
             if out is None or out is x:
                 return x
@@ -84,9 +78,8 @@ class Activation:
         if self.kind == "relu":
             return np.maximum(x, 0.0, out=out)
         with np.errstate(over="ignore"):  # exp saturation is handled by callers
-            if self.kind == "tanh":  # buffered: float64 in chunks, not a copy of x
-                return np.tanh(x, out=np.empty_like(x) if out is None else out,
-                               dtype=np.float64)
+            if self.kind == "tanh":
+                return np.tanh(x, out=out)
             if self.kind == "sigmoid":  # 1 / (1 + e^-x)
                 d = np.negative(x, out=np.empty_like(x) if out is None else out)
                 np.exp(d, out=d)
@@ -178,20 +171,12 @@ def _layer(ahat, m, act, out):
     return out
 
 
-def forward(g: SampledGraph, cfg: GCNConfig, dtype=np.float64) -> np.ndarray:
+def forward(g: SampledGraph, cfg: GCNConfig) -> np.ndarray:
     """Run the K-layer recurrence M <- sigma(A_hat M) from M = I on the graph.
 
     Returns the final n x n embedding matrix, checked finite at every layer.
-    With dtype float32 every array is float32, A_hat being fl32(1/d) A built
-    from the 0/1 adjacency, so no float64 n x n array exists; the products
-    are SGEMM. Only tanh's float32 pass carries a certificate (see
-    ``graph_embedding``).
     """
-    if np.dtype(dtype) == np.float32:
-        ahat = g.adjacency.astype(np.float32)
-        ahat *= _reciprocal_degrees32(g)[:, None]  # exact: the entries are 0 or 1
-    else:
-        ahat = rw_transition_matrix(g)
+    ahat = rw_transition_matrix(g)
     m = buf = None
     for _ in range(cfg.depth):
         m, buf = _layer(ahat, m, cfg.activation, buf), m
@@ -261,70 +246,92 @@ def blas_info() -> dict | None:
 
 
 def embedding_vector(m: np.ndarray) -> np.ndarray:
-    """Row average of the embedding matrix: the graph-level representation,
-    summed in float64 whatever m's dtype."""
-    return m.mean(axis=0, dtype=np.float64)
+    """Row average of the embedding matrix: the graph-level representation."""
+    return m.mean(axis=0)
 
 
-# Roundings per layer beyond n, in f32_relative_error's count: the walk's
-# h <- (h r) A and the tanh layer's sigma(A_hat M) (see graph_embedding)
-_WALK_ROUNDINGS = 2
-_TANH_ROUNDINGS = 4
+def f32_relative_error(n: int, depth: int) -> float:
+    """rel = (1 + u)^(K(n + 2)) - 1 with u = 2^-24, float32's unit roundoff:
+    the coordinatewise relative error of the K-step float32 walk.
 
-
-def f32_relative_error(n: int, depth: int, extra: int) -> float:
-    """rel = (1 + u)^(K(n + extra)) - 1 with u = 2^-24, float32's unit
-    roundoff: the coordinatewise relative error of a K-layer float32 pass
-    whose every entry is nonnegative and whose layers each round at most
-    n + extra times along any path.
-
-    Each rounding multiplies an entry by some 1 + d with |d| <= u, and with
-    nonnegative terms a sum's roundings stay relative to it, whatever the
-    summation order, FMA or not (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3). The walk h <- (h r) A, with r = fl32(1/d) and A the
-    0/1 adjacency, rounds once for r, once for each product h_j r_j (a_jk in
-    {0, 1} makes the second exact) and n - 1 times for the sum, and K steps
-    with the rounding of h_0 = fl32(1/n) stay within K(n + 2).
+    Every entry of A, r = fl32(1/d) and h is nonnegative, so each float32
+    step h <- (h r) A errs by at most (1 + u)^(n + 1) - 1 relatively in every
+    coordinate, whatever the summation order, FMA or not: one rounding for r,
+    one for each product h_j r_j (a_jk in {0, 1} makes the second exact) and
+    n - 1 for the sum (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). K steps and the rounding of h_0 = fl32(1/n) stay
+    within K(n + 2) roundings.
     """
-    return math.expm1(depth * (n + extra) * math.log1p(2.0**-24))
+    return math.expm1(depth * (n + 2) * math.log1p(2.0**-24))
 
 
-def _certified(limit, n, depth, extra, run32, run64):
-    """run64() without a limit; with one, (h, bound) under the float32
+def _bracket(act: Activation, d: int, depth: int):
+    """(lo, hi) with lo h_lin <= h <= hi h_lin in every coordinate, where h is
+    the K-layer embedding under act, h_lin the exact walk's and d the least
+    degree; None where no bracket is known (the sigmoid).
+
+    Every entry of A_hat^t is at most 1/d, since A_hat is row-stochastic and
+    so (A_hat^t)_ij <= max_k (A_hat)_kj. Each layer's argument x then lies in
+    [0, 1/d], where x - x^3/3 <= tanh x <= x, and where
+    x/2 <= swish x <= x (1/2 + x/4), the sigmoid being concave on [0, inf)
+    with slope 1/4 at 0. By induction c^t A_hat^t <= M_t <= C^t A_hat^t
+    entrywise, with (c, C) = (1 - 1/(3 d^2), 1) under tanh and
+    (1/2, 1/2 + 1/(4d)) under swish, and the row mean keeps the order. Both
+    ends are widened by a relative (K + 4) 2^-52, for the float64 roundings
+    of c and C, of their K-th powers, of the midpoint and of the scaling.
+    """
+    if act.is_linear_on_nonnegative:
+        return 1.0, 1.0
+    if act.kind == "tanh":
+        lo, hi = (1.0 - 1.0 / (3.0 * d * d)) ** depth, 1.0
+    elif act.kind == "swish":
+        lo, hi = 0.5**depth, (0.5 + 0.25 / d) ** depth
+    else:
+        return None
+    slack = (depth + 4) * 2.0**-52
+    return lo * (1.0 - slack), hi * (1.0 + slack)
+
+
+def _certified(limit, g, depth, act, run64):
+    """run64() without a limit; with one, (h, bound) under the float32 walk's
     certificate.
 
-    run32 gives the float32 pass's nonnegative embedding as float64 (None
-    where no certificate applies), extra its roundings per layer beyond n.
-    h is run32's result when the coordinatewise error bound = rel/(1 - rel)
-    max h + (underflow term) is at most limit, rel = f32_relative_error;
-    otherwise h is run64's result, with the bytes of the call without a
-    limit, and bound is None. run32 is skipped outright when rel/n exceeds
-    the limit: max h >= 1/n on the walk, and nearly so under tanh, then
-    fails the check anyway. run32's arrays are freed before run64 runs.
+    h is the float32 walk's result h32 scaled to the midpoint s of act's
+    bracket [lo, hi] (``_bracket``) when the bound s b + (hi - lo)/2
+    (max h32 + b) is at most limit, b = rel/(1 - rel) max h32 (rel =
+    f32_relative_error) being the walk's own; otherwise h is run64's result,
+    with the bytes of the call without a limit, and bound is None. The walk
+    is skipped where act has no bracket or where the bound must fail, since
+    h_lin sums to 1 and so max h32 >= (1 - rel)/n. Its matrix is freed
+    before run64 runs.
     """
     if limit is None:
         return run64()
-    if run32 is not None:
-        rel = f32_relative_error(n, depth, extra)
-        if rel < 1.0 and rel / n <= limit:
-            h = run32()
+    n = g.n
+    deg = positive_degrees(g)
+    rel = f32_relative_error(n, depth)
+    bracket = _bracket(act, int(deg.min()), depth)
+    if bracket is not None and rel < 1.0:
+        lo, hi = bracket
+        s, half = (lo + hi) / 2, (hi - lo) / 2
+        if (s * rel + half * (1.0 - rel)) / n <= limit:
+            h = _walk32(g, depth, deg).astype(np.float64)
+            hmax = float(h.max())
             # gradual underflow adds at most 2^-150 absolutely per product
-            # and per tanh; the walk never grows l1 norms (which bound max
-            # norms), A_hat M never grows max norms and tanh is 1-Lipschitz
-            bound = rel / (1.0 - rel) * float(h.max()) + depth * n * n * 2.0**-148
+            # h_j r_j, the walk never grows l1 norms (which bound max norms),
+            # and 2^-1070 covers float64 underflow in the bracket and scaling
+            b = rel / (1.0 - rel) * hmax + depth * n * n * 2.0**-148
+            bound = s * b + half * (hmax + b) + 2.0**-1070
             if bound <= limit:
+                h *= s  # exact on the linear path, where s = 1
                 return h, bound
     return run64(), None
 
 
-def _reciprocal_degrees32(g: SampledGraph) -> np.ndarray:
-    """fl32(1/d) per vertex; exact degrees up to 2^24, one rounding each."""
-    return np.float32(1.0) / positive_degrees(g).astype(np.float32)
-
-
-def _walk32(g: SampledGraph, depth: int) -> np.ndarray:
+def _walk32(g: SampledGraph, depth: int, deg: np.ndarray) -> np.ndarray:
     """h_0 A_hat^K in float32, as h <- (h r) A with A the 0/1 adjacency."""
-    r = _reciprocal_degrees32(g)
+    # exact: degrees up to 2^24 and the 0/1 entries are float32 integers
+    r = np.float32(1.0) / deg.astype(np.float32)
     a = g.adjacency.astype(np.float32)
     h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
     for _ in range(depth):
@@ -349,37 +356,26 @@ def fast_linear_embedding(g: SampledGraph, depth: int, limit: float | None = Non
 
     With a limit, returns (h, bound) instead (``_certified``): the walk runs
     in float32, reading half the bytes per layer, and h is its float64 copy,
-    when its certificate (``f32_relative_error`` with K(n + 2) roundings)
-    holds, and in float64 with bound None otherwise.
+    when its certificate holds, and in float64 with bound None otherwise.
     """
-    return _certified(
-        limit, g.n, depth, _WALK_ROUNDINGS,
-        lambda: _walk32(g, depth).astype(np.float64), lambda: _walk64(g, depth),
-    )
+    return _certified(limit, g, depth, Activation("identity"), lambda: _walk64(g, depth))
 
 
 def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None):
     """Embedding vector of a graph under cfg, via the cheapest valid path.
 
-    With a limit, returns (h, bound) as fast_linear_embedding does. On the
-    dense path only tanh has a float32 certificate: every entry of A_hat, M
-    and A_hat M is nonnegative, and tanh is increasing and concave on
-    [0, inf) with tanh 0 = 0, so a relative error in its argument leaves a
-    layer no larger. A layer rounds once for fl32(1/d), once per product,
-    n - 1 times for the sum, once for the float64 tanh's own error (within
-    2^27 of its ulps) and once for rounding it to float32; the float64 row
-    mean of n terms errs by less than one more. K(n + 4) covers them all.
-    Swish, convex near 0, and the sigmoid run in float64 with bound None.
+    Without a limit: the float64 vector walk for the identity, ReLU and
+    selu, and the dense float64 forward pass for every other activation.
+    With a limit, returns (h, bound) (``_certified``): tanh and swish then
+    take the float32 walk too, scaled into their bracket, wherever the
+    walk's rounding plus the bracket's half-width stays within the limit,
+    and the dense float64 pass, with bound None, elsewhere. The sigmoid
+    always takes the dense pass.
     """
     if cfg.activation.is_linear_on_nonnegative:
         return fast_linear_embedding(g, cfg.depth, limit)
-
-    def dense(dtype):
-        return embedding_vector(forward(g, cfg, dtype))
-
-    run32 = (lambda: dense(np.float32)) if cfg.activation.kind == "tanh" else None
-    return _certified(limit, g.n, cfg.depth, _TANH_ROUNDINGS, run32,
-                      lambda: dense(np.float64))
+    return _certified(limit, g, cfg.depth, cfg.activation,
+                      lambda: embedding_vector(forward(g, cfg)))
 
 
 def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:

@@ -49,14 +49,15 @@ _STREAM_NOISE = 13
 # is at most COORD_TOL_CONST / n^2
 COORD_TOL_CONST = 1.0
 
-# The error harness embeds in float32 (the identity/ReLU/selu vector walk and
-# the tanh forward pass) only when the certified rounding error
-# (gcn.graph_embedding) is at most this share of the trial's noise half-width
-# eps. A quarter keeps that error small next to the uniform noise every
-# decision sees, on bounds about 500 (walk) and 250 to 1400 (tanh) times
-# above the errors observed. It still admits the walk up to n = 1000 at
+# The error harness embeds through the float32 walk (the identity/ReLU/selu
+# embedding itself, tanh's and swish's scaled into their bracket) only when
+# the certified error (gcn._certified) is at most this share of the trial's
+# noise half-width eps. A quarter keeps that error small next to the uniform
+# noise every decision sees, on walk bounds about 500 times above the
+# rounding errors observed. It still admits the walk up to n = 1000 at
 # eps = delta/(4n) (bound 0.19 eps there, 0.39 eps at n = 2000), and tanh's
-# bound is below 2e-4 eps at eps = 10/n and n <= 500.
+# bound, walk rounding plus bracket, is below 4e-4 eps at eps = 10/n and
+# n = 250 to 500.
 F32_ERROR_SHARE = 0.25
 
 
@@ -206,8 +207,9 @@ class ExperimentReport:
     ``mean_conditional_tv`` averages the per-trial TV between the two coupled
     unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
     ``f32_bound_max`` is the largest certified error bound of the graphs
-    embedded in float32 (None when none was) and ``f64_fallbacks`` counts the
-    graphs embedded in float64.
+    embedded through the float32 walk (None when none was; under tanh and
+    swish the walk's rounding plus the bracket) and ``f64_fallbacks`` counts
+    the graphs embedded in float64.
     """
 
     n: int
@@ -324,9 +326,10 @@ def monte_carlo_error(
     embedding, perturbation, decision. Reports the error rate with an exact
     95% interval, each trial's coupled distance and small-coordinate fraction,
     and the mean conditional Le Cam floor, valid under either coupling by joint
-    convexity of TV, next to the closed-form floor. The vector path and the
-    tanh forward pass embed in float32 where their certified error is at most
-    F32_ERROR_SHARE * eps_res, and the report records those bounds.
+    convexity of TV, next to the closed-form floor. Graphs embed through the
+    float32 walk where their certified error is at most
+    F32_ERROR_SHARE * eps_res (gcn.graph_embedding), and the report records
+    those bounds.
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")

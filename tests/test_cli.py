@@ -450,9 +450,8 @@ class TestExperimentCommand:
         with open(os.path.join(doc["output_dir"], "manifest.json")) as fh:
             assert json.load(fh)["blas"] is None
 
-    # n = 500 with tanh: without the one-thread pin on the dense path,
-    # OPENBLAS_NUM_THREADS=1 and =2 give different bytes here; the identity
-    # vector path runs under the trial loop's pin as well
+    # n = 500 at eps = 10/n: tanh and the identity both take the float32 walk
+    # here (tanh inside its bracket), under the trial loop's one-thread pin
     @pytest.mark.parametrize("activation", ["tanh", "identity"])
     def test_same_bytes_at_any_blas_thread_count(self, tmp_path, activation):
         path, doc = write_experiment_config(
@@ -476,6 +475,35 @@ class TestExperimentCommand:
                     h.update(fh.read())
             digests.add(h.hexdigest())
         assert len(digests) == 1
+
+    def test_same_bytes_at_any_blas_thread_count_on_the_dense_path(self, tmp_path):
+        # eps = 0.001/n puts tanh's bracket over the limit, so both graphs run
+        # the dense float64 pass; without the one-thread pin there,
+        # OPENBLAS_NUM_THREADS=1 and =2 give different bytes
+        path, doc = write_experiment_config(
+            tmp_path,
+            models=[json.loads(BASE_JSON),
+                    {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}],
+            n_list=[500], k_rule="ceil(6*ln(n))", eps_rule="0.001/n",
+            activation="tanh", trials=1, seed=5, share_edge_randomness=True,
+        )
+        def read(name):
+            with open(os.path.join(doc["output_dir"], name), "rb") as fh:
+                return fh.read()
+
+        names = ("distances.csv", "trials.csv", "summary.csv", "report.json")
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphonlab.cli", "experiment", "--config", str(path)],
+                env=dict(src_env(), OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(tuple(read(name) for name in names))
+        assert len(outputs) == 1
+        error = json.loads(outputs.pop()[3])["error"][0]
+        assert error["f32_bound_max"] is None and error["f64_fallbacks"] == 2
 
     def test_trials_zero_is_config_error(self, tmp_path, capsys):
         path, _ = write_experiment_config(tmp_path, trials=0)

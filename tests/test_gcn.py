@@ -12,6 +12,7 @@ from graphonlab import (
     InvalidModel,
     IsolatedVertex,
     NonFinite,
+    SampledGraph,
     SBMParams,
     classify_activation,
     embedding_vector,
@@ -57,20 +58,6 @@ class TestActivation:
         assert act(in_place, out=in_place) is in_place
         for y in (fresh, in_place):
             assert y.tobytes() == ref.tobytes()
-
-    def test_tanh_of_float32_is_the_rounded_float64_value(self):
-        rng = np.random.default_rng(2501)
-        x = rng.normal(scale=3.0, size=(50, 60)).astype(np.float32)
-        x[::7, ::9] = np.resize(
-            np.array([0.0, -0.0, 1e-45, 1e-30, 20.0, -20.0, np.inf], np.float32), (8, 7)
-        )
-        ref = np.tanh(x.astype(np.float64)).astype(np.float32)
-        act = Activation("tanh")
-        fresh = np.empty_like(x)
-        assert act(x, out=fresh) is fresh
-        in_place = x.copy()
-        for y in (act(x), fresh, act(in_place, out=in_place)):
-            assert y.dtype == np.float32 and y.tobytes() == ref.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidModel):
@@ -345,7 +332,7 @@ class TestWalk32:
     def test_skip_rule_never_runs_float32(self, monkeypatch):
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
-        rel = gcn.f32_relative_error(n, depth, 2)
+        rel = gcn.f32_relative_error(n, depth)
 
         def float32_walk(*_):
             raise AssertionError("the float32 pass ran")
@@ -361,7 +348,7 @@ class TestWalk32:
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
         _, bound = fast_linear_embedding(g, depth, 1.0)
-        rel = gcn.f32_relative_error(n, depth, 2)
+        rel = gcn.f32_relative_error(n, depth)
         limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
         assert rel / n < limit < bound
         runs = []
@@ -399,70 +386,102 @@ class TestWalk32:
 MATCHED = SBMParams(0.5, 0.7, 0.5, 0.1).to_step_graphon()
 
 
-def _forward_spy(monkeypatch, float32_raises=False):
-    """Record the dtype of every gcn.forward call; a float32 one raises when
-    float32_raises."""
-    dtypes = []
-    real = gcn.forward
+def _dense(g, cfg):
+    """The dense float64 forward pass's embedding: a call without a limit."""
+    return embedding_vector(forward(g, cfg))
 
-    def spy(g, cfg, dtype=np.float64):
-        dtypes.append(np.dtype(dtype))
-        if float32_raises and dtypes[-1] == np.float32:
-            raise AssertionError("the float32 pass ran")
-        return real(g, cfg, dtype)
 
-    monkeypatch.setattr(gcn, "forward", spy)
-    return dtypes
+def _walk_spy(monkeypatch):
+    """Record the arguments of every float32 walk."""
+    runs = []
+    real = gcn._walk32
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcn, "_walk32", spy)
+    return runs
 
 
 class TestForward32:
-    """The tanh forward pass in float32 under its certificate, and the
-    float64 pass wherever the certificate fails or does not apply."""
+    """The tanh and swish embeddings under a limit: the float32 walk scaled
+    into the per-graph bracket around it, and the dense float64 pass wherever
+    the certificate fails or no bracket exists."""
 
     @pytest.mark.parametrize("n", [250, 500])
     @pytest.mark.parametrize("model", ["base", "matched"])
     def test_error_within_the_certified_bound(self, n, model):
         depth = math.ceil(6 * math.log(n))
         limit = testing.F32_ERROR_SHARE * 10 / n  # eps = 10/n
-        cfg = GCNConfig(depth, "tanh")
-        for i in range(3):
-            g = sample_graph(W0 if model == "base" else MATCHED, n,
-                             seed=derive_seed(25, i))
-            h32, bound = graph_embedding(g, cfg, limit)
-            assert 0 < bound <= limit
-            assert h32.dtype == np.float64
-            assert (np.abs(h32 - embedding_vector(forward(g, cfg))) <= bound).all()
+        for kind in ("tanh", "swish"):
+            cfg = GCNConfig(depth, kind)
+            for i in range(3):
+                g = sample_graph(W0 if model == "base" else MATCHED, n,
+                                 seed=derive_seed(25, i))
+                h, bound = graph_embedding(g, cfg, limit)
+                assert 0 < bound <= limit
+                assert (np.abs(h - _dense(g, cfg)) <= bound).all()
+                # a scalar multiple of the identity's float32 walk
+                ratio = h / fast_linear_embedding(g, depth, limit)[0]
+                assert ratio.max() - ratio.min() <= 2.0**-51 * ratio.max()
+
+    def test_without_a_limit_is_the_float64_forward(self, monkeypatch):
+        g = sample_graph(W0, 300, seed=4)
+        runs = _walk_spy(monkeypatch)
+        for kind in ("tanh", "swish"):
+            cfg = GCNConfig(35, kind)
+            assert graph_embedding(g, cfg).tobytes() == _dense(g, cfg).tobytes()
+        assert runs == []
 
     def test_skip_rule_never_runs_float32(self, monkeypatch):
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
         cfg = GCNConfig(depth, "tanh")
-        ref = embedding_vector(forward(g, cfg)).tobytes()
-        rel = gcn.f32_relative_error(n, depth, 4)
-        dtypes = _forward_spy(monkeypatch, float32_raises=True)
-        for limit in (0.0, 0.99 * rel / n):
+        ref = _dense(g, cfg).tobytes()
+        lo, hi = gcn._bracket(cfg.activation, int(g.degrees().min()), depth)
+        rel = gcn.f32_relative_error(n, depth)
+        skip = ((lo + hi) / 2 * rel + (hi - lo) / 2 * (1 - rel)) / n
+        runs = _walk_spy(monkeypatch)
+        for limit in (0.0, 0.99 * skip):
             h, bound = graph_embedding(g, cfg, limit)
             assert bound is None and h.tobytes() == ref
-        assert dtypes == [np.float64, np.float64]
+        assert runs == []
 
     def test_limit_below_the_bound_falls_back(self, monkeypatch):
-        n, depth = 300, 35
+        g = sample_graph(W0, 300, seed=4)
+        runs = _walk_spy(monkeypatch)
+        for kind in ("tanh", "swish"):
+            cfg = GCNConfig(35, kind)
+            _, bound = graph_embedding(g, cfg, 1.0)
+            h, bound = graph_embedding(g, cfg, np.nextafter(bound, 0.0))
+            assert bound is None and h.tobytes() == _dense(g, cfg).tobytes()
+        assert len(runs) == 4  # the second call of each ran the walk too
+
+    def test_degree_one_vertex_falls_back(self):
+        # c = 1 - 1/3 at a pendant vertex: the bracket [(2/3)^K, 1] spans
+        # about half the walk's own size, against a limit of eps/4 at eps = 1/n
+        n, depth = 250, 34
         g = sample_graph(W0, n, seed=4)
+        adj = np.pad(g.adjacency, ((0, 1), (0, 1)))
+        adj[0, n] = adj[n, 0] = 1
+        pendant = SampledGraph(adj, source="fixture")
         cfg = GCNConfig(depth, "tanh")
-        _, bound = graph_embedding(g, cfg, 1.0)
-        rel = gcn.f32_relative_error(n, depth, 4)
-        limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
-        assert rel / n < limit < bound
-        dtypes = _forward_spy(monkeypatch)
-        h, bound = graph_embedding(g, cfg, limit)
-        assert dtypes == [np.float32, np.float64] and bound is None
-        monkeypatch.undo()
-        assert h.tobytes() == graph_embedding(g, cfg).tobytes()
+        limit = testing.F32_ERROR_SHARE / n
+        assert graph_embedding(g, cfg, limit)[1] is not None
+        h, bound = graph_embedding(pendant, cfg, limit)
+        assert bound is None and h.tobytes() == _dense(pendant, cfg).tobytes()
+
+    def test_isolated_vertex_is_refused_on_both_paths(self):
+        g = graph_from_edges(3, [(0, 1)])
+        for kind in ("tanh", "swish"):
+            for limit in (None, 1.0):
+                with pytest.raises(IsolatedVertex, match="vertex 2"):
+                    graph_embedding(g, GCNConfig(3, kind), limit)
 
     def test_peak_memory(self):
-        # tracemalloc's peak over one certified pass at n = 400: A_hat, M and
-        # the layer's buffer in float32 (1.5 float64 arrays) and isfinite's
-        # bool mask; tanh's float64 evaluation is buffered in small chunks
+        # tracemalloc's peak over one certified tanh embedding at n = 400:
+        # the walk's float32 0/1 matrix (1/2 a float64 array) and a few vectors
         n = 400
         g = sample_graph(SBM_BASE.to_step_graphon(), n, seed=4)
         cfg = GCNConfig(depth=5, activation="tanh")
@@ -473,15 +492,15 @@ class TestForward32:
         finally:
             tracemalloc.stop()
         assert bound is not None
-        assert peak < 2 * n * n * 8
+        assert peak < 0.55 * n * n * 8
 
-    def test_swish_ignores_the_limit(self, monkeypatch):
-        # swish is convex near 0, so a relative error can grow through it
+    def test_sigmoid_ignores_the_limit(self, monkeypatch):
+        # sigmoid 0 = 1/2: no bracket around the walk
         g = sample_graph(W0, 40, seed=4)
-        cfg = GCNConfig(depth=5, activation="swish")
-        dtypes = _forward_spy(monkeypatch)
+        cfg = GCNConfig(depth=5, activation="sigmoid")
+        runs = _walk_spy(monkeypatch)
         h, bound = graph_embedding(g, cfg, 1.0)
-        assert bound is None and dtypes == [np.float64]
+        assert bound is None and runs == []
         assert h.tobytes() == graph_embedding(g, cfg).tobytes()
 
 

@@ -31,10 +31,10 @@ EXPERIMENT_SHA256 = {
         "report.json": "05f5c682605c6c87753985a18f39056111b4479cebc90f1b688e57667f04e693",
     },
     "tanh": {
-        "distances.csv": "889636c780a664fa4ed74444bf52b07f41ef557b0c0a484ce0fc420ed3c7dc5b",
-        "trials.csv": "edd43ac72f0a9cf395ab88a6979eac14b3aa0773e4ccc585deb1ac5e0f5273da",
-        "summary.csv": "0c905f6296906a63d59287f2f340394f5c4811918e7c9ba5abee7e2dd6df98ab",
-        "report.json": "251b342deca4ed602cadea64707c04519ca44f5d1b5e479bae9709d84b34351f",
+        "distances.csv": "f7a0bc40f89900229e39a307957283e826af445ccfb039fdb5dacc3a0f456361",
+        "trials.csv": "ffe5edadb7f4ff02886d6365a6ceda29d7892b9954c5d4f7970120c27610c678",
+        "summary.csv": "eb0275d24bd55a4538bf266e31cb92960c8261810c1cdda9eebef80ce54b01be",
+        "report.json": "5f473bf6e0e58d01307bce0824082e550de058b85b88c8034771f9d32f29251d",
     },
     "selu": {
         "distances.csv": "18208b3c721a27ff655cc6cde7d29bc7186ae72f4aa1b0ffd6b5f738c8034582",

@@ -66,6 +66,10 @@ def test_every_trial_loop_call_is_traced(tracer, kind):
     names = [s.name for s in spans.run_spans(0)]
     assert names.count("sampling.sample_coupled.indep") == 2 * trials
     assert names.count("sampling.sample_coupled.shared") == trials
-    inner = "gcn.fast_linear_embedding" if kind == "identity" else "gcn.forward"
     assert names.count("gcn.graph_embedding") == 3 * 2 * trials
-    assert names.count(inner) == 3 * 2 * trials
+    if kind == "identity":
+        assert names.count("gcn.fast_linear_embedding") == 3 * 2 * trials
+    else:
+        # the error harness's tanh graphs take the float32 walk inside its
+        # bracket; the distance harness passes no limit and runs forward
+        assert names.count("gcn.forward") == 2 * 2 * trials

@@ -241,8 +241,9 @@ class TestMonteCarlo:
     def test_records_the_float32_certificate(self):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
         n, trials, seed, eps = 60, 3, 31, 0.01
-        # the vector walk and the dense tanh pass, both certified here
-        for kind in ("identity", "tanh"):
+        # the vector walk, and the walk in tanh's and swish's brackets, all
+        # certified here
+        for kind in ("identity", "tanh", "swish"):
             cfg = GCNConfig(depth=7, activation=kind)
             report = monte_carlo_error(w0, w1, n, cfg, eps, trials, seed)
             with one_blas_thread():
@@ -256,10 +257,6 @@ class TestMonteCarlo:
             # noise so small that the skip rule sends every graph to float64
             report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
             assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
-        # swish has no float32 certificate: every graph is a float64 fallback
-        swish = GCNConfig(depth=7, activation="swish")
-        report = monte_carlo_error(w0, w1, n, swish, eps, trials, seed)
-        assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
 
     def test_profiles_built_once_per_call(self, monkeypatch):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
@@ -469,6 +466,25 @@ class TestOverlappedTrials:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= 1.4 * n * n * 8
+
+    def test_tanh_loop_peak_memory(self):
+        # as the vector loop, under tanh at eps = 10/n, where every graph takes
+        # the float32 walk inside its bracket
+        n, cfg = 600, GCNConfig(depth=39, activation="tanh")
+        limit = testing.F32_ERROR_SHARE * 10 / n
+        bounds = []
+        testing._each_trial(self.W0, self.W1, 40, cfg, 3, 1, False, lambda *_: None)
+        tracemalloc.start()
+        try:
+            testing._each_trial(
+                self.W0, self.W1, n, cfg, 3, 3, False,
+                lambda h0, h1, _: bounds.extend((h0[1], h1[1])), limit=limit,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bounds) == 6 and None not in bounds
         assert peak <= 1.4 * n * n * 8
 
     @pytest.mark.parametrize("harness", ["error", "distance"])
