@@ -329,13 +329,18 @@ def _certified(limit, g, depth, act, run64):
 
 
 def _walk32(g: SampledGraph, depth: int, deg: np.ndarray) -> np.ndarray:
-    """h_0 A_hat^K in float32, as h <- (h r) A with A the 0/1 adjacency."""
+    """h_0 A_hat^K in float32, as h <- (h r) A with A the 0/1 adjacency; it
+    stops at a step that returns its argument bit for bit, since the step is
+    one fixed map and all K steps would give those bytes and certificate."""
     # exact: degrees up to 2^24 and the 0/1 entries are float32 integers
     r = np.float32(1.0) / deg.astype(np.float32)
     a = g.adjacency.astype(np.float32)
     h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
     for _ in range(depth):
-        h = (h * r) @ a
+        step = (h * r) @ a
+        if np.array_equal(step.view(np.uint32), h.view(np.uint32)):
+            break
+        h = step
     return h
 
 

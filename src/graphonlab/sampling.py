@@ -5,13 +5,13 @@ Sampling is dense and exact: one uniform draw per unordered vertex pair
 64-bit seed; each stage draws from its own stream, derived with
 ``seeding.derive_seed``, so no stage's draws depend on another's.
 
-All edges come from one filler, ``_fill_edges``: it takes the upper triangle
-in blocks of whole rows, draws each block's uniforms in one call, and
-thresholds them against one graph's densities. A plain sample is one graph
-on its own stream; in a coupled pair the coupling is only the stream g1
-reads: its own, or, with shared edge randomness, g0's stream once more. Each
-graph consumes its stream in row-major order, one value per pair, so a given
-seed always yields the same adjacency, whatever the block size.
+All edges come from one filler, ``_fill_rows``: it fills a range of rows of
+the upper triangle of one or more graphs, reading each stream in row-major
+order, one value per pair, from the range's first uniform, so a seed yields
+the same adjacency whatever the ranges. A plain sample is one range of one
+graph; a coupled pair is filled together, on a worker as two ranges. The
+coupling is only the stream g1 reads: its own, or, with shared edge
+randomness, g0's, whose uniforms are then drawn once for both graphs.
 """
 
 from __future__ import annotations
@@ -152,53 +152,70 @@ def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
     return x, block_index(w.block_weights, x)
 
 
-def _fill_edges(n, blocks, densities, rng):
-    """The symmetric 0/1 adjacency: {i, j} is an edge when its uniform from
-    ``rng`` is below ``densities[blocks[i], blocks[j]]``.
+def _fill_rows(adj, start, stop, jobs):
+    """Rows start to stop - 1 of each adjacency adj[g], both triangles, for
+    jobs[g] = (key, blocks, densities): {i, j}, i < j, is an edge when its
+    uniform from the Philox stream of key is below densities[blocks[i],
+    blocks[j]]. Graphs with one key share one draw of their stream.
 
-    The upper triangle is taken ``rows`` rows at a time. A block's uniforms
-    come from one draw, are scattered through its upper-triangle mask in
-    row-major order (stream order) and compared with the block's rows of
-    ``densities[:, blocks]``; the masked comparisons are written with their
-    transposes. Float64 draws take one Philox output each, so the adjacency
-    is the same as from one draw per row, whatever ``_BLOCK`` is.
+    A stream gives the pairs their uniforms in row-major order, one 64-bit
+    Philox output each, so the range starts at output words = start (2n -
+    start - 1)/2: a fresh Philox advanced words // 4 counter steps (four
+    outputs each), words % 4 draws discarded. A block of rows draws its uniforms in one call per stream,
+    scatters them through its upper-triangle mask and compares them with its
+    densities straight into adj; the square on the diagonal is then masked
+    and mirrored. Disjoint ranges write disjoint entries.
     """
-    rows = max(1, min(n - 1, _BLOCK // n))
-    # row k holds block k's density toward every vertex
-    prob = densities[:, blocks]
-    adj = np.zeros((n, n), dtype=np.uint8)
-    # a bool view of the same bytes, so a bool block is stored without a cast
-    flag = adj.view(bool)
-    # band[k, n - a + j] is j > a + k: the upper-triangle mask of row a + k
-    band = np.arange(-n, n) > np.arange(rows)[:, None]
-    # zeroed so the unmasked comparison never meets uninitialised bytes
-    u = np.zeros((rows, n))
-    p = np.empty((rows, n))
-    edge = np.empty((rows, n), dtype=bool)
-    draws = p.reshape(-1)  # the draws are scattered into u before p is gathered
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n - 1)
-        mask = band[: b - a, n - a : 2 * n - a]
+    n = adj.shape[1]
+    keys = list(dict.fromkeys(key for key, _, _ in jobs))
+    rows = max(1, min(stop - start, _BLOCK // n))
+    # one allocation: a block's uniforms per stream, then its densities, whose
+    # row takes each stream's draws before they are scattered; zeroed so the
+    # comparisons left of the mask never meet uninitialised bytes
+    scratch = np.zeros((len(keys) + 1, rows * n))
+    words = start * (2 * n - start - 1) // 2
+    rngs = [make_rng(key) for key in keys]
+    for rng in rngs:
+        rng.bit_generator.advance(words // 4)
+        rng.random(words % 4)
+    # upper[k, j] is j > k: the mask of a block of rows that starts on the diagonal
+    upper = np.arange(n) > np.arange(rows)[:, None]
+    graphs = [(keys.index(key), densities[:, blocks], blocks, flag)
+              for (key, blocks, densities), flag in zip(jobs, adj.view(bool))]
+    p = scratch[-1]
+    for a in range(start, stop, rows):
+        b = min(a + rows, stop)
+        shape = b - a, n - a
+        mask = upper[: b - a, : n - a]
         # n - 1 - i uniforms for each row i of the block
         count = (b - a) * (2 * n - a - b - 1) // 2
-        ub, pb, eb = u[: b - a], p[: b - a], edge[: b - a]
-        ub[mask] = rng.random(count, out=draws[:count])
-        np.take(prob, blocks[a:b], axis=0, out=pb)
-        np.less(ub, pb, out=eb)
-        np.logical_and(eb, mask, out=eb)
-        # columns left of a were written as earlier blocks' transposes
-        flag[a:b, b:] = eb[:, b:]
-        flag[b:, a:b] = eb[:, b:].T
-        np.logical_or(eb[:, a:b], eb[:, a:b].T, out=flag[a:b, a:b])
-    return adj
+        u = [s[: mask.size].reshape(shape) for s in scratch[:-1]]
+        for rng, us in zip(rngs, u):
+            us[mask] = rng.random(count, out=p[:count])
+        pb = p[: mask.size].reshape(shape)
+        for stream, prob, blocks, flag in graphs:
+            np.take(prob[:, a:], blocks[a:b], axis=0, out=pb)
+            np.less(u[stream], pb, out=flag[a:b, a:])
+            square = flag[a:b, a:b]
+            np.logical_and(square, mask[:, : b - a], out=square)
+            np.logical_or(square, square.T, out=square)
+            flag[b:, a:b] = flag[a:b, b:].T
 
 
-def _sample(x, seed, w, blocks, stream):
-    """The graph of ``w`` on positions x, which fall in ``w``'s ``blocks``,
-    with its edges filled from the seed's sub-stream ``stream``."""
-    rng = make_rng(derive_seed(seed, stream))
-    adj = _fill_edges(len(x), blocks, w.densities, rng)
-    return SampledGraph(adj, latent_positions=x, seed=seed, _owned=True)
+def _sample(x, seed, jobs, pool=None):
+    """The graphs of ``jobs`` on positions x, in one uint8 block: one range
+    on the caller, or with an executor ``pool`` two ranges of equal uniform
+    counts, the second on its worker (``fork_join``), with the same bytes."""
+    n = len(x)
+    adj = np.zeros((len(jobs), n, n), dtype=np.uint8)
+    if pool is None:
+        _fill_rows(adj, 0, n - 1, jobs)
+    else:
+        # rows [0, split) hold half the uniforms: split (2n - split - 1)/2 = n(n - 1)/4
+        split = round(n - 0.5 - (n * (n - 1) / 2 + 0.25) ** 0.5)
+        fork_join(pool, lambda rows: _fill_rows(adj, *rows, jobs),
+                  (0, split), (split, n - 1))
+    return [SampledGraph(a, latent_positions=x, seed=seed, _owned=True) for a in adj]
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
@@ -211,7 +228,8 @@ def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks = _positions_and_blocks(w, n, seed)
-    return _sample(x, seed, w, blocks, _STREAM_EDGES_0)
+    (g,) = _sample(x, seed, [(derive_seed(seed, _STREAM_EDGES_0), blocks, w.densities)])
+    return g
 
 
 def sample_coupled(
@@ -228,18 +246,22 @@ def sample_coupled(
     independent given the positions: g1 reads its own edge stream. With
     ``share_edge_randomness`` g1 reads g0's stream, so the same per-pair
     uniform drives both graphs (the maximal per-edge coupling), which
-    minimizes degree discrepancies between the two samples.
+    minimizes degree discrepancies between the two samples; each uniform is
+    then drawn once and compared with both graphs' densities.
 
-    With an executor ``pool`` g1 is filled on its worker while the caller
-    fills g0 (``fork_join``); the pair is the same, bit for bit.
+    With an executor ``pool`` the rows are split in two ranges of equal
+    uniform counts, and its worker fills the second range of both graphs
+    while the caller fills the first (``_sample``); the pair is the same,
+    bit for bit.
     """
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")
     x, blocks0 = _positions_and_blocks(w0, n, seed)
     blocks1 = block_index(w1.block_weights, x)  # partitions may differ
     stream1 = _STREAM_EDGES_0 if share_edge_randomness else _STREAM_EDGES_1
-    jobs = (w0, blocks0, _STREAM_EDGES_0), (w1, blocks1, stream1)
-    return CoupledPair(*fork_join(pool, lambda job: _sample(x, seed, *job), *jobs))
+    jobs = [(derive_seed(seed, _STREAM_EDGES_0), blocks0, w0.densities),
+            (derive_seed(seed, stream1), blocks1, w1.densities)]
+    return CoupledPair(*_sample(x, seed, jobs, pool))
 
 
 def empirical_degree_profile(g: SampledGraph) -> np.ndarray:

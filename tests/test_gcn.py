@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -402,6 +403,50 @@ def _walk_spy(monkeypatch):
 
     monkeypatch.setattr(gcn, "_walk32", spy)
     return runs
+
+
+def _k_step_walk32(g, depth):
+    """The float32 walk written out as K steps, with no early exit."""
+    r = np.float32(1.0) / gcn.positive_degrees(g).astype(np.float32)
+    a = g.adjacency.astype(np.float32)
+    h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
+    for _ in range(depth):
+        h = (h * r) @ a
+    return h
+
+
+class TestWalkExit:
+    """The float32 walk stops at its first exact repeat, with the bytes of
+    all K steps."""
+
+    # at n = 500, K = 38, this BASE graph's walk repeats at about step 18;
+    # MATCHED's walks did not repeat within K on any seed tried
+    @pytest.mark.parametrize("model, repeats", [("base", True), ("matched", False)])
+    def test_exit_gives_the_k_step_bytes(self, model, repeats):
+        n = 500
+        depth = math.ceil(6 * math.log(n))
+        g = sample_graph(W0 if model == "base" else MATCHED, n, seed=2)
+        expected = _k_step_walk32(g, depth)
+        products = []
+
+        class Counted(np.ndarray):
+            """An adjacency, and its float32 copy, that count their products."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    products.append(1)
+                inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x
+                          for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        counted = types.SimpleNamespace(n=n, adjacency=g.adjacency.view(Counted))
+        got = gcn._walk32(counted, depth, gcn.positive_degrees(g))
+        assert type(got) is np.ndarray and got.dtype == np.float32
+        assert got.tobytes() == expected.tobytes()
+        if repeats:
+            assert len(products) < depth
+        else:
+            assert len(products) == depth
 
 
 class TestForward32:

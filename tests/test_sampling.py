@@ -1,5 +1,6 @@
 import hashlib
 import io
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -46,7 +47,8 @@ ZERO_ONE = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [0.5, 0.25, 0.0]])
 
 
 # Reference oracle: the original per-row edge loops, kept verbatim. The
-# sampler's single shared-stream filler must reproduce them bit for bit.
+# sampler's one row-range filler must reproduce them bit for bit, over any
+# split of the rows.
 def _reference_fill_edges(adj, blocks, densities, rng):
     n = adj.shape[0]
     for i in range(n - 1):
@@ -82,6 +84,15 @@ def reference_sample_coupled(w0, w1, n, seed, share_edge_randomness):
         rng1 = make_rng(derive_seed(seed, _STREAM_EDGES_1))
         _reference_fill_edges(a1, blocks1, w1.densities, rng1)
     return a0, a1
+
+
+def pair_jobs(w0, w1, n, seed, share_edge_randomness):
+    """The (key, blocks, densities) fill jobs of a coupled pair's two graphs."""
+    x, blocks0 = _positions_and_blocks(w0, n, seed)
+    blocks1 = block_index(w1.block_weights, x)
+    stream1 = _STREAM_EDGES_0 if share_edge_randomness else _STREAM_EDGES_1
+    return [(derive_seed(seed, _STREAM_EDGES_0), blocks0, w0.densities),
+            (derive_seed(seed, stream1), blocks1, w1.densities)]
 
 
 class TestSampleGraph:
@@ -260,8 +271,68 @@ class TestSamplerMatchesReference:
         for block in block_sizes(n):
             monkeypatch.setattr(sampling, "_BLOCK", block)
             for (blocks, densities), e in zip(targets, expected):
-                got = sampling._fill_edges(n, blocks, densities, make_rng(11))
-                assert np.array_equal(got, e), f"_BLOCK = {block}"
+                got = np.zeros((1, n, n), dtype=np.uint8)
+                sampling._fill_rows(got, 0, n - 1, [(11, blocks, densities)])
+                assert np.array_equal(got[0], e), f"_BLOCK = {block}"
+
+    @pytest.mark.parametrize("n", [2, 3, 57, 300, 1000])
+    @pytest.mark.parametrize("share", [False, True])
+    def test_row_ranges_give_the_reference_bytes(self, n, share):
+        # a range starting at row s reads each stream from uniform
+        # s (2n - s - 1)/2: split points with every residue of that count
+        # mod 4 that n has, the middle row and the last row
+        w0, w1 = PAIRS["three_block"]
+        seed = 2**40 + 5
+        e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
+        jobs = pair_jobs(w0, w1, n, seed, share)
+        first = {}
+        for s in range(n):
+            first.setdefault(s * (2 * n - s - 1) // 2 % 4, s)
+        assert len(first) == min(n, 4)
+        for split in sorted({*first.values(), n // 2, n - 1}):
+            adj = np.zeros((2, n, n), dtype=np.uint8)
+            sampling._fill_rows(adj, split, n - 1, jobs)  # the second range first
+            sampling._fill_rows(adj, 0, split, jobs)
+            assert adj[0].tobytes() == e0.tobytes(), f"split {split}"
+            assert adj[1].tobytes() == e1.tobytes(), f"split {split}"
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for p in (None, pool):
+                got = sample_coupled(w0, w1, n, seed, share_edge_randomness=share, pool=p)
+                assert got.g0.adjacency.tobytes() == e0.tobytes()
+                assert got.g1.adjacency.tobytes() == e1.tobytes()
+
+    @pytest.mark.parametrize("share", [False, True])
+    def test_each_stream_is_drawn_once(self, monkeypatch, share):
+        # a shared pair draws n(n - 1)/2 uniforms, an independent one n(n - 1);
+        # with a pool the second range also discards the < 4 uniforms of its
+        # stream's Philox block that precede its first
+        n, seed = 300, 9
+        edge_keys = {derive_seed(seed, _STREAM_EDGES_0), derive_seed(seed, _STREAM_EDGES_1)}
+        drawn = []
+        real = sampling.make_rng
+
+        class Counted:
+            def __init__(self, key):
+                self.rng = real(key)
+                self.bit_generator = self.rng.bit_generator
+
+            def random(self, size, out=None):
+                drawn.append(size)
+                return self.rng.random(size, out=out)
+
+        monkeypatch.setattr(
+            sampling, "make_rng", lambda key: Counted(key) if key in edge_keys else real(key)
+        )
+        w0, w1 = PAIRS["readme"]
+        streams = 1 if share else 2
+        serial = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
+        assert sum(drawn) == streams * n * (n - 1) // 2
+        drawn.clear()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pooled = sample_coupled(w0, w1, n, seed, share_edge_randomness=share, pool=pool)
+        assert 0 <= sum(drawn) - streams * n * (n - 1) // 2 < 4 * streams
+        assert pooled.g0.adjacency.tobytes() == serial.g0.adjacency.tobytes()
+        assert pooled.g1.adjacency.tobytes() == serial.g1.adjacency.tobytes()
 
     @pytest.mark.parametrize(
         "model, n, seed, digest",
@@ -299,6 +370,30 @@ class TestPooledSampler:
                     assert np.array_equal(
                         got.g0.latent_positions, serial.g0.latent_positions
                     )
+
+    def test_concurrent_ranges_write_disjoint_entries(self, monkeypatch):
+        # eight ranges of one shared pair filled at once, on more threads than
+        # cores and with frequent thread switches, in blocks of 5 rows
+        n, seed = 300, 17
+        monkeypatch.setattr(sampling, "_BLOCK", 5 * n)
+        w0, w1 = PAIRS["three_block"]
+        e0, e1 = reference_sample_coupled(w0, w1, n, seed, True)
+        jobs = pair_jobs(w0, w1, n, seed, True)
+        cuts = [(n - 1) * k // 8 for k in range(9)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(5):
+                    adj = np.zeros((2, n, n), dtype=np.uint8)
+                    futures = [pool.submit(sampling._fill_rows, adj, a, b, jobs)
+                               for a, b in zip(cuts[:-1], cuts[1:])]
+                    for future in futures:
+                        future.result(timeout=60)
+                    assert adj[0].tobytes() == e0.tobytes()
+                    assert adj[1].tobytes() == e1.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSampledGraphValidation:

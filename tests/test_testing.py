@@ -436,14 +436,14 @@ class TestOverlappedTrials:
         self, monkeypatch, blas_threads, harness, share
     ):
         caller = threading.get_ident()
-        real = sampling._fill_edges
+        real = sampling._fill_rows
 
-        def fill(n, blocks, densities, rng):
+        def fill(adj, start, stop, jobs):
             if threading.get_ident() != caller:
                 raise RuntimeError("second graph")
-            return real(n, blocks, densities, rng)
+            return real(adj, start, stop, jobs)
 
-        monkeypatch.setattr(sampling, "_fill_edges", fill)
+        monkeypatch.setattr(sampling, "_fill_rows", fill)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="second graph"):
             self.harnesses(share=share)[harness]()

@@ -27,8 +27,10 @@ workload, per side, the largest bound as a share of eps and the total
 fallbacks (``certificate_summary``). Each run
 also records its CPU seconds per attempted operation (``cpu_s_per_op``: the
 ``RUSAGE_CHILDREN`` user plus system time of the perfbench process and its
-worker, over ``attempted``), and each workload the parent and change
-medians, so a change that spends CPU on an idle core shows it. A traced
+worker, over ``attempted``) and its minor page faults per attempted operation
+(``minflt_per_op``, from the same ``RUSAGE_CHILDREN`` delta), and each
+workload the parent and change medians of both, so a change that spends CPU
+on an idle core, or pages in fresh memory on every call, shows it. A traced
 pair (``--trace 1``) records the per-call p50 of every traced span. The
 ``machine`` block reads both OpenBLAS libraries that the numpy and scipy
 wheels bundle: build string, the core kernel picked at run time and the
@@ -60,27 +62,30 @@ END_TO_END = ("ops_per_ref", "setup_s", "peak_rss_mb")
 TIMING_LINE = re.compile(r"^\s+(\S+)\s+(\S+)\s+(\d+)\s+([0-9.]+)")
 
 
-def child_cpu_s() -> float:
-    """User plus system CPU seconds of every waited-for child process so far."""
+def child_usage() -> tuple[float, int]:
+    """User plus system CPU seconds, and minor page faults, of every
+    waited-for child process so far."""
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+    return usage.ru_utime + usage.ru_stime, usage.ru_minflt
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    before = child_cpu_s()
+    cpu_before, minflt_before = child_usage()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=300)
-    cpu_s = child_cpu_s() - before
+    cpu_after, minflt_after = child_usage()
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    ops = result["attempted"] or math.nan
     out = {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
-        "cpu_s_per_op": cpu_s / result["attempted"] if result["attempted"] else math.nan,
+        "cpu_s_per_op": (cpu_after - cpu_before) / ops,
+        "minflt_per_op": (minflt_after - minflt_before) / ops,
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }
     if trace:
@@ -316,6 +321,7 @@ def main(argv=None) -> int:
                 pair[f"{side}_failed"] = r["failed"]
                 pair[f"{side}_attempted"] = r["attempted"]
                 pair[f"{side}_cpu_s_per_op"] = r["cpu_s_per_op"]
+                pair[f"{side}_minflt_per_op"] = r["minflt_per_op"]
             outputs = {side: run_outputs(roots[side], workload, seed) for side in order}
             digests = {side: outputs[side]["sha256"] for side in order}
             pair["output_sha256"] = digests["change"]
@@ -337,9 +343,9 @@ def main(argv=None) -> int:
             "attempted": {s: sum(p[f"{s}_attempted"] for p in pairs) for s in roots},
             "failed": {s: sum(p[f"{s}_failed"] for p in pairs) for s in roots},
             "all_runs_correct": all(p[f"{s}_correct"] for p in pairs for s in roots),
-            "cpu_s_per_op_median": {
-                s: statistics.median(p[f"{s}_cpu_s_per_op"] for p in pairs) for s in roots
-            },
+            **{f"{key}_median": {
+                s: statistics.median(p[f"{s}_{key}"] for p in pairs) for s in roots
+            } for key in ("cpu_s_per_op", "minflt_per_op")},
             "summary": summary,
             "runs": pairs,
         }
