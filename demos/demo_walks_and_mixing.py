@@ -37,6 +37,6 @@ g = sample_graph(w, 12, seed=7)
 report = cheeger_check(g)
 print(
     f"  n=12 sample: phi={report.phi:.3f}  "
-    f"phi^2/2={report.lower:.3f} <= gap={report.gap:.3f} <= 2 phi={report.upper:.3f}"
+    f"phi^2/2={report.lower:.3f} <= gamma={report.gamma:.3f} <= 2 phi={report.upper:.3f}"
     f"  -> holds: {report.holds}"
 )

@@ -1,13 +1,15 @@
 """Graph sampling from step graphons, coupled pairs, and edge-list input.
 
-Sampling is dense and exact: one uniform draw per unordered vertex pair
-(desk scale, n up to a few thousand). Everything is deterministic given the
-64-bit seed; each stage draws from its own stream, derived with
-``seeding.derive_seed``, so no stage's draws depend on another's.
+Sampling is dense: one 32-bit uniform per unordered vertex pair, two from
+each 64-bit Philox output word (low half first), so a pair of density p is an
+edge with probability ceil(p 2^32)/2^32 (desk scale, n up to a few thousand).
+Everything is deterministic given the 64-bit seed; each stage draws from its
+own stream, derived with ``seeding.derive_seed``, so no stage's draws depend
+on another's.
 
 All edges come from one filler, ``_fill_rows``: it fills a range of rows of
 the upper triangle of one or more graphs, reading each stream in row-major
-order, one value per pair, from the range's first uniform, so a seed yields
+order, one uniform per pair, from the range's first uniform, so a seed yields
 the same adjacency whatever the ranges. A plain sample is one range of one
 graph; a coupled pair is filled together, on a worker as two ranges. The
 coupling is only the stream g1 reads: its own, or, with shared edge
@@ -124,7 +126,9 @@ class SampledGraph:
         return self.adjacency.shape[0]
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
+        # a uint16 sum holds any degree below 2^16 and is the cheapest to add
+        acc = np.uint16 if self.n < 1 << 16 else np.int64
+        return self.adjacency.sum(axis=1, dtype=acc).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -152,37 +156,52 @@ def _positions_and_blocks(w: StepGraphon, n: int, seed: int):
     return x, block_index(w.block_weights, x)
 
 
+def _halves(words):
+    """The 32-bit halves of 64-bit words, low first on either byte order."""
+    return words.astype("<u8", copy=False).view("<u4")
+
+
 def _fill_rows(adj, start, stop, jobs):
     """Rows start to stop - 1 of each adjacency adj[g], both triangles, for
-    jobs[g] = (key, blocks, densities): {i, j}, i < j, is an edge when its
-    uniform from the Philox stream of key is below densities[blocks[i],
-    blocks[j]]. Graphs with one key share one draw of their stream.
+    jobs[g] = (key, blocks, densities); graphs with one key share one draw of
+    their stream.
 
-    A stream gives the pairs their uniforms in row-major order, one 64-bit
-    Philox output each, so the range starts at output words = start (2n -
-    start - 1)/2: a fresh Philox advanced words // 4 counter steps (four
-    outputs each), words % 4 draws discarded. A block of rows draws its uniforms in one call per stream,
-    scatters them through its upper-triangle mask and compares them with its
-    densities straight into adj; the square on the diagonal is then masked
-    and mirrored. Disjoint ranges write disjoint entries.
+    A stream's uniforms are 32-bit: output word w of the key's Philox gives
+    w mod 2^32, then w >> 32, and the pairs {i, j}, i < j, take them in
+    row-major order. {i, j} is an edge iff u < ceil(p 2^32) for p =
+    densities[blocks[i], blocks[j]], tested as u <= t with uint32 t =
+    ceil(p 2^32) - 1 (p 2^32 is exact), so P(edge) is within 2^-32 of p; p = 0,
+    which no StepGraphon holds, is masked by block pair. The range starts at
+    uniform s = start (2n - start - 1)/2, in word s // 2: a fresh Philox
+    advanced s // 8 counter steps (four words each), (s // 2) % 4 words
+    discarded, and for odd s the low half dropped. A block of rows draws its
+    words in one call per stream, scatters their halves through its
+    upper-triangle mask and compares them with its thresholds straight into
+    adj; the square on the diagonal is then masked and mirrored. Disjoint
+    ranges write disjoint entries.
     """
     n = adj.shape[1]
     keys = list(dict.fromkeys(key for key, _, _ in jobs))
     rows = max(1, min(stop - start, _BLOCK // n))
-    # one allocation: a block's uniforms per stream, then its densities, whose
-    # row takes each stream's draws before they are scattered; zeroed so the
-    # comparisons left of the mask never meet uninitialised bytes
-    scratch = np.zeros((len(keys) + 1, rows * n))
-    words = start * (2 * n - start - 1) // 2
-    rngs = [make_rng(key) for key in keys]
-    for rng in rngs:
-        rng.bit_generator.advance(words // 4)
-        rng.random(words % 4)
+    # one allocation: a block's uniforms per stream, then its thresholds;
+    # zeroed so the comparisons left of the mask never meet uninitialised bytes
+    scratch = np.zeros((len(keys) + 1, rows * n), dtype=np.uint32)
+    first = start * (2 * n - start - 1) // 2
+    streams = [make_rng(key).bit_generator for key in keys]
+    for bits in streams:
+        bits.advance(first // 8)
+        bits.random_raw(first // 2 % 4)
+    # each stream's drawn but unused half: the range's first uniform when it
+    # is a high half, then the high half of a block's last word
+    carry = [_halves(bits.random_raw(first % 2))[1:] for bits in streams]
     # upper[k, j] is j > k: the mask of a block of rows that starts on the diagonal
     upper = np.arange(n) > np.arange(rows)[:, None]
-    graphs = [(keys.index(key), densities[:, blocks], blocks, flag)
-              for (key, blocks, densities), flag in zip(jobs, adj.view(bool))]
-    p = scratch[-1]
+    graphs = []
+    for (key, blocks, densities), flag in zip(jobs, adj.view(bool)):
+        limit = np.ceil(densities * 2.0**32)[:, blocks]  # 0 only where p = 0
+        graphs.append((keys.index(key), np.maximum(limit - 1, 0).astype(np.uint32),
+                       blocks, flag, limit > 0 if not limit.all() else None))
+    t = scratch[-1]
     for a in range(start, stop, rows):
         b = min(a + rows, stop)
         shape = b - a, n - a
@@ -190,12 +209,19 @@ def _fill_rows(adj, start, stop, jobs):
         # n - 1 - i uniforms for each row i of the block
         count = (b - a) * (2 * n - a - b - 1) // 2
         u = [s[: mask.size].reshape(shape) for s in scratch[:-1]]
-        for rng, us in zip(rngs, u):
-            us[mask] = rng.random(count, out=p[:count])
-        pb = p[: mask.size].reshape(shape)
-        for stream, prob, blocks, flag in graphs:
-            np.take(prob[:, a:], blocks[a:b], axis=0, out=pb)
-            np.less(u[stream], pb, out=flag[a:b, a:])
+        for k, (bits, us) in enumerate(zip(streams, u)):
+            drawn = _halves(bits.random_raw((count - carry[k].size + 1) // 2))
+            if carry[k].size:
+                drawn = np.concatenate((carry[k], drawn))
+            us[mask] = drawn[:count]
+            carry[k] = drawn[count:]
+        tb = t[: mask.size].reshape(shape)
+        for stream, thresholds, blocks, flag, positive in graphs:
+            np.take(thresholds[:, a:], blocks[a:b], axis=0, out=tb)
+            edge = flag[a:b, a:]
+            np.less_equal(u[stream], tb, out=edge)
+            if positive is not None:
+                edge &= positive[blocks[a:b], a:]
             square = flag[a:b, a:b]
             np.logical_and(square, mask[:, : b - a], out=square)
             np.logical_or(square, square.T, out=square)
@@ -205,25 +231,30 @@ def _fill_rows(adj, start, stop, jobs):
 def _sample(x, seed, jobs, pool=None):
     """The graphs of ``jobs`` on positions x, in one uint8 block: one range
     on the caller, or with an executor ``pool`` two ranges of equal uniform
-    counts, the second on its worker (``fork_join``), with the same bytes."""
+    counts, the second on its worker (``fork_join``), which then also checks
+    the second of the two graphs; the bytes are the same."""
     n = len(x)
     adj = np.zeros((len(jobs), n, n), dtype=np.uint8)
+
+    def graph(a):
+        return SampledGraph(a, latent_positions=x, seed=seed, _owned=True)
+
     if pool is None:
         _fill_rows(adj, 0, n - 1, jobs)
-    else:
-        # rows [0, split) hold half the uniforms: split (2n - split - 1)/2 = n(n - 1)/4
-        split = round(n - 0.5 - (n * (n - 1) / 2 + 0.25) ** 0.5)
-        fork_join(pool, lambda rows: _fill_rows(adj, *rows, jobs),
-                  (0, split), (split, n - 1))
-    return [SampledGraph(a, latent_positions=x, seed=seed, _owned=True) for a in adj]
+        return [graph(a) for a in adj]
+    # rows [0, split) hold half the uniforms: split (2n - split - 1)/2 = n(n - 1)/4
+    split = round(n - 0.5 - (n * (n - 1) / 2 + 0.25) ** 0.5)
+    fork_join(pool, lambda rows: _fill_rows(adj, *rows, jobs), (0, split), (split, n - 1))
+    return fork_join(pool, graph, *adj)
 
 
 def sample_graph(w: StepGraphon, n: int, seed: int) -> SampledGraph:
     """Draw a graph on n vertices from the step graphon.
 
     Positions are i.i.d. uniform on [0,1]; each unordered pair {i,j} is an
-    edge independently with probability equal to the kernel value at the
-    pair's positions. Deterministic given (w, n, seed).
+    edge independently with probability the kernel value at the pair's
+    positions, rounded up to a multiple of 2^-32. Deterministic given
+    (w, n, seed).
     """
     if n < 2:
         raise InvalidModel(f"need n >= 2, got {n}")

@@ -240,6 +240,12 @@ def spectral_gap(chain: RWChain) -> float:
     |S - S^T| for the reversibility check and then (S + S^T)/2. S is freed
     before ``eigvalsh`` makes its own working copy.
     """
+    return _gaps(chain)[0]
+
+
+def _gaps(chain: RWChain) -> tuple[float, float]:
+    """The absolute gap of ``spectral_gap`` and the spectral gap 1 - lambda_2,
+    from one symmetric eigensolve."""
     s = np.sqrt(chain.pi)
     S = np.multiply(s[:, None], chain.P)
     np.divide(S, s[None, :], out=S)
@@ -253,8 +259,8 @@ def spectral_gap(chain: RWChain) -> float:
     del S
     vals = np.linalg.eigvalsh(sym)  # ascending; top (=1) is the pi direction
     if vals.size < 2:
-        return 1.0
-    return float(max(0.0, 1.0 - np.abs(vals[:-1]).max()))
+        return 1.0, 1.0
+    return float(max(0.0, 1.0 - np.abs(vals[:-1]).max())), float(1.0 - vals[-2])
 
 
 def _subset_cut_and_volume(adjacency, degrees, limit_mass):
@@ -303,10 +309,11 @@ def bottleneck_ratio(g: SampledGraph) -> float:
 
 @dataclass(frozen=True)
 class CheegerReport:
-    """Exact conductance, absolute gap, and the sandwich bounds."""
+    """Exact conductance, absolute gap, spectral gap, and the sandwich bounds."""
 
     phi: float
     gap: float
+    gamma: float
     lower: float
     upper: float
     holds: bool
@@ -314,7 +321,11 @@ class CheegerReport:
 
 
 def cheeger_check(g: SampledGraph, lazy: bool = False) -> CheegerReport:
-    """Assert phi^2/2 <= gap <= 2*phi with the exact bottleneck ratio.
+    """Check phi^2/2 <= gamma <= 2*phi with the exact bottleneck ratio.
+
+    gamma = 1 - lambda_2 is the gap of the theorem (Levin-Peres-Wilmer 13.10);
+    ``gap``, the absolute gap of ``spectral_gap``, falls below phi^2/2 when
+    lambda_n is near -1.
 
     Only the exact phi is meaningful here (an upper bound on phi would make
     the left inequality vacuous), so graphs beyond the exhaustive limit raise
@@ -326,14 +337,15 @@ def cheeger_check(g: SampledGraph, lazy: bool = False) -> CheegerReport:
     if lazy:
         chain = chain.lazy()
         phi = phi / 2.0
-    gap = spectral_gap(chain)
+    gap, gamma = _gaps(chain)
     lower, upper = phi * phi / 2.0, 2.0 * phi
     eps = 1e-9
     return CheegerReport(
         phi=phi,
         gap=gap,
+        gamma=gamma,
         lower=lower,
         upper=upper,
-        holds=bool(lower - eps <= gap <= upper + eps),
+        holds=bool(lower - eps <= gamma <= upper + eps),
         lazy=lazy,
     )

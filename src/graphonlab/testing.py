@@ -260,12 +260,13 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial, limit=None):
     """``[trial(h0_i, h1_i, seed_i) for i in range(trials)]``, where h0_i and
     h1_i are ``graph_embedding(g, cfg, limit)`` of coupled pair i's two graphs.
 
-    Each trial forks and joins twice on one worker thread, with numpy's
+    Each trial forks and joins three times on one worker thread, with numpy's
     OpenBLAS on one thread throughout so the two threads do not contend for
     the cores: the worker fills the rows that hold the second half of the
     pair's uniforms while the caller fills the first, under either coupling,
-    then the worker embeds the second graph while the caller embeds the
-    first, on the vector and the dense path alike. The caller then runs
+    then checks the second graph while the caller checks the first, then
+    embeds the second graph while the caller embeds the first, on the vector
+    and the dense path alike. The caller then runs
     ``trial``. So one pair and two embeddings (two walk matrices, float32 or
     float64) are alive at a time. When numpy's OpenBLAS is not found the loop
     is serial, on the caller. The results, and the exception raised, are

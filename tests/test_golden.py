@@ -25,22 +25,22 @@ FAMILY = {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}
 
 EXPERIMENT_SHA256 = {
     "identity": {
-        "distances.csv": "fd9d06e5327e274c2e386f42f42bd6cdbfc5eb2e4ed1d6286498f3a63075aff6",
-        "trials.csv": "d334d2dfea1f46a5823d18daaa7ae8dd0de932b4d1ac491f58e7197f3f3e5c81",
-        "summary.csv": "5c99b4917da91dd016ff8437bd66b4eeaf9b8f1353a299409aecfe084a18700b",
-        "report.json": "05f5c682605c6c87753985a18f39056111b4479cebc90f1b688e57667f04e693",
+        "distances.csv": "40e1384b45c4fa2da869abc79e4c5b6727f83d0b2b2205a5e73479a05c4efd70",
+        "trials.csv": "47e34e40698f3ccc81f9d287f6384f5fce6a2c203e3615884110e5267d22a292",
+        "summary.csv": "ff5d059ed8be57944194156feab8aee4ded02f689cdb99f08875a793cdb77f31",
+        "report.json": "19b30a1e515a9675ebd7e9a0c9bd3857f009fe317e6e08c5d32f0da945d288c1",
     },
     "tanh": {
-        "distances.csv": "f7a0bc40f89900229e39a307957283e826af445ccfb039fdb5dacc3a0f456361",
-        "trials.csv": "ffe5edadb7f4ff02886d6365a6ceda29d7892b9954c5d4f7970120c27610c678",
-        "summary.csv": "eb0275d24bd55a4538bf266e31cb92960c8261810c1cdda9eebef80ce54b01be",
-        "report.json": "5f473bf6e0e58d01307bce0824082e550de058b85b88c8034771f9d32f29251d",
+        "distances.csv": "b13d697a220972070db0ab2169299cfa62bd8d018796b69f32a0770a74d73015",
+        "trials.csv": "7498e00305de346fd098d3df12316d3810899de04f13dd176b586254bb80e080",
+        "summary.csv": "17b37fc3df81e55d49171c570685013bce60570db21e591aa7ee88c9b1b5fc11",
+        "report.json": "313a927116b2c782b1d344d3aa3e56df0fed6c9a48e904e2052238710023cb0c",
     },
     "selu": {
-        "distances.csv": "18208b3c721a27ff655cc6cde7d29bc7186ae72f4aa1b0ffd6b5f738c8034582",
-        "trials.csv": "fbe0c2ebcad5dce599409c9a1821470e330bd603e38f9b459a09020686b5ea2d",
-        "summary.csv": "d95a7d037ab952922bc0317340b8e7ebd5edc533e5406ad0799b57c5bfbe454c",
-        "report.json": "ec2e4826dbacc0874109ad43a2531f80aa2d5e6fdc7c24b6cdeaa133cd543f71",
+        "distances.csv": "45e5a2dc1600d277ae66aa1c0025bdc523d16c714654a6b9075b1134bb7f7f6f",
+        "trials.csv": "ca0cf1110ee330f20c24dedaad82ad2a28d05b0bea11fcdea469eeedd0aebf72",
+        "summary.csv": "455c750833f654865686fc474580f823766d62f44ecb9be67c300efc22b8ee6f",
+        "report.json": "725ccb4dacf2d16545b03a363a384d56818c58d5db8471aec44adb5d8d09c605",
     },
 }
 
@@ -52,12 +52,12 @@ EXPERIMENT_OVERRIDES = {
 }
 
 MIXING_SHA256 = {
-    "mixing_runs.csv": "8885533d6686c1320f6c3ab90540b86bc415c55f2a241ed2bf8697cfaff8ae17",
-    "tv_traces.json": "c6153e87e85b59891db40ac5f963948ff2dcf6856de55001fd79f7bc0a2be6ca",
+    "mixing_runs.csv": "acd40e199ce6f3f44a64d09c0e9453529174c22af0bc378ec29917c46cf08e0b",
+    "tv_traces.json": "28c9dbc7f7022900229a58ad451ccf9be554aa641b4a12d7c5993fd25c28d618",
 }
 
 # linearization_gap's (gap, envelope) as float.hex
-GAP_HEX = ("0x1.a1dfed5a61000p-20", "0x1.cd1e94b6e1353p-19")
+GAP_HEX = ("0x1.66ca6462ee000p-20", "0x1.7f61033ddcb39p-19")
 
 
 def sha256_of(path):

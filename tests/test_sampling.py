@@ -2,6 +2,7 @@ import hashlib
 import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,27 +43,41 @@ THREE_BLOCK = StepGraphon(
     [[0.9, 0.1, 0.45], [0.1, 0.3, 0.7], [0.45, 0.7, 0.05]],
 )
 # exact 0 and 1 densities, which StepGraphon's min_density keeps out of a
-# model: no uniform in [0, 1) passes 0, and every one passes 1
+# model: no uniform passes 0, and every one passes 1
 ZERO_ONE = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [0.5, 0.25, 0.0]])
 
 
-# Reference oracle: the original per-row edge loops, kept verbatim. The
-# sampler's one row-range filler must reproduce them bit for bit, over any
-# split of the rows.
-def _reference_fill_edges(adj, blocks, densities, rng):
+# Reference oracle: per-row loops over the edge stream as defined. Output
+# word w of a key's Philox gives the uniforms w mod 2^32, then w >> 32; the
+# pairs take them in row-major upper-triangle order, and {i, j} is an edge iff
+# u < ceil(p 2^32), compared in int64. The sampler's one row-range filler must
+# reproduce them bit for bit, over any split of the rows.
+def reference_uniforms(key, count):
+    words = make_rng(key).bit_generator.random_raw(-(-count // 2))
+    halves = np.stack([words % 2**32, words >> 32], axis=1)
+    return halves.ravel()[:count].astype(np.int64)
+
+
+def reference_limits(densities):
+    return np.ceil(np.asarray(densities) * 2.0**32).astype(np.int64)
+
+
+def _reference_fill_edges(adj, blocks, densities, key):
     n = adj.shape[0]
+    u = reference_uniforms(key, n * (n - 1) // 2)
+    limit = reference_limits(densities)
+    first = 0
     for i in range(n - 1):
-        u = rng.random(n - 1 - i)
-        p = densities[blocks[i], blocks[i + 1 :]]
-        adj[i, i + 1 :] = u < p
+        row = u[first : first + n - 1 - i]
+        adj[i, i + 1 :] = row < limit[blocks[i], blocks[i + 1 :]]
+        first += n - 1 - i
     adj |= adj.T
 
 
 def reference_sample_graph(w, n, seed):
     x, blocks = _positions_and_blocks(w, n, seed)
     adj = np.zeros((n, n), dtype=np.uint8)
-    rng = make_rng(derive_seed(seed, _STREAM_EDGES_0))
-    _reference_fill_edges(adj, blocks, w.densities, rng)
+    _reference_fill_edges(adj, blocks, w.densities, derive_seed(seed, _STREAM_EDGES_0))
     return adj
 
 
@@ -71,18 +86,21 @@ def reference_sample_coupled(w0, w1, n, seed, share_edge_randomness):
     blocks1 = block_index(w1.block_weights, x)
     a0 = np.zeros((n, n), dtype=np.uint8)
     a1 = np.zeros((n, n), dtype=np.uint8)
-    rng0 = make_rng(derive_seed(seed, _STREAM_EDGES_0))
+    key0 = derive_seed(seed, _STREAM_EDGES_0)
     if share_edge_randomness:
+        u = reference_uniforms(key0, n * (n - 1) // 2)
+        limit0, limit1 = reference_limits(w0.densities), reference_limits(w1.densities)
+        first = 0
         for i in range(n - 1):
-            u = rng0.random(n - 1 - i)
-            a0[i, i + 1 :] = u < w0.densities[blocks0[i], blocks0[i + 1 :]]
-            a1[i, i + 1 :] = u < w1.densities[blocks1[i], blocks1[i + 1 :]]
+            row = u[first : first + n - 1 - i]
+            a0[i, i + 1 :] = row < limit0[blocks0[i], blocks0[i + 1 :]]
+            a1[i, i + 1 :] = row < limit1[blocks1[i], blocks1[i + 1 :]]
+            first += n - 1 - i
         a0 |= a0.T
         a1 |= a1.T
     else:
-        _reference_fill_edges(a0, blocks0, w0.densities, rng0)
-        rng1 = make_rng(derive_seed(seed, _STREAM_EDGES_1))
-        _reference_fill_edges(a1, blocks1, w1.densities, rng1)
+        _reference_fill_edges(a0, blocks0, w0.densities, key0)
+        _reference_fill_edges(a1, blocks1, w1.densities, derive_seed(seed, _STREAM_EDGES_1))
     return a0, a1
 
 
@@ -243,15 +261,18 @@ class TestSamplerMatchesReference:
                   for i, w in enumerate((w0, w1)) for seed in seeds}
         coupled = {(share, seed): reference_sample_coupled(w0, w1, n, seed, share)
                    for share in (False, True) for seed in seeds}
-        for block in block_sizes(n):
-            monkeypatch.setattr(sampling, "_BLOCK", block)
-            for (i, seed), expected in single.items():
-                got = sample_graph((w0, w1)[i], n, seed).adjacency
-                assert np.array_equal(got, expected), f"_BLOCK = {block}"
-            for (share, seed), (e0, e1) in coupled.items():
-                got = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
-                assert np.array_equal(got.g0.adjacency, e0), f"_BLOCK = {block}"
-                assert np.array_equal(got.g1.adjacency, e1), f"_BLOCK = {block}"
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for block in block_sizes(n):
+                monkeypatch.setattr(sampling, "_BLOCK", block)
+                for (i, seed), expected in single.items():
+                    got = sample_graph((w0, w1)[i], n, seed).adjacency
+                    assert np.array_equal(got, expected), f"_BLOCK = {block}"
+                for (share, seed), (e0, e1) in coupled.items():
+                    for p in (None, pool):
+                        got = sample_coupled(w0, w1, n, seed, share_edge_randomness=share,
+                                             pool=p)
+                        assert np.array_equal(got.g0.adjacency, e0), f"_BLOCK = {block}"
+                        assert np.array_equal(got.g1.adjacency, e1), f"_BLOCK = {block}"
 
     @pytest.mark.parametrize("n", [2, 3, 57, 300])
     def test_exact_zero_and_one_densities(self, monkeypatch, n):
@@ -263,7 +284,7 @@ class TestSamplerMatchesReference:
         expected = []
         for blocks, densities in targets:
             adj = np.zeros((n, n), dtype=np.uint8)
-            _reference_fill_edges(adj, blocks, densities, make_rng(11))
+            _reference_fill_edges(adj, blocks, densities, 11)
             p = densities[blocks[:, None], blocks[None, :]]
             off_diagonal = ~np.eye(n, dtype=bool)
             assert adj[(p == 1) & off_diagonal].all() and not adj[p == 0].any()
@@ -275,20 +296,61 @@ class TestSamplerMatchesReference:
                 sampling._fill_rows(got, 0, n - 1, [(11, blocks, densities)])
                 assert np.array_equal(got[0], e), f"_BLOCK = {block}"
 
+    @pytest.mark.parametrize("n", [2, 3, 57, 300])
+    def test_exact_thresholds(self, monkeypatch, n):
+        # {i, j} is an edge iff u < ceil(p 2^32). Limits for densities 0,
+        # 2^-32, 1/2, 1 - 2^-33 (whose p 2^32 rounds up) and 1 are 0, 1, 2^31,
+        # 2^32 and 2^32; a stream of chosen words sets each pair's uniform two
+        # below to one above its limit, so every comparison sits at its edge
+        values = np.array([0.0, 2.0**-32, 0.5, 1 - 2.0**-33, 1.0])
+        densities = values[np.add.outer(np.arange(5), np.arange(5)) % 5]
+        blocks = np.arange(n) * 3 % 5
+        i, j = np.triu_indices(n, 1)
+        limit = reference_limits(densities)[blocks[i], blocks[j]]
+        offset = np.random.default_rng(n).integers(-2, 2, size=limit.size)
+        u = np.clip(limit + offset, 0, 2**32 - 1).astype(np.uint64)
+        u = np.append(u, u[: u.size % 2])  # an odd count leaves a high half unread
+        words = u[0::2] | u[1::2] << np.uint64(32)
+        expected = np.zeros((n, n), dtype=np.uint8)
+        expected[i, j] = expected[j, i] = u[: limit.size] < limit
+
+        class Words:
+            def __init__(self):
+                self.at = 0
+
+            def advance(self, steps):
+                self.at += 4 * steps
+
+            def random_raw(self, size):
+                self.at += size
+                return words[self.at - size : self.at].copy()
+
+        monkeypatch.setattr(sampling, "make_rng",
+                            lambda key: SimpleNamespace(bit_generator=Words()))
+        jobs = [(11, blocks, densities)]
+        for block in block_sizes(n):
+            monkeypatch.setattr(sampling, "_BLOCK", block)
+            for split in sorted({0, 1, 2, 3, n // 2, n - 1} & set(range(n))):
+                got = np.zeros((1, n, n), dtype=np.uint8)
+                sampling._fill_rows(got, split, n - 1, jobs)
+                sampling._fill_rows(got, 0, split, jobs)
+                assert got[0].tobytes() == expected.tobytes(), f"_BLOCK = {block}"
+
     @pytest.mark.parametrize("n", [2, 3, 57, 300, 1000])
     @pytest.mark.parametrize("share", [False, True])
     def test_row_ranges_give_the_reference_bytes(self, n, share):
         # a range starting at row s reads each stream from uniform
-        # s (2n - s - 1)/2: split points with every residue of that count
-        # mod 4 that n has, the middle row and the last row
+        # s (2n - s - 1)/2, a low or high half (its residue mod 2) after
+        # discarding 0 to 3 words (its quotient mod 4): split points with every
+        # residue mod 8 that n has, the middle row and the last row
         w0, w1 = PAIRS["three_block"]
         seed = 2**40 + 5
         e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
         jobs = pair_jobs(w0, w1, n, seed, share)
         first = {}
         for s in range(n):
-            first.setdefault(s * (2 * n - s - 1) // 2 % 4, s)
-        assert len(first) == min(n, 4)
+            first.setdefault(s * (2 * n - s - 1) // 2 % 8, s)
+        assert len(first) == min(n, 8)
         for split in sorted({*first.values(), n // 2, n - 1}):
             adj = np.zeros((2, n, n), dtype=np.uint8)
             sampling._fill_rows(adj, split, n - 1, jobs)  # the second range first
@@ -303,48 +365,60 @@ class TestSamplerMatchesReference:
 
     @pytest.mark.parametrize("share", [False, True])
     def test_each_stream_is_drawn_once(self, monkeypatch, share):
-        # a shared pair draws n(n - 1)/2 uniforms, an independent one n(n - 1);
-        # with a pool the second range also discards the < 4 uniforms of its
-        # stream's Philox block that precede its first
-        n, seed = 300, 9
+        # a shared pair draws ceil(n(n - 1)/4) raw words, two uniforms each, an
+        # independent one twice that; with a pool the second range also
+        # discards the < 4 words of its stream's Philox block that precede its
+        # first, and draws again the word that holds it when it is a high half
+        n, seed = 302, 9  # n(n - 1)/2 is odd
         edge_keys = {derive_seed(seed, _STREAM_EDGES_0), derive_seed(seed, _STREAM_EDGES_1)}
         drawn = []
         real = sampling.make_rng
 
         class Counted:
-            def __init__(self, key):
-                self.rng = real(key)
-                self.bit_generator = self.rng.bit_generator
+            def __init__(self, bits):
+                self.bits = bits
 
-            def random(self, size, out=None):
+            def advance(self, delta):
+                self.bits.advance(delta)
+
+            def random_raw(self, size):
                 drawn.append(size)
-                return self.rng.random(size, out=out)
+                return self.bits.random_raw(size)
 
-        monkeypatch.setattr(
-            sampling, "make_rng", lambda key: Counted(key) if key in edge_keys else real(key)
-        )
+        def make_rng(key):
+            rng = real(key)
+            if key in edge_keys:
+                return SimpleNamespace(bit_generator=Counted(rng.bit_generator))
+            return rng
+
+        monkeypatch.setattr(sampling, "make_rng", make_rng)
         w0, w1 = PAIRS["readme"]
         streams = 1 if share else 2
+        words = -(-n * (n - 1) // 4)
         serial = sample_coupled(w0, w1, n, seed, share_edge_randomness=share)
-        assert sum(drawn) == streams * n * (n - 1) // 2
+        assert sum(drawn) == streams * words
         drawn.clear()
         with ThreadPoolExecutor(max_workers=1) as pool:
             pooled = sample_coupled(w0, w1, n, seed, share_edge_randomness=share, pool=pool)
-        assert 0 <= sum(drawn) - streams * n * (n - 1) // 2 < 4 * streams
+        assert 0 <= sum(drawn) - streams * words <= 4 * streams
         assert pooled.g0.adjacency.tobytes() == serial.g0.adjacency.tobytes()
         assert pooled.g1.adjacency.tobytes() == serial.g1.adjacency.tobytes()
 
     @pytest.mark.parametrize(
         "model, n, seed, digest",
         [
-            ("readme", 300, 7,
-             "d9925a8d8380a08d8313edc9857431a650b8d110ab20c68b963ca0e67511f838"),
-            ("three_block", 257, 2024,
-             "061a3bf397a15a554bd1d16643858ba010b534003b514dcefd3715fa71b72f0e"),
+            pytest.param(
+                "readme", 300, 7,
+                "f1120f7d8000291edf2ee596621494880534b8f9eae090015924beb7bfe4565b",
+                id="readme-300-7"),
+            pytest.param(
+                "three_block", 257, 2024,
+                "bb8a7a61083495d39b92a8e5d57bdb68c57ce415cfea0253037344c0844dedfa",
+                id="three_block-257-2024"),
         ],
     )
     def test_golden_adjacency_sha256(self, model, n, seed, digest):
-        # Philox draws and float comparisons only, no BLAS: portable bytes
+        # Philox words, integer halves and comparisons only, no BLAS: portable bytes
         w = SBM_BASE.to_step_graphon() if model == "readme" else THREE_BLOCK
         g = sample_graph(w, n, seed)
         assert hashlib.sha256(g.adjacency.tobytes()).hexdigest() == digest

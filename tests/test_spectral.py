@@ -326,6 +326,18 @@ class TestCheeger:
         assert report.gap == pytest.approx(0.25)
         assert report.holds
 
+    def test_sandwich_is_about_one_minus_lambda_two(self):
+        # K_{3,3} plus an edge inside one side: not bipartite, but lambda_n is
+        # near -1, so the absolute gap falls below phi^2/2 while the sandwich
+        # holds for gamma = 1 - lambda_2
+        edges = [(i, j) for i in range(3) for j in range(3, 6)] + [(0, 1)]
+        report = cheeger_check(graph_from_edges(6, edges))
+        assert report.phi == pytest.approx(5 / 9)
+        assert report.gap == pytest.approx(0.1517576378, abs=1e-9)
+        assert report.gap < report.lower
+        assert report.gamma == pytest.approx(0.9017576378, abs=1e-9)
+        assert report.holds
+
     def test_too_large(self):
         g = sample_graph(SBM_BASE.to_step_graphon(), 30, seed=3)
         with pytest.raises(GraphTooLarge):
