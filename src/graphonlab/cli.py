@@ -396,9 +396,14 @@ def _validate_experiment_config(doc) -> dict:
     version = doc.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:  # true == 1
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
-    for key in ("models", "n_list", "k_rule", "eps_rule", "trials", "seed", "output_dir"):
+    required = ("models", "n_list", "k_rule", "eps_rule", "trials", "seed", "output_dir")
+    for key in required:
         if key not in doc:
             raise ConfigError(f"experiment config missing {key!r}")
+    optional = ("share_edge_randomness", "activation", "const_c", "envelope_const")
+    unknown = sorted(set(doc) - {"schema_version", *required, *optional})
+    if unknown:
+        raise ConfigError(f"unknown experiment config keys: {', '.join(map(repr, unknown))}")
     models = doc["models"]
     if not (isinstance(models, list) and len(models) == 2):
         raise ConfigError("models must be a list of exactly two specs")
@@ -436,8 +441,8 @@ def _plan_experiment(path):
 
 
 def _run_experiment_n(run, idx, n, depth, eps):
-    """One trial loop at the idx-th n; returns that n's (distance, error)
-    records of report.json, both read from the same coupled pairs."""
+    """One trial loop at the idx-th n; returns that n's (DistanceStats,
+    ExperimentReport), both read from the same coupled pairs."""
     w0, w1 = run["models"]
     cfg = GCNConfig(depth=depth, activation=run["activation"])
     mc = monte_carlo_error(
@@ -446,63 +451,17 @@ def _run_experiment_n(run, idx, n, depth, eps):
     )
     dist = distance_stats(
         n, depth, mc.seed, mc.delta, [t.embedding_distance for t in mc.outcomes],
-        mc.small_coord_fracs, run["share"], run["envelope_const"],
+        [t.small_coord_frac for t in mc.outcomes], run["share"], run["envelope_const"],
     )
-    distance = {
-        "n": dist.n,
-        "K": dist.depth,
-        "trials": dist.trials,
-        "seed": dist.seed,
-        "median": dist.median,
-        "p95": dist.p95,
-        "envelope": dist.envelope,
-        "regime": dist.regime,
-        "delta": dist.delta,
-        "frac_small_coords": dist.frac_small_coords,
-        "coord_tol_const": COORD_TOL_CONST,
-        "shared_edge_randomness": dist.shared_edge_randomness,
-        "distances": list(dist.distances),
-    }
-    error = {
-        "n": mc.n,
-        "K": mc.depth,
-        "eps_res": mc.eps_res,
-        "trials": mc.trials,
-        "seed": mc.seed,
-        "error_rate": mc.error_rate,
-        "ci_low": mc.ci_low,
-        "ci_high": mc.ci_high,
-        "mean_conditional_tv": mc.mean_conditional_tv,
-        "lecam_floor": mc.bounds.lecam_lower,
-        "formula_floor": mc.bounds.formula_floor,
-        "formula_raw": mc.bounds.formula_raw,
-        "regime": mc.bounds.regime,
-        "delta": mc.delta,
-        "f32_bound_max": mc.f32_bound_max,  # no CSV reads these two
-        "f64_fallbacks": mc.f64_fallbacks,
-        "trials_detail": [
-            {"trial": i, "seed": t.seed, "label": t.true_label,
-             "decision": t.decision, "distance": t.embedding_distance}
-            for i, t in enumerate(mc.outcomes)
-        ],
-    }
-    return distance, error
-
-
-# summary.csv's columns: keys of one n's error record overlaid by its distance
-# record, or of the four that _write_experiment adds
-_SUMMARY_COLUMNS = (
-    "n", "K", "eps_res", "delta", "regime", "median_distance", "p95_distance",
-    "envelope", "frac_small_coords", "error_rate", "ci_low", "ci_high",
-    "accuracy", "lecam_floor", "formula_floor", "fitted_exponent",
-)
+    return dist, mc
 
 
 def _write_experiment(out_dir, doc, records):
-    """Write every experiment output from the per-n (distance, error) records
-    alone; returns the summary path and the fitted decay exponent of the p95s."""
-    dists, errors = zip(*records)
-    exponent = fit_decay_exponent([d["n"] for d in dists], [d["p95"] for d in dists])
+    """Write every experiment output from the per-n (DistanceStats,
+    ExperimentReport) records alone, the one place that names a column or a
+    report.json key; returns the summary path and the fitted decay exponent
+    of the p95s."""
+    exponent = fit_decay_exponent([d.n for d, _ in records], [d.p95 for d, _ in records])
     paths = [
         os.path.join(out_dir, name)
         for name in ("distances.csv", "trials.csv", "summary.csv", "report.json")
@@ -511,28 +470,68 @@ def _write_experiment(out_dir, doc, records):
     _write_csv(
         distances_csv,
         ["n", "trial", "seed", "distance"],
-        ([d["n"], i, d["seed"], f"{x:.17g}"]
-         for d in dists for i, x in enumerate(d["distances"])),
+        ([d.n, i, d.seed, f"{x:.17g}"]
+         for d, _ in records for i, x in enumerate(d.distances)),
     )
     _write_csv(
         trials_csv,
         ["n", "trial", "seed", "label", "decision", "distance"],
-        ([e["n"], *fields, f"{x:.17g}"]
-         for e in errors for *fields, x in (t.values() for t in e["trials_detail"])),
-    )
-    summary = (
-        {**e, **d, "median_distance": d["median"], "p95_distance": d["p95"],
-         "accuracy": 1.0 - e["error_rate"], "fitted_exponent": exponent}
-        for d, e in records
+        ([e.n, i, t.seed, t.true_label, t.decision, f"{t.embedding_distance:.17g}"]
+         for _, e in records for i, t in enumerate(e.outcomes)),
     )
     _write_csv(
         summary_csv,
-        _SUMMARY_COLUMNS,
-        ([f"{row[c]:.12g}" if isinstance(row[c], float) else row[c] for c in _SUMMARY_COLUMNS]
-         for row in summary),
+        ["n", "K", "eps_res", "delta", "regime", "median_distance", "p95_distance",
+         "envelope", "frac_small_coords", "error_rate", "ci_low", "ci_high",
+         "accuracy", "lecam_floor", "formula_floor", "fitted_exponent"],
+        ([f"{v:.12g}" if isinstance(v, float) else v for v in (
+            d.n, d.depth, e.eps_res, d.delta, d.regime, d.median, d.p95,
+            d.envelope, d.frac_small_coords, e.error_rate, e.ci_low, e.ci_high,
+            1.0 - e.error_rate, e.bounds.lecam_lower, e.bounds.formula_floor, exponent,
+        )] for d, e in records),
     )
+    distance, error = [], []
+    for d, e in records:
+        distance.append({
+            "n": d.n,
+            "K": d.depth,
+            "trials": d.trials,
+            "seed": d.seed,
+            "median": d.median,
+            "p95": d.p95,
+            "envelope": d.envelope,
+            "regime": d.regime,
+            "delta": d.delta,
+            "frac_small_coords": d.frac_small_coords,
+            "coord_tol_const": COORD_TOL_CONST,
+            "shared_edge_randomness": d.shared_edge_randomness,
+            "distances": list(d.distances),
+        })
+        error.append({
+            "n": e.n,
+            "K": e.depth,
+            "eps_res": e.eps_res,
+            "trials": e.trials,
+            "seed": e.seed,
+            "error_rate": e.error_rate,
+            "ci_low": e.ci_low,
+            "ci_high": e.ci_high,
+            "mean_conditional_tv": e.mean_conditional_tv,
+            "lecam_floor": e.bounds.lecam_lower,
+            "formula_floor": e.bounds.formula_floor,
+            "formula_raw": e.bounds.formula_raw,
+            "regime": e.bounds.regime,
+            "delta": e.delta,
+            "f32_bound_max": e.f32_bound_max,
+            "f64_fallbacks": e.f64_fallbacks,
+            "trials_detail": [
+                {"trial": i, "seed": t.seed, "label": t.true_label,
+                 "decision": t.decision, "distance": t.embedding_distance}
+                for i, t in enumerate(e.outcomes)
+            ],
+        })
     with open(report_json, "w") as fh:
-        json.dump({"fitted_exponent": exponent, "distance": dists, "error": errors}, fh)
+        json.dump({"fitted_exponent": exponent, "distance": distance, "error": error}, fh)
         fh.write("\n")
     _write_manifest(out_dir, doc, paths)
     return summary_csv, exponent
@@ -731,7 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Config keys: schema_version=1, models (two specs), n_list, "
             "k_rule (int or 'ceil(D*ln(n))'), eps_rule (number, 'c/n' or 'c/n^2'), "
             "activation, trials, seed, output_dir, plus optional "
-            "share_edge_randomness, const_c, envelope_const. Each n runs one "
+            "share_edge_randomness, const_c, envelope_const; any other key is a "
+            "config error. Each n runs one "
             "seeded trial loop under the configured coupling: each trial samples "
             "and embeds one coupled pair, which gives both its distances.csv and "
             "its trials.csv row. Outputs: "

@@ -148,12 +148,19 @@ class ErrorBounds:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One protocol round: truth, decision, coupled embedding distance, seed."""
+    """One protocol round: the coin, the test's decision, and what the coupled
+    pair gives: its max-coordinate embedding distance, its share of coordinates
+    that differ by at most COORD_TOL_CONST/n^2, the TV between its embeddings'
+    noisy laws, and its two graphs' certified float32 error bounds (None for a
+    graph embedded in float64)."""
 
     true_label: int
     decision: int
     embedding_distance: float
     seed: int
+    small_coord_frac: float
+    conditional_tv: float
+    f32_bounds: tuple
 
     def __post_init__(self):
         if self.true_label not in (0, 1) or self.decision not in (0, 1):
@@ -203,6 +210,7 @@ def nearest_profile_test(
 class ExperimentReport:
     """Aggregated Monte Carlo error estimate with its floors.
 
+    ``outcomes`` holds each trial's TrialOutcome, in trial order.
     ``error_rate`` carries an exact (Clopper-Pearson) 95% binomial interval.
     ``mean_conditional_tv`` averages the per-trial TV between the two coupled
     unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
@@ -218,7 +226,6 @@ class ExperimentReport:
     trials: int
     seed: int
     outcomes: tuple
-    small_coord_fracs: tuple
     error_rate: float
     ci_low: float
     ci_high: float
@@ -299,16 +306,16 @@ def _mc_trial(w0, w1, n, eps_res, profiles, embedded0, embedded1, trial_seed):
     label = int(coin.integers(0, 2))
     observed = h0 if label == 0 else h1
     noisy = perturb(observed, eps_res, derive_seed(trial_seed, _STREAM_NOISE))
-    decision = nearest_profile_test(noisy, w0, w1, n, profiles=profiles)
-    tv = tv_perturbed(h0, h1, eps_res).tv
     distance, small = _distance_trial(n, h0, h1)
-    outcome = TrialOutcome(
+    return TrialOutcome(
         true_label=label,
-        decision=decision,
+        decision=nearest_profile_test(noisy, w0, w1, n, profiles=profiles),
         embedding_distance=distance,
         seed=trial_seed,
+        small_coord_frac=small,
+        conditional_tv=tv_perturbed(h0, h1, eps_res).tv,
+        f32_bounds=(bound0, bound1),
     )
-    return outcome, tv, small, bound0, bound1
 
 
 def monte_carlo_error(
@@ -326,25 +333,24 @@ def monte_carlo_error(
 
     Trial i runs with seed derived from (seed, i): coin, coupled sample,
     embedding, perturbation, decision. Reports the error rate with an exact
-    95% interval, each trial's coupled distance and small-coordinate fraction,
-    and the mean conditional Le Cam floor, valid under either coupling by joint
-    convexity of TV, next to the closed-form floor. Graphs embed through the
-    float32 walk where their certified error is at most
-    F32_ERROR_SHARE * eps_res (gcn.graph_embedding), and the report records
-    those bounds.
+    95% interval, each trial's TrialOutcome, and the mean conditional Le Cam
+    floor, valid under either coupling by joint convexity of TV, next to the
+    closed-form floor. Graphs embed through the float32 walk where their
+    certified error is at most F32_ERROR_SHARE * eps_res (gcn.graph_embedding),
+    and the report records those bounds.
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
     if eps_res <= 0:
         raise InvalidModel("eps_res must be positive")
     profiles = expected_sorted_profile(w0, n), expected_sorted_profile(w1, n)
-    outcomes, tvs, small, bounds0, bounds1 = zip(*_each_trial(
+    outcomes = tuple(_each_trial(
         w0, w1, n, cfg, seed, trials, share_edge_randomness,
         lambda e0, e1, s: _mc_trial(w0, w1, n, eps_res, profiles, e0, e1, s),
         limit=F32_ERROR_SHARE * eps_res,
     ))
-    f32 = [b for b in bounds0 + bounds1 if b is not None]
-    tvs = np.array(tvs)
+    f32 = [b for t in outcomes for b in t.f32_bounds if b is not None]
+    tvs = np.array([t.conditional_tv for t in outcomes])
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
     lo, hi = clopper_pearson(errors, trials)
@@ -369,7 +375,6 @@ def monte_carlo_error(
         trials=trials,
         seed=seed,
         outcomes=outcomes,
-        small_coord_fracs=small,
         error_rate=rate,
         ci_low=lo,
         ci_high=hi,

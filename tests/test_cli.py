@@ -545,6 +545,9 @@ class TestExperimentCommand:
             ("seed", 2**65),
             ("trials", 100_001),
             ("eps_rule", "1e-323/n"),
+            # misspelt optional keys, which would otherwise fall back to defaults
+            ("activaton", "tanh"),
+            ("share_edge_randomnes", True),
         ],
         ids=[
             "share-string", "share-int", "const_c-string", "const_c-bool",
@@ -552,6 +555,7 @@ class TestExperimentCommand:
             "envelope-negative", "envelope-nan", "n_list-int", "n_list-huge",
             "output_dir-int", "activation-sigmoid", "seed-negative", "seed-2^64",
             "seed-2^65", "trials-over-cap", "eps_rule-underflow",
+            "unknown-activaton", "unknown-share_edge_randomnes",
         ],
     )
     def test_optional_key_type_is_config_error(

@@ -64,6 +64,11 @@ def test_every_trial_loop_call_is_traced(tracer, kind):
             w0, w1, 40, cfg, trials, 5, share_edge_randomness=True
         )
     names = [s.name for s in spans.run_spans(0)]
+    # each error trial perturbs, decides and takes the pair's TV once; each
+    # harness call takes the models' delta once
+    for name in ("gcn.perturb", "testing.nearest_profile_test", "testing.tv_perturbed"):
+        assert names.count(name) == trials
+    assert names.count("graphon.delta_distance") == 3
     assert names.count("sampling.sample_coupled.indep") == 2 * trials
     assert names.count("sampling.sample_coupled.shared") == trials
     assert names.count("gcn.graph_embedding") == 3 * 2 * trials

@@ -248,14 +248,17 @@ class TestMonteCarlo:
             report = monte_carlo_error(w0, w1, n, cfg, eps, trials, seed)
             with one_blas_thread():
                 bounds = [
-                    testing.graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)[1]
+                    tuple(testing.graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)[1]
+                          for g in (pair.g0, pair.g1))
                     for pair in (testing.sample_coupled(w0, w1, n, derive_seed(seed, i))
                                  for i in range(trials))
-                    for g in (pair.g0, pair.g1)
                 ]
-            assert report.f32_bound_max == max(bounds) and report.f64_fallbacks == 0
+            assert [t.f32_bounds for t in report.outcomes] == bounds
+            assert report.f32_bound_max == max(max(b) for b in bounds)
+            assert report.f64_fallbacks == 0
             # noise so small that the skip rule sends every graph to float64
             report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
+            assert [t.f32_bounds for t in report.outcomes] == [(None, None)] * trials
             assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
 
     def test_profiles_built_once_per_call(self, monkeypatch):
@@ -372,9 +375,10 @@ class TestOverlappedTrials:
         limit = testing.F32_ERROR_SHARE * eps  # as monte_carlo_error sets it
         ref = serial_trials(self.W0, self.W1, n, cfg, eps, trials, seed, False, limit)
         report = monte_carlo_error(self.W0, self.W1, n, cfg, eps, trials, seed)
-        assert [(t.seed, t.true_label, t.decision, t.embedding_distance)
-                for t in report.outcomes] == [
-            (r["seed"], r["label"], r["decision"], r["distance"]) for r in ref
+        assert [(t.seed, t.true_label, t.decision, t.embedding_distance,
+                 t.conditional_tv, t.small_coord_frac) for t in report.outcomes] == [
+            (r["seed"], r["label"], r["decision"], r["distance"], r["tv"], r["small"])
+            for r in ref
         ]
         assert report.mean_conditional_tv == float(np.mean([r["tv"] for r in ref]))
         for share in (False, True):
@@ -389,14 +393,12 @@ class TestOverlappedTrials:
         report = monte_carlo_error(
             self.W0, self.W1, n, cfg, eps, trials, seed, share_edge_randomness=True
         )
-        assert [(t.seed, t.true_label, t.decision, t.embedding_distance)
-                for t in report.outcomes] == [
-            (r["seed"], r["label"], r["decision"], r["distance"]) for r in ref
+        assert [(t.seed, t.true_label, t.decision, t.embedding_distance,
+                 t.conditional_tv, t.small_coord_frac) for t in report.outcomes] == [
+            (r["seed"], r["label"], r["decision"], r["distance"], r["tv"], r["small"])
+            for r in ref
         ]
         assert report.mean_conditional_tv == float(np.mean([r["tv"] for r in ref]))
-        assert float(np.mean(report.small_coord_fracs)) == float(
-            np.mean([r["small"] for r in ref])
-        )
 
     def harnesses(self, cfg=GCNConfig(depth=5), share=False):
         return {
