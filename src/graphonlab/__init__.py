@@ -28,7 +28,6 @@ from .gcn import (
     fast_linear_embedding,
     forward,
     graph_embedding,
-    inf_operator_norm,
     linearization_gap,
     perturb,
 )

@@ -35,7 +35,6 @@ from . import __version__
 from .errors import GraphonLabError, InvalidModel, NotMixed
 from .gcn import Activation, GCNConfig, blas_info
 from .graphon import (
-    SBMParams,
     delta_distance,
     family_binding_constraints,
     family_generate,
@@ -43,6 +42,7 @@ from .graphon import (
     FamilySpec,
     normalized_degree_profile,
     parse_model_spec,
+    parse_sbm_spec,
 )
 from .sampling import (
     MAX_EDGE_LIST_VERTICES,
@@ -114,8 +114,8 @@ def _load_model(entry, sbm: bool = False):
     """Model spec from a parsed dict, inline JSON or a file path.
 
     Returns a StepGraphon, or with ``sbm`` the SBMParams of a two-block
-    {"k1","p1","p2","q"} spec. A spec whose fields have the wrong type or are
-    missing is a ConfigError.
+    {"k1","p1","p2","q"} spec. A spec with a missing or unknown key, or a
+    field of the wrong type, exits as a config error.
     """
     kind = "SBM" if sbm else "model"
     if isinstance(entry, str):
@@ -124,12 +124,7 @@ def _load_model(entry, sbm: bool = False):
             text = _read_text(text, f"{kind} spec file")
         entry = _parse_json(text, f"{kind} spec")
     try:
-        if not sbm:
-            return parse_model_spec(entry)
-        missing = {"k1", "p1", "p2", "q"} - set(entry)
-        if missing:
-            raise ConfigError(f"SBM spec missing fields: {sorted(missing)}")
-        return SBMParams(entry["k1"], entry["p1"], entry["p2"], entry["q"])
+        return parse_sbm_spec(entry) if sbm else parse_model_spec(entry)
     except GraphonLabError:  # InvalidModel is also a ValueError; keep its message
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as exc:

@@ -315,7 +315,7 @@ def _certified(limit, g, depth, act, run64):
         lo, hi = bracket
         s, half = (lo + hi) / 2, (hi - lo) / 2
         if (s * rel + half * (1.0 - rel)) / n <= limit:
-            h = _walk32(g, depth, deg).astype(np.float64)
+            h = _walk(g, depth, deg, np.float32).astype(np.float64)
             hmax = float(h.max())
             # gradual underflow adds at most 2^-150 absolutely per product
             # h_j r_j, the walk never grows l1 norms (which bound max norms),
@@ -328,27 +328,19 @@ def _certified(limit, g, depth, act, run64):
     return run64(), None
 
 
-def _walk32(g: SampledGraph, depth: int, deg: np.ndarray) -> np.ndarray:
-    """h_0 A_hat^K in float32, as h <- (h r) A with A the 0/1 adjacency; it
+def _walk(g: SampledGraph, depth: int, deg: np.ndarray, dtype) -> np.ndarray:
+    """h_0 A_hat^K in dtype, as h <- (h r) A with A the 0/1 adjacency; it
     stops at a step that returns its argument bit for bit, since the step is
     one fixed map and all K steps would give those bytes and certificate."""
-    # exact: degrees up to 2^24 and the 0/1 entries are float32 integers
-    r = np.float32(1.0) / deg.astype(np.float32)
-    a = g.adjacency.astype(np.float32)
-    h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
+    # exact: degrees up to 2^24 and the 0/1 entries are integers in either dtype
+    r = dtype(1.0) / deg.astype(dtype)
+    a = g.adjacency.astype(dtype)
+    h = np.full(g.n, dtype(1.0) / dtype(g.n), dtype=dtype)
     for _ in range(depth):
         step = (h * r) @ a
-        if np.array_equal(step.view(np.uint32), h.view(np.uint32)):
+        if step.tobytes() == h.tobytes():
             break
         h = step
-    return h
-
-
-def _walk64(g: SampledGraph, depth: int) -> np.ndarray:
-    ahat = rw_transition_matrix(g)
-    h = np.full(g.n, 1.0 / g.n)
-    for _ in range(depth):
-        h = h @ ahat
     return h
 
 
@@ -357,13 +349,15 @@ def fast_linear_embedding(g: SampledGraph, depth: int, limit: float | None = Non
 
     Equals embedding_vector(forward(g, cfg)) for the identity (or ReLU or
     selu) activation: the row-average vector is pushed through the chain one
-    vector-matrix product per layer, in float64.
+    vector-matrix product per layer, in float64 (``_walk``).
 
-    With a limit, returns (h, bound) instead (``_certified``): the walk runs
-    in float32, reading half the bytes per layer, and h is its float64 copy,
-    when its certificate holds, and in float64 with bound None otherwise.
+    With a limit, returns (h, bound) instead (``_certified``): the same walk
+    runs in float32, reading half the bytes per layer, and h is its float64
+    copy, when its certificate holds, and the float64 walk's with bound None
+    otherwise.
     """
-    return _certified(limit, g, depth, Activation("identity"), lambda: _walk64(g, depth))
+    return _certified(limit, g, depth, Activation("identity"),
+                      lambda: _walk(g, depth, positive_degrees(g), np.float64))
 
 
 def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None):
@@ -390,12 +384,6 @@ def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     rng = make_rng(seed)
     return h + rng.uniform(-eps_res, eps_res, size=h.shape)
-
-
-def inf_operator_norm(m: np.ndarray) -> float:
-    """Operator norm induced by the max norm: maximum absolute row sum."""
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    return float(np.abs(m).sum(axis=1).max())
 
 
 def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
@@ -429,7 +417,7 @@ def linearization_gap(g: SampledGraph, cfg: GCNConfig) -> tuple[float, float]:
     m_nl = m_lin = buf_nl = buf_lin = None
     a_norms = []
     for _ in range(cfg.depth):
-        # inf_operator_norm(m_nl.T), with |m_nl| in the buffer the layer overwrites
+        # m_nl's largest absolute column sum, |m_nl| in the buffer the layer overwrites
         a_norms.append(
             1.0 if m_nl is None else np.abs(m_nl, out=buf_nl).sum(axis=0).max()
         )

@@ -31,6 +31,7 @@ DEFAULT_MIN_DENSITY = 1e-6
 _WEIGHT_TOL = 1e-12
 _CUT_BLOCK_LIMIT = 16
 _CUT_PERMUTATION_LIMIT = 40320  # 8!: every order of 8 equal-weight blocks
+SBM_FIELDS = ("k1", "p1", "p2", "q")  # the keys, and the order, of SBMParams
 
 
 def _finite_array(value, name: str) -> np.ndarray:
@@ -107,7 +108,7 @@ class SBMParams:
     q: float
 
     def __post_init__(self):
-        for name in ("k1", "p1", "p2", "q"):
+        for name in SBM_FIELDS:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise InvalidModel(f"{name} must be a number, got {v!r}")
@@ -239,16 +240,8 @@ def delta_distance(w0: StepGraphon, w1: StepGraphon) -> float:
     breaks = _quantile_breaks([p.weights for p in profs])
     lengths = np.diff(breaks)
     mids = (breaks[:-1] + breaks[1:]) / 2.0
-    vals = []
-    for p in profs:
-        cum = np.cumsum(p.weights)
-        cum[-1] = 1.0
-        idx = np.minimum(
-            np.searchsorted(cum, mids, side="right"), len(cum) - 1
-        )
-        vals.append(p.values[idx])
-    total = float(np.sum(np.abs(vals[0] - vals[1]) * lengths))
-    return total
+    vals = [p.values[block_index(p.weights, mids)] for p in profs]
+    return float(np.sum(np.abs(vals[0] - vals[1]) * lengths))
 
 
 def family_direction(k1: float) -> np.ndarray:
@@ -418,16 +411,29 @@ def cut_distance_blocks(w0: StepGraphon, w1: StepGraphon) -> float:
     return float(best)
 
 
+def _spec_values(doc, fields) -> list:
+    """doc's values for fields, in order; a key doc holds outside fields, or
+    one of fields it lacks, is an InvalidModel naming it."""
+    unknown = sorted(set(doc) - set(fields), key=str)
+    missing = [k for k in fields if k not in doc]
+    if unknown or missing:
+        raise InvalidModel(f"model spec must hold exactly {'/'.join(fields)}; "
+                           f"unknown keys {unknown}, missing {missing}")
+    return [doc[k] for k in fields]
+
+
+def parse_sbm_spec(doc) -> SBMParams:
+    """SBMParams from a parsed {"k1":..., "p1":..., "p2":..., "q":...} document."""
+    return SBMParams(*_spec_values(doc, SBM_FIELDS))
+
+
 def parse_model_spec(doc) -> StepGraphon:
     """Step graphon from a parsed JSON document.
 
-    Accepts either {"weights": [...], "densities": [[...]]} or the SBM form
-    {"k1":..., "p1":..., "p2":..., "q":...}.
+    Accepts exactly one of two key sets: {"weights": [...], "densities":
+    [[...]]}, or the SBM form of ``parse_sbm_spec``. Any other key (a key of
+    the other set too) or a missing one is an InvalidModel naming it.
     """
-    if "weights" in doc:
-        return StepGraphon(doc["weights"], doc["densities"])
-    if {"k1", "p1", "p2", "q"} <= set(doc):
-        return SBMParams(doc["k1"], doc["p1"], doc["p2"], doc["q"]).to_step_graphon()
-    raise InvalidModel(
-        "model spec must provide weights/densities or k1/p1/p2/q"
-    )
+    if "weights" in doc or "densities" in doc:
+        return StepGraphon(*_spec_values(doc, ("weights", "densities")))
+    return parse_sbm_spec(doc).to_step_graphon()

@@ -718,6 +718,9 @@ MALFORMED_SPECS = {
     "string_k1": '{"k1": "a", "p1": 0.6, "p2": 0.4, "q": 0.2}',
     "string_densities": '{"weights": [1.0], "densities": "x"}',
     "missing_densities": '{"weights": [1.0]}',
+    "extra_key": '{"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2, "qq": 3}',
+    "both_forms": '{"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2, '
+                  '"weights": [1.0], "densities": [[0.5]]}',
     # spec file paths that exist but cannot be read as text
     "directory": "<dir>",
     "non_utf8": "<bad>",

@@ -20,7 +20,6 @@ from graphonlab import (
     fast_linear_embedding,
     forward,
     graph_embedding,
-    inf_operator_norm,
     linearization_gap,
     perturb,
     rw_transition_matrix,
@@ -311,6 +310,20 @@ def _float64_walk(g, depth):
     return h
 
 
+def _walk_spy(monkeypatch):
+    """Record the arguments of every float32 walk; float64 walks run unrecorded."""
+    runs = []
+    real = gcn._walk
+
+    def spy(*args):
+        if args[3] is np.float32:
+            runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gcn, "_walk", spy)
+    return runs
+
+
 class TestWalk32:
     """The identity/ReLU vector path in float32 under its certificate, and
     the float64 path wherever the certificate fails."""
@@ -334,16 +347,12 @@ class TestWalk32:
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
         rel = gcn.f32_relative_error(n, depth)
-
-        def float32_walk(*_):
-            raise AssertionError("the float32 pass ran")
-
-        monkeypatch.setattr(gcn, "_walk32", float32_walk)
+        ref = fast_linear_embedding(g, depth).tobytes()
+        runs = _walk_spy(monkeypatch)
         for limit in (0.0, 0.99 * rel / n):
             h, bound = fast_linear_embedding(g, depth, limit)
-            assert bound is None
-            assert h.tobytes() == _float64_walk(g, depth).tobytes()
-        assert fast_linear_embedding(g, depth).tobytes() == h.tobytes()
+            assert bound is None and h.tobytes() == ref
+        assert runs == []
 
     def test_failed_check_falls_back_after_freeing_float32(self, monkeypatch):
         n, depth = 300, 35
@@ -352,16 +361,9 @@ class TestWalk32:
         rel = gcn.f32_relative_error(n, depth)
         limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
         assert rel / n < limit < bound
-        runs = []
-        real = gcn._walk32
-
-        def float32_walk(*args):
-            runs.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(gcn, "_walk32", float32_walk)
+        runs = _walk_spy(monkeypatch)
         peaks = []
-        for run in (lambda: _float64_walk(g, depth),
+        for run in (lambda: fast_linear_embedding(g, depth),
                     lambda: fast_linear_embedding(g, depth, limit)):
             tracemalloc.start()
             try:
@@ -371,9 +373,9 @@ class TestWalk32:
                 tracemalloc.stop()
         h, bound = out
         assert len(runs) == 1 and bound is None
-        assert h.tobytes() == _float64_walk(g, depth).tobytes()
+        assert h.tobytes() == fast_linear_embedding(g, depth).tobytes()
         # the float32 matrix is gone before the float64 one is built: at most
-        # a few length-n vectors above the float64 path's peak
+        # a few length-n vectors above the float64 walk's peak
         assert peaks[1] <= peaks[0] + 4 * n * 8
 
     def test_isolated_vertex_is_refused_on_both_paths(self):
@@ -392,45 +394,38 @@ def _dense(g, cfg):
     return embedding_vector(forward(g, cfg))
 
 
-def _walk_spy(monkeypatch):
-    """Record the arguments of every float32 walk."""
-    runs = []
-    real = gcn._walk32
-
-    def spy(*args):
-        runs.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(gcn, "_walk32", spy)
-    return runs
-
-
-def _k_step_walk32(g, depth):
-    """The float32 walk written out as K steps, with no early exit."""
-    r = np.float32(1.0) / gcn.positive_degrees(g).astype(np.float32)
-    a = g.adjacency.astype(np.float32)
-    h = np.full(g.n, np.float32(1.0) / np.float32(g.n), dtype=np.float32)
+def _k_step_walk(g, depth, dtype):
+    """The walk in dtype written out as K steps, with no early exit."""
+    r = dtype(1.0) / gcn.positive_degrees(g).astype(dtype)
+    a = g.adjacency.astype(dtype)
+    h = np.full(g.n, dtype(1.0) / dtype(g.n), dtype=dtype)
     for _ in range(depth):
         h = (h * r) @ a
     return h
 
 
 class TestWalkExit:
-    """The float32 walk stops at its first exact repeat, with the bytes of
-    all K steps."""
+    """The walk stops at its first exact repeat, with the bytes of all K
+    steps, in float32 and in float64."""
 
-    # at n = 500, K = 38, this BASE graph's walk repeats at about step 18;
-    # MATCHED's walks did not repeat within K on any seed tried
-    @pytest.mark.parametrize("model, repeats", [("base", True), ("matched", False)])
-    def test_exit_gives_the_k_step_bytes(self, model, repeats):
+    # at n = 500 this BASE graph's walk repeats at step 28 in float32 and at
+    # step 48 in float64; MATCHED's float32 walks did not repeat within
+    # K = ceil(6 ln n) = 38 on any seed tried, nor this one's float64 walk
+    # within 100
+    @pytest.mark.parametrize("model, repeats, dtype, depth", [
+        pytest.param("base", True, np.float32, 38, id="base-True"),
+        pytest.param("matched", False, np.float32, 38, id="matched-False"),
+        pytest.param("base", True, np.float64, 100, id="float64-base-True"),
+        pytest.param("matched", False, np.float64, 100, id="float64-matched-False"),
+    ])
+    def test_exit_gives_the_k_step_bytes(self, model, repeats, dtype, depth):
         n = 500
-        depth = math.ceil(6 * math.log(n))
         g = sample_graph(W0 if model == "base" else MATCHED, n, seed=2)
-        expected = _k_step_walk32(g, depth)
+        expected = _k_step_walk(g, depth, dtype)
         products = []
 
         class Counted(np.ndarray):
-            """An adjacency, and its float32 copy, that count their products."""
+            """An adjacency, and its float copy, that count their products."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
                 if ufunc is np.matmul:
@@ -440,8 +435,8 @@ class TestWalkExit:
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         counted = types.SimpleNamespace(n=n, adjacency=g.adjacency.view(Counted))
-        got = gcn._walk32(counted, depth, gcn.positive_degrees(g))
-        assert type(got) is np.ndarray and got.dtype == np.float32
+        got = gcn._walk(counted, depth, gcn.positive_degrees(g), dtype)
+        assert type(got) is np.ndarray and got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
         if repeats:
             assert len(products) < depth
@@ -575,34 +570,6 @@ class TestPerturb:
         noise = perturb(np.zeros(100_000), eps, seed=12345)
         bound = 3.0 * eps / np.sqrt(3.0 * 100_000)
         assert abs(noise.mean()) <= bound
-
-
-class TestOperatorNorm:
-    def test_identity(self):
-        assert inf_operator_norm(np.eye(5)) == 1.0
-
-    def test_row_stochastic(self):
-        g = sample_graph(SBM_BASE.to_step_graphon(), 30, seed=8)
-        assert inf_operator_norm(rw_transition_matrix(g)) == pytest.approx(1.0)
-
-    def test_signed_example_and_sup_definition(self):
-        M = np.array([[1.0, -2.0], [3.0, 0.0]])
-        assert inf_operator_norm(M) == 3.0
-        # exhaustive check over sign vectors: sup ||Mv||_inf over v in {-1,1}^2
-        best = max(
-            np.abs(M @ np.array(v)).max()
-            for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        )
-        assert best == inf_operator_norm(M)
-
-    def test_submultiplicative(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            A = rng.normal(size=(6, 6))
-            B = rng.normal(size=(6, 6))
-            assert inf_operator_norm(A @ B) <= inf_operator_norm(
-                A
-            ) * inf_operator_norm(B) + 1e-12
 
 
 class TestLinearizationGap:

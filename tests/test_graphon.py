@@ -109,6 +109,16 @@ class TestStepGraphon:
         w2 = parse_model_spec({"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2})
         np.testing.assert_allclose(w1.densities, w2.densities)
 
+    @pytest.mark.parametrize("spec, named", [
+        ({"k1": 0.5, "p1": 0.6, "p2": 0.4, "q": 0.2, "qq": 3}, "'qq'"),
+        ({"weights": [1.0], "densities": [[0.5]], "k1": 0.5}, "'k1'"),
+        ({"weights": [1.0]}, "'densities'"),
+        ({"k1": 0.5, "p1": 0.6, "q": 0.2}, "'p2'"),
+    ], ids=["extra-key", "both-forms", "missing-densities", "missing-p2"])
+    def test_parse_model_spec_names_a_wrong_key(self, spec, named):
+        with pytest.raises(InvalidModel, match=named):
+            parse_model_spec(spec)
+
 
 class TestDegreeFunctionals:
     def test_degree_function_base_sbm(self):
