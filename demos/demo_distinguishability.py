@@ -50,7 +50,7 @@ report = monte_carlo_error(w0, w_fam, n, cfg, eps_res=10.0 / n, trials=trials, s
 print(f"  delta = {report.delta:.2e}, eps_res = 10/n = {10.0 / n:.3f}")
 print(f"  error rate = {report.error_rate:.3f}")
 print(f"  averaged conditional Le Cam floor = {report.bounds.lecam_lower:.3f}")
-print(f"  closed-form floor (const_c=1)     = {report.bounds.formula_floor:.3f}")
+print(f"  closed-form floor (c = 1)         = {report.bounds.formula_floor:.3f}")
 print()
 print("  the error sits near 1/2 because both expected sorted profiles agree")
 print("  up to rounding: the test's two distances tie up to rounding, and nearly")

@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     Disconnected,
-    DimensionMismatch,
     EmptyGraph,
     EmptyInput,
     GraphonLabError,
@@ -37,7 +36,6 @@ from .graphon import (
     SBMParams,
     SignedStepKernel,
     StepGraphon,
-    common_refinement,
     cut_distance_blocks,
     cut_norm_step,
     degree_function,

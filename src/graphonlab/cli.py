@@ -160,18 +160,17 @@ def _int_in(value, name, kind):
     return value
 
 
-def _number(value, name, lowest=-math.inf, above=-math.inf):
-    """float(value) if value is a finite number (not a bool), >= lowest and
-    > above; else a ConfigError."""
+def _number(value, name, lowest=-math.inf):
+    """float(value) if value is a finite number (not a bool) and >= lowest;
+    else a ConfigError."""
     x = math.nan
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    if not (math.isfinite(x) and x >= lowest and x > above):
-        bound = (f" >= {lowest:g}" if lowest > -math.inf
-                 else f" > {above:g}" if above > -math.inf else "")
+    if not (math.isfinite(x) and x >= lowest):
+        bound = f" >= {lowest:g}" if lowest > -math.inf else ""
         raise ConfigError(f"{name} must be a finite number{bound}, got {value!r}")
     return x
 
@@ -395,7 +394,7 @@ def _validate_experiment_config(doc) -> dict:
     for key in required:
         if key not in doc:
             raise ConfigError(f"experiment config missing {key!r}")
-    optional = ("share_edge_randomness", "activation", "const_c", "envelope_const")
+    optional = ("share_edge_randomness", "activation")
     unknown = sorted(set(doc) - {"schema_version", *required, *optional})
     if unknown:
         raise ConfigError(f"unknown experiment config keys: {', '.join(map(repr, unknown))}")
@@ -415,8 +414,6 @@ def _validate_experiment_config(doc) -> dict:
         seed=_int_in(doc["seed"], "seed", "seed"),
         activation=activation,
         share=share,
-        const_c=_number(doc.get("const_c", 1.0), "const_c", above=0.0),
-        envelope_const=_number(doc.get("envelope_const", 1.0), "envelope_const", 0.0),
     )
 
 
@@ -442,11 +439,11 @@ def _run_experiment_n(run, idx, n, depth, eps):
     cfg = GCNConfig(depth=depth, activation=run["activation"])
     mc = monte_carlo_error(
         w0, w1, n, cfg, eps, run["trials"], derive_seed(run["seed"], 2 * idx),
-        const_c=run["const_c"], share_edge_randomness=run["share"],
+        share_edge_randomness=run["share"],
     )
     dist = distance_stats(
         n, depth, mc.seed, mc.delta, [t.embedding_distance for t in mc.outcomes],
-        [t.small_coord_frac for t in mc.outcomes], run["share"], run["envelope_const"],
+        [t.small_coord_frac for t in mc.outcomes], run["share"],
     )
     return dist, mc
 
@@ -724,9 +721,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Config keys: schema_version=1, models (two specs), n_list, "
             "k_rule (int or 'ceil(D*ln(n))'), eps_rule (number, 'c/n' or 'c/n^2'), "
-            "activation, trials, seed, output_dir, plus optional "
-            "share_edge_randomness, const_c, envelope_const; any other key is a "
-            "config error. Each n runs one "
+            "trials, seed, output_dir, plus optional activation and "
+            "share_edge_randomness; any other key is a config error. The floor "
+            "and envelope constants are 1. Each n runs one "
             "seeded trial loop under the configured coupling: each trial samples "
             "and embeds one coupled pair, which gives both its distances.csv and "
             "its trials.csv row. Outputs: "

@@ -26,11 +26,7 @@ class UnmatchableWeights(GraphonLabError):
     """Block weight multisets of two step graphons cannot be matched."""
 
 
-class DimensionMismatch(GraphonLabError, ValueError):
-    """Matrix/graph dimensions do not chain."""
-
-
-class ShapeMismatch(DimensionMismatch):
+class ShapeMismatch(GraphonLabError, ValueError):
     """Two arrays that must share a shape do not."""
 
 

@@ -27,7 +27,7 @@ from .errors import (
     UnmatchableWeights,
 )
 
-DEFAULT_MIN_DENSITY = 1e-6
+MIN_DENSITY = 1e-6  # keeps sampled random walks ergodic
 _WEIGHT_TOL = 1e-12
 _CUT_BLOCK_LIMIT = 16
 _CUT_PERMUTATION_LIMIT = 40320  # 8!: every order of 8 equal-weight blocks
@@ -56,15 +56,11 @@ class StepGraphon:
         Strictly positive interval lengths summing to 1.
     densities : array-like
         Symmetric matrix of edge densities, one entry per block pair,
-        each in [min_density, 1].
-    min_density : float
-        Lower bound enforced on every density. Keeping it positive
-        guarantees that sampled random walks are ergodic.
+        each in [MIN_DENSITY, 1].
     """
 
     block_weights: np.ndarray
     densities: np.ndarray
-    min_density: float = DEFAULT_MIN_DENSITY
 
     def __post_init__(self):
         w = _finite_array(self.block_weights, "block_weights")
@@ -81,12 +77,8 @@ class StepGraphon:
             raise InvalidModel(f"block weights sum to {w.sum()!r}, not 1")
         if not np.allclose(p, p.T, atol=1e-12, rtol=0.0):
             raise InvalidModel("density matrix must be symmetric")
-        if self.min_density <= 0:
-            raise InvalidModel("min_density must be positive")
-        if (p < self.min_density).any() or (p > 1.0).any():
-            raise InvalidModel(
-                f"densities must lie in [{self.min_density}, 1]"
-            )
+        if (p < MIN_DENSITY).any() or (p > 1.0).any():
+            raise InvalidModel(f"densities must lie in [{MIN_DENSITY}, 1]")
         p = (p + p.T) / 2.0
         w.setflags(write=False)
         p.setflags(write=False)
@@ -123,12 +115,8 @@ class SBMParams:
     def k2(self) -> float:
         return 1.0 - self.k1
 
-    def to_step_graphon(self, min_density=DEFAULT_MIN_DENSITY) -> StepGraphon:
-        return StepGraphon(
-            [self.k1, self.k2],
-            [[self.p1, self.q], [self.q, self.p2]],
-            min_density=min_density,
-        )
+    def to_step_graphon(self) -> StepGraphon:
+        return StepGraphon([self.k1, self.k2], [[self.p1, self.q], [self.q, self.p2]])
 
 
 @dataclass(frozen=True)
@@ -310,24 +298,6 @@ def family_binding_constraints(base: SBMParams) -> dict:
     return {"lower": lo, "upper": hi}
 
 
-def common_refinement(w0: StepGraphon, w1: StepGraphon):
-    """Re-express both graphons on the overlay partition of their breakpoints."""
-    breaks = _quantile_breaks([w0.block_weights, w1.block_weights])
-    lengths = np.diff(breaks)
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    out = []
-    for w in (w0, w1):
-        idx = block_index(w.block_weights, mids)
-        out.append(
-            StepGraphon(
-                lengths,
-                w.densities[np.ix_(idx, idx)],
-                min_density=min(w0.min_density, w1.min_density),
-            )
-        )
-    return out[0], out[1]
-
-
 def cut_norm_step(kernel: SignedStepKernel) -> float:
     """Exact cut norm sup_{S,T} |integral over S x T| of a signed step kernel.
 
@@ -365,18 +335,15 @@ def cut_distance_blocks(w0: StepGraphon, w1: StepGraphon) -> float:
     """Cut distance restricted to weight-preserving block permutations.
 
     Both graphons must have matchable weight multisets (raise
-    UnmatchableWeights otherwise); graphons on different partitions should be
-    passed through ``common_refinement`` first. Minimizes the exact cut norm
-    of w0 - w1 over permutations of w1's blocks that map equal weights to
-    equal weights. Raises TooManyBlocks when there are more than
+    UnmatchableWeights otherwise). Minimizes the exact cut norm of w0 - w1
+    over permutations of w1's blocks that map equal weights to equal
+    weights. Raises TooManyBlocks when there are more than
     _CUT_PERMUTATION_LIMIT such permutations.
     """
     if w0.n_blocks != w1.n_blocks or not np.allclose(
         np.sort(w0.block_weights), np.sort(w1.block_weights), atol=1e-9, rtol=0.0
     ):
-        raise UnmatchableWeights(
-            "block weight multisets differ; refine to a common partition first"
-        )
+        raise UnmatchableWeights("block weight multisets differ")
     g0 = _equal_weight_groups(w0.block_weights)
     g1 = _equal_weight_groups(w1.block_weights)
     if sorted(g0) != sorted(g1) or any(

@@ -304,29 +304,21 @@ def empirical_degree_profile(g: SampledGraph) -> np.ndarray:
     return np.sort(deg / total)[::-1]
 
 
-def load_edge_list(stream) -> SampledGraph:
+def load_edge_list(text: str) -> SampledGraph:
     """Parse whitespace-separated integer pairs into a simple graph.
 
-    Accepts a file-like object or an iterable of lines. '#' starts a comment.
-    Vertex ids may be 0- or 1-based; 1-based input (no zero id present) is
-    shifted down. Duplicate edges collapse; self-loops are dropped with a
-    warning carrying their count. Raises GraphTooLarge, before allocating,
-    when the ids imply more than MAX_EDGE_LIST_VERTICES vertices.
+    '#' starts a comment. Vertex ids may be 0- or 1-based; 1-based input (no
+    zero id present) is shifted down. Duplicate edges collapse; self-loops are
+    dropped with a warning carrying their count. Raises GraphTooLarge, before
+    allocating, when the ids imply more than MAX_EDGE_LIST_VERTICES vertices.
     """
-    if hasattr(stream, "read"):
-        lines = stream.read().splitlines()
-    elif isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = list(stream)
-
     edges = []
     self_loops = 0
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if not body:
             continue
-        parts = text.split()
+        parts = body.split()
         if len(parts) != 2:
             raise ParseError(line_no, f"expected 'u v', got {raw.strip()!r}")
         try:

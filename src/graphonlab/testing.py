@@ -107,22 +107,20 @@ def lecam_error_lower(tv: float) -> float:
     return (1.0 - tv) / 2.0
 
 
-def error_probability_floor(
-    delta: float, eps_res: float, n: int, const_c: float = 1.0
-) -> float:
+def error_probability_floor(delta: float, eps_res: float, n: int) -> float:
     """Closed-form error floor for the perturbed-embedding test.
 
     For separated degree profiles (delta > 0, requiring eps_res > delta/(2n)):
     (1 - delta/(2 eps_res n))^n. For matched profiles (delta = 0):
-    exp(-const_c/(eps_res n)), with const_c exposed because only the shape is
-    pinned down, not the constant.
+    exp(-1/(eps_res n)); only this shape is pinned down, and the constant
+    is taken as 1.
     """
     if eps_res <= 0 or n < 1:
         raise InvalidModel("need eps_res > 0 and n >= 1")
     if delta < 0:
         raise InvalidModel("delta must be nonnegative")
     if delta < DELTA_ZERO_TOL:
-        return float(np.exp(-const_c / (eps_res * n)))
+        return float(np.exp(-1.0 / (eps_res * n)))
     if eps_res <= delta / (2.0 * n):
         raise HypothesisViolated(
             f"floor formula needs eps_res > delta/(2n) = {delta / (2 * n):.3e}"
@@ -236,31 +234,29 @@ class ExperimentReport:
     f64_fallbacks: int
 
 
-def clopper_pearson(k: int, n: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval."""
+def clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact two-sided 95% binomial confidence interval."""
     if not 0 <= k <= n or n < 1:
         raise InvalidModel("need 0 <= k <= n, n >= 1")
     from scipy.stats import beta  # deferred: importing scipy costs about 1 s
 
-    lo = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(beta.ppf(0.025, k, n - k + 1))
+    hi = 1.0 if k == n else float(beta.ppf(0.975, k + 1, n - k))
     return lo, hi
 
 
-def error_not_below_floor(
-    errors: int, trials: int, floor: float, alpha: float = 0.05
-) -> bool:
+def error_not_below_floor(errors: int, trials: int, floor: float) -> bool:
     """One-sided exact binomial test of H0: true error rate >= floor.
 
     Returns True when the observed error count is consistent with H0 at
-    level alpha (i.e. the error is not significantly below the floor).
+    level 0.05 (i.e. the error is not significantly below the floor).
     """
     floor = min(max(floor, 0.0), 1.0)
     if floor == 0.0:
         return True
     from scipy.stats import binom  # deferred: importing scipy costs about 1 s
 
-    return float(binom.cdf(errors, trials, floor)) >= alpha
+    return float(binom.cdf(errors, trials, floor)) >= 0.05
 
 
 def _each_trial(w0, w1, n, cfg, seed, trials, share, trial, limit=None):
@@ -326,7 +322,6 @@ def monte_carlo_error(
     eps_res: float,
     trials: int,
     seed: int,
-    const_c: float = 1.0,
     share_edge_randomness: bool = False,
 ) -> ExperimentReport:
     """Estimate the error rate of the nearest-profile test over seeded trials.
@@ -357,7 +352,7 @@ def monte_carlo_error(
     delta = delta_distance(w0, w1)
     regime = "delta_zero" if delta < DELTA_ZERO_TOL else "delta_positive"
     try:
-        raw = error_probability_floor(delta, eps_res, n, const_c=const_c)
+        raw = error_probability_floor(delta, eps_res, n)
     except HypothesisViolated:
         # eps_res <= delta/(2n): the achievability regime, where no positive
         # closed-form floor applies
@@ -390,8 +385,9 @@ def monte_carlo_error(
 class DistanceStats:
     """Coupled embedding-distance experiment summary.
 
-    ``envelope`` is delta/n * (1 + envelope_const/sqrt(n)) when the degree
-    profiles separate, and envelope_const * n^(-3/2 + 0.1) when they match.
+    ``envelope`` is delta/n * (1 + 1/sqrt(n)) when the degree profiles
+    separate, and n^(-3/2 + 0.1) when they match; only these shapes are
+    pinned down, and the constant is taken as 1.
     ``frac_small_coords`` averages, per trial, the fraction of coordinates
     whose difference is at most COORD_TOL_CONST/n^2 (diagnostic for the
     matched regime).
@@ -438,7 +434,6 @@ def embedding_distance_experiment(
     trials: int,
     seed: int,
     share_edge_randomness: bool = False,
-    envelope_const: float = 1.0,
 ) -> DistanceStats:
     """Distribution of max-coordinate distance between coupled embeddings.
 
@@ -454,17 +449,17 @@ def embedding_distance_experiment(
         lambda h0, h1, _: _distance_trial(n, h0, h1),
     ))
     return distance_stats(n, cfg.depth, seed, delta_distance(w0, w1), dists, fracs,
-                          share_edge_randomness, envelope_const)
+                          share_edge_randomness)
 
 
-def distance_stats(n, depth, seed, delta, dists, fracs, share, envelope_const):
+def distance_stats(n, depth, seed, delta, dists, fracs, share):
     """The DistanceStats of per-trial distances and small-coordinate fractions."""
     if delta < DELTA_ZERO_TOL:
         regime = "delta_zero"
-        envelope = envelope_const * float(n) ** (-1.5 + 0.1)
+        envelope = float(n) ** (-1.5 + 0.1)
     else:
         regime = "delta_positive"
-        envelope = (delta / n) * (1.0 + envelope_const / np.sqrt(n))
+        envelope = (delta / n) * (1.0 + 1.0 / np.sqrt(n))
     return DistanceStats(
         n=n,
         depth=depth,

@@ -528,14 +528,6 @@ class TestExperimentCommand:
         [
             ("share_edge_randomness", "false"),
             ("share_edge_randomness", 0),
-            ("const_c", "x"),
-            ("const_c", True),
-            ("const_c", 0.0),
-            ("const_c", float("inf")),
-            ("const_c", 10**400),
-            ("envelope_const", None),
-            ("envelope_const", -1.0),
-            ("envelope_const", float("nan")),
             ("n_list", 5),
             ("n_list", [40, 10_000_000]),
             ("output_dir", 5),
@@ -548,14 +540,27 @@ class TestExperimentCommand:
             # misspelt optional keys, which would otherwise fall back to defaults
             ("activaton", "tanh"),
             ("share_edge_randomnes", True),
+            # keys that no longer exist: the floor and envelope constants are
+            # 1, and a config that sets either, to any value, is refused
+            ("const_c", 1.0),
+            ("envelope_const", 1.0),
+            ("const_c", "x"),
+            ("const_c", True),
+            ("const_c", 0.0),
+            ("const_c", float("inf")),
+            ("const_c", 10**400),
+            ("envelope_const", None),
+            ("envelope_const", -1.0),
+            ("envelope_const", float("nan")),
         ],
         ids=[
-            "share-string", "share-int", "const_c-string", "const_c-bool",
-            "const_c-zero", "const_c-inf", "const_c-huge-int", "envelope-null",
-            "envelope-negative", "envelope-nan", "n_list-int", "n_list-huge",
+            "share-string", "share-int", "n_list-int", "n_list-huge",
             "output_dir-int", "activation-sigmoid", "seed-negative", "seed-2^64",
             "seed-2^65", "trials-over-cap", "eps_rule-underflow",
             "unknown-activaton", "unknown-share_edge_randomnes",
+            "unknown-const_c", "unknown-envelope_const", "const_c-string",
+            "const_c-bool", "const_c-zero", "const_c-inf", "const_c-huge-int",
+            "envelope-null", "envelope-negative", "envelope-nan",
         ],
     )
     def test_optional_key_type_is_config_error(

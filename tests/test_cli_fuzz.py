@@ -46,8 +46,6 @@ CONFIG = {
     "seed": 1,
     "output_dir": "out",
     "share_edge_randomness": False,
-    "const_c": 1.0,
-    "envelope_const": 1.0,
 }
 
 # each case runs in a directory holding these files and its config.json

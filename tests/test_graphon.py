@@ -13,7 +13,6 @@ from graphonlab import (
     StepGraphon,
     TooManyBlocks,
     UnmatchableWeights,
-    common_refinement,
     cut_distance_blocks,
     cut_norm_step,
     degree_function,
@@ -78,12 +77,6 @@ class TestStepGraphon:
     def test_rejects_zero_density(self):
         with pytest.raises(InvalidModel):
             StepGraphon([1.0], [[0.0]])
-
-    def test_min_density_configurable(self):
-        g = StepGraphon([1.0], [[1e-4]], min_density=1e-5)
-        assert g.densities[0, 0] == 1e-4
-        with pytest.raises(InvalidModel):
-            StepGraphon([1.0], [[1e-4]], min_density=1e-3)
 
     @pytest.mark.parametrize(
         "weights, densities, field",
@@ -270,8 +263,7 @@ class TestCutNorm:
     def test_reference_difference_matches_brute_force(self):
         w0 = SBM_BASE.to_step_graphon()
         w1 = SBMParams(0.5, 0.7, 0.5, 0.1).to_step_graphon()
-        r0, r1 = common_refinement(w0, w1)
-        diff = SignedStepKernel(r0.block_weights, r0.densities - r1.densities)
+        diff = SignedStepKernel(w0.block_weights, w0.densities - w1.densities)
         assert cut_norm_step(diff) == pytest.approx(brute_force_cut_norm(diff))
 
     def test_random_kernels_match_brute_force(self):
@@ -336,21 +328,3 @@ class TestCutDistance:
         w1 = StepGraphon([0.4, 0.6], np.full((2, 2), 0.5))
         with pytest.raises(UnmatchableWeights):
             cut_distance_blocks(w0, w1)
-
-    def test_common_refinement_enables_comparison(self):
-        w0 = StepGraphon([0.3, 0.7], np.array([[0.6, 0.2], [0.2, 0.4]]))
-        w1 = StepGraphon([1.0], [[0.5]])
-        r0, r1 = common_refinement(w0, w1)
-        np.testing.assert_allclose(r0.block_weights, r1.block_weights)
-        assert cut_distance_blocks(r0, r1) >= 0.0
-
-    def test_refinement_preserves_functionals(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            a = random_step_graphon(rng, max_blocks=4)
-            b = random_step_graphon(rng, max_blocks=4)
-            ra, rb = common_refinement(a, b)
-            assert total_degree(ra) == pytest.approx(total_degree(a), abs=1e-12)
-            assert delta_distance(ra, rb) == pytest.approx(
-                delta_distance(a, b), abs=1e-12
-            )

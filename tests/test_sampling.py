@@ -1,5 +1,4 @@
 import hashlib
-import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -42,7 +41,7 @@ THREE_BLOCK = StepGraphon(
     [0.15, 0.6, 0.25],
     [[0.9, 0.1, 0.45], [0.1, 0.3, 0.7], [0.45, 0.7, 0.05]],
 )
-# exact 0 and 1 densities, which StepGraphon's min_density keeps out of a
+# exact 0 and 1 densities, which StepGraphon's MIN_DENSITY keeps out of a
 # model: no uniform passes 0, and every one passes 1
 ZERO_ONE = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [0.5, 0.25, 0.0]])
 
@@ -550,7 +549,7 @@ class TestDegreeProfile:
 
 class TestEdgeList:
     def test_simple_path(self):
-        g = load_edge_list(io.StringIO("0 1\n1 2\n"))
+        g = load_edge_list("0 1\n1 2\n")
         assert g.n == 3
         assert np.array_equal(g.adjacency, path_graph(3).adjacency)
         assert g.latent_positions is None
@@ -558,45 +557,45 @@ class TestEdgeList:
 
     def test_dedup_and_self_loop_warning(self):
         with pytest.warns(UserWarning, match="1 self-loop"):
-            g = load_edge_list(io.StringIO("1 2\n2 1\n2 2\n"))
+            g = load_edge_list("1 2\n2 1\n2 2\n")
         assert g.n == 2
         assert int(g.adjacency.sum()) // 2 == 1
 
     def test_one_indexed_autodetect(self):
-        g = load_edge_list(io.StringIO("1 2\n2 3\n"))
+        g = load_edge_list("1 2\n2 3\n")
         assert g.n == 3
 
     def test_zero_indexed_preserved(self):
-        g = load_edge_list(io.StringIO("0 2\n"))
+        g = load_edge_list("0 2\n")
         assert g.n == 3
 
     def test_comments_and_blank_lines(self):
-        g = load_edge_list(io.StringIO("# header\n\n0 1  # trailing\n"))
+        g = load_edge_list("# header\n\n0 1  # trailing\n")
         assert g.n == 2
 
     def test_parse_error_line_number(self):
         with pytest.raises(ParseError) as err:
-            load_edge_list(io.StringIO("a b\n"))
+            load_edge_list("a b\n")
         assert err.value.line_no == 1
         with pytest.raises(ParseError) as err:
-            load_edge_list(io.StringIO("0 1\n0 1 2\n"))
+            load_edge_list("0 1\n0 1 2\n")
         assert err.value.line_no == 2
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            load_edge_list(io.StringIO("# nothing\n"))
+            load_edge_list("# nothing\n")
 
     @pytest.mark.parametrize("text", ["0 100000000000\n", "0 16384\n"])
     def test_vertex_cap_refused_before_allocation(self, text):
         with pytest.raises(GraphTooLarge, match="capped at 16384"):
-            load_edge_list(io.StringIO(text))
+            load_edge_list(text)
 
     def test_save_round_trip(self, tmp_path):
         g = sample_graph(SBM_BASE.to_step_graphon(), 25, seed=11)
         path = tmp_path / "graph.edges"
         save_edge_list(g, path)
         with open(path) as fh:
-            again = load_edge_list(fh)
+            again = load_edge_list(fh.read())
         assert np.array_equal(again.adjacency, g.adjacency)
         sidecar = path.with_suffix(".edges.json")
         assert sidecar.exists()

@@ -126,13 +126,6 @@ class TestFloors:
         with pytest.raises(HypothesisViolated):
             error_probability_floor(delta, delta / (2 * n), n)
 
-    def test_const_c_scales_zero_regime(self):
-        n = 100
-        eps = 1.0 / n
-        assert error_probability_floor(0.0, eps, n, const_c=2.0) == pytest.approx(
-            np.exp(-2.0)
-        )
-
     def test_floor_consistency_helper(self):
         # 50 errors in 100 trials is not significantly below a floor of 0.4
         assert error_not_below_floor(50, 100, 0.4)
