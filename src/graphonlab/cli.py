@@ -484,6 +484,7 @@ def _write_experiment(out_dir, doc, records):
     )
     distance, error = [], []
     for d, e in records:
+        steps = [s for t in e.outcomes for s in t.walk_steps]
         distance.append({
             "n": d.n,
             "K": d.depth,
@@ -515,6 +516,8 @@ def _write_experiment(out_dir, doc, records):
             "regime": e.bounds.regime,
             "delta": e.delta,
             "f32_bound_max": e.f32_bound_max,
+            "walk_steps_median": float(np.median(steps)),
+            "walk_steps_max": max(steps),
             "f64_fallbacks": e.f64_fallbacks,
             "trials_detail": [
                 {"trial": i, "seed": t.seed, "label": t.true_label,

@@ -8,12 +8,16 @@ average of the final matrix; when the activation is the identity (or ReLU or
 this selu, which agree with it on the nonnegative matrices produced here) it
 is computed by a vector-matrix iteration instead of matrix powers.
 
-Given an error limit, ``graph_embedding`` embeds through the float32 walk
-wherever a certificate puts the embedding's coordinatewise error within the
-limit, and in float64 otherwise (``_certified``). Under tanh and swish the
-walk's result is scaled into a per-graph bracket around it (``_bracket``): a
-certified scalar multiple of the walk. ``forward``, ``linearization_gap`` and
-every call without a limit stay dense float64 for the nonlinear activations.
+Given an error limit, ``graph_embedding`` runs the float32 walk only until a
+certificate puts the deep embedding within the limit of the walk's
+stationary law pi = deg/sum(deg), and returns pi (``_certified``): the
+walk's density h_t/pi is squeezed towards 1 step by step, so a few steps
+bound every later one. Where that bracket never closes it falls back to the
+K-step float32 walk under its rounding certificate, and to float64 after
+that. Under tanh and swish the result is scaled into a per-graph bracket
+around the walk (``_bracket``): a certified scalar multiple of it.
+``forward``, ``linearization_gap`` and every call without a limit stay
+dense float64 for the nonlinear activations.
 
 The dense pass holds three n x n float64 arrays: A_hat, M and one buffer.
 Each layer writes A_hat @ M into the buffer, applies the activation there in
@@ -251,18 +255,18 @@ def embedding_vector(m: np.ndarray) -> np.ndarray:
 
 
 def f32_relative_error(n: int, depth: int) -> float:
-    """rel = (1 + u)^(K(n + 2)) - 1 with u = 2^-24, float32's unit roundoff:
-    the coordinatewise relative error of the K-step float32 walk.
+    """rel = (1 + u)^(K(n + 2) + 1) - 1 with u = 2^-24, float32's unit
+    roundoff: the coordinatewise relative error of the K-step float32 walk.
 
     Every entry of A, r = fl32(1/d) and h is nonnegative, so each float32
     step h <- (h r) A errs by at most (1 + u)^(n + 1) - 1 relatively in every
     coordinate, whatever the summation order, FMA or not: one rounding for r,
     one for each product h_j r_j (a_jk in {0, 1} makes the second exact) and
     n - 1 for the sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3). K steps and the rounding of h_0 = fl32(1/n) stay
-    within K(n + 2) roundings.
+    Algorithms, ch. 3). The rounding of h_0 = fl32(1/n) and K steps stay
+    within K(n + 2) + 1 roundings, one at K = 0.
     """
-    return math.expm1(depth * (n + 2) * math.log1p(2.0**-24))
+    return math.expm1((depth * (n + 2) + 1) * math.log1p(2.0**-24))
 
 
 def _bracket(act: Activation, d: int, depth: int):
@@ -293,54 +297,98 @@ def _bracket(act: Activation, d: int, depth: int):
 
 
 def _certified(limit, g, depth, act, run64):
-    """run64() without a limit; with one, (h, bound) under the float32 walk's
-    certificate.
+    """run64() without a limit; with one, (h, bound, t): h within bound of
+    the K-layer embedding under act in every coordinate, certified at walk
+    step t.
 
-    h is the float32 walk's result h32 scaled to the midpoint s of act's
-    bracket [lo, hi] (``_bracket``) when the bound s b + (hi - lo)/2
-    (max h32 + b) is at most limit, b = rel/(1 - rel) max h32 (rel =
-    f32_relative_error) being the walk's own; otherwise h is run64's result,
-    with the bytes of the call without a limit, and bound is None. The walk
-    is skipped where act has no bracket or where the bound must fail, since
-    h_lin sums to 1 and so max h32 >= (1 - rel)/n. Its matrix is freed
-    before run64 runs.
+    One float32 walk (``_steps``) runs under the limit. By reversibility its
+    density f_t = h_t/pi, pi = deg/sum(deg), is the neighbour mean of
+    f_(t-1), so max f_t never rises and min f_t never falls (Levin, Peres and
+    Wilmer, Markov Chains and Mixing Times, 1.6): h_K and pi both lie in
+    pi [min f_t, max f_t] for every K >= t. At each step t = 0, 1, ..., K
+    the two ends are widened by the walk's rounding (f32_relative_error(n,
+    t), and gradual underflow), and at the first t whose bound
+    s pi_max max(max f_t - 1, 1 - min f_t) + (hi - lo)/2 pi_max max f_t is at
+    most limit, h is s pi, s being the midpoint of act's bracket [lo, hi]
+    (``_bracket``; s = 1 and lo = hi on the linear path). Step 0 reads no
+    matrix. Where that never happens, h is the walk's K-step result h32
+    scaled to s when s b + (hi - lo)/2 (max h32 + b) is at most limit, b =
+    rel/(1 - rel) max h32 (rel = f32_relative_error(n, K)) being the walk's
+    own bound, and t is K; otherwise h is run64's result, with the bytes of
+    the call without a limit, bound is None and t is K. The walk's vectors
+    and matrix are freed before run64 runs; acts without a bracket go to
+    run64 at once.
     """
     if limit is None:
         return run64()
+    return _float32_walk(limit, g, depth, act) or (run64(), None, depth)
+
+
+def _float32_walk(limit, g, depth, act):
+    """``_certified``'s (h, bound, t) where the float32 walk certifies h,
+    else None."""
     n = g.n
     deg = positive_degrees(g)
-    rel = f32_relative_error(n, depth)
     bracket = _bracket(act, int(deg.min()), depth)
-    if bracket is not None and rel < 1.0:
+    if bracket is not None:
         lo, hi = bracket
         s, half = (lo + hi) / 2, (hi - lo) / 2
-        if (s * rel + half * (1.0 - rel)) / n <= limit:
-            h = _walk(g, depth, deg, np.float32).astype(np.float64)
-            hmax = float(h.max())
-            # gradual underflow adds at most 2^-150 absolutely per product
-            # h_j r_j, the walk never grows l1 norms (which bound max norms),
-            # and 2^-1070 covers float64 underflow in the bracket and scaling
-            b = rel / (1.0 - rel) * hmax + depth * n * n * 2.0**-148
-            bound = s * b + half * (hmax + b) + 2.0**-1070
+        # one rounding each: the integer degrees and their sum are exact
+        pi = deg / float(deg.sum())
+        pi_max, pi_min = float(pi.max()), float(pi.min())
+        for t, h in enumerate(_steps(g, depth, deg, np.float32)):
+            rel = f32_relative_error(n, t)
+            if rel >= 1.0:
+                break
+            f = h / pi
+            # h_t within rel h_t of the exact walk, plus at most 2^-150
+            # absolutely per product h_j r_j under gradual underflow (the
+            # walk never grows l1 norms); 2^-50 covers the float64 roundings
+            # of pi, f and the widening, and the final 2^-51 and 1 + 2^-50
+            # those of s pi and of the bound itself
+            under = t * n * n * 2.0**-148 / pi_min
+            top = float(f.max()) * (1.0 + 2.0**-50) / (1.0 - rel) + under
+            bottom = float(f.min()) * (1.0 - 2.0**-50) / (1.0 + rel) - under
+            bound = pi_max * (s * (max(top - 1.0, 1.0 - bottom) + 2.0**-51)
+                              + half * top) * (1.0 + 2.0**-50) + 2.0**-1070
             if bound <= limit:
-                h *= s  # exact on the linear path, where s = 1
-                return h, bound
-    return run64(), None
+                return s * pi, bound, t
+        else:
+            rel = f32_relative_error(n, depth)
+            if rel < 1.0:
+                hmax = float(h.max())
+                # the same underflow term; 2^-1070 covers float64 underflow
+                # in the bracket and scaling
+                b = rel / (1.0 - rel) * hmax + depth * n * n * 2.0**-148
+                bound = s * b + half * (hmax + b) + 2.0**-1070
+                if bound <= limit:
+                    # exact on the linear path, where s = 1
+                    return h.astype(np.float64) * s, bound, depth
 
 
-def _walk(g: SampledGraph, depth: int, deg: np.ndarray, dtype) -> np.ndarray:
-    """h_0 A_hat^K in dtype, as h <- (h r) A with A the 0/1 adjacency; it
-    stops at a step that returns its argument bit for bit, since the step is
-    one fixed map and all K steps would give those bytes and certificate."""
+def _steps(g: SampledGraph, depth: int, deg: np.ndarray, dtype):
+    """Yield h_t = h_0 A_hat^t in dtype for t = 0, 1, ..., depth, as
+    h <- (h r) A with A the 0/1 adjacency, which is cast to dtype only once
+    step 1 is asked for. It stops after h_t where step t + 1 would return h_t
+    bit for bit: the step is one fixed map, so every later h_t has its bytes.
+    """
     # exact: degrees up to 2^24 and the 0/1 entries are integers in either dtype
     r = dtype(1.0) / deg.astype(dtype)
-    a = g.adjacency.astype(dtype)
     h = np.full(g.n, dtype(1.0) / dtype(g.n), dtype=dtype)
+    yield h
+    a = g.adjacency.astype(dtype)
     for _ in range(depth):
         step = (h * r) @ a
         if step.tobytes() == h.tobytes():
-            break
+            return
         h = step
+        yield h
+
+
+def _walk(g: SampledGraph, depth: int, deg: np.ndarray, dtype) -> np.ndarray:
+    """h_0 A_hat^K in dtype: the last vector of ``_steps``."""
+    for h in _steps(g, depth, deg, dtype):
+        pass
     return h
 
 
@@ -351,10 +399,11 @@ def fast_linear_embedding(g: SampledGraph, depth: int, limit: float | None = Non
     selu) activation: the row-average vector is pushed through the chain one
     vector-matrix product per layer, in float64 (``_walk``).
 
-    With a limit, returns (h, bound) instead (``_certified``): the same walk
-    runs in float32, reading half the bytes per layer, and h is its float64
-    copy, when its certificate holds, and the float64 walk's with bound None
-    otherwise.
+    With a limit, returns (h, bound, t) instead (``_certified``): the same
+    walk runs in float32, reading half the bytes per layer, and h is the
+    stationary law pi once its certificate closes at step t, else the
+    K-step float32 walk's float64 copy where its own certificate holds, and
+    the float64 walk's with bound None otherwise.
     """
     return _certified(limit, g, depth, Activation("identity"),
                       lambda: _walk(g, depth, positive_degrees(g), np.float64))
@@ -365,9 +414,9 @@ def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None)
 
     Without a limit: the float64 vector walk for the identity, ReLU and
     selu, and the dense float64 forward pass for every other activation.
-    With a limit, returns (h, bound) (``_certified``): tanh and swish then
+    With a limit, returns (h, bound, t) (``_certified``): tanh and swish then
     take the float32 walk too, scaled into their bracket, wherever the
-    walk's rounding plus the bracket's half-width stays within the limit,
+    walk's certificate plus the bracket's half-width stays within the limit,
     and the dense float64 pass, with bound None, elsewhere. The sigmoid
     always takes the dense pass.
     """

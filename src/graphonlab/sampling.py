@@ -194,8 +194,12 @@ def _fill_rows(adj, start, stop, jobs):
     # each stream's drawn but unused half: the range's first uniform when it
     # is a high half, then the high half of a block's last word
     carry = [_halves(bits.random_raw(first % 2))[1:] for bits in streams]
-    # upper[k, j] is j > k: the mask of a block of rows that starts on the diagonal
+    # upper[k, j] is j > k: the mask of a block of rows that starts on the
+    # diagonal; fresh is upper without its first entry, which a carried
+    # half fills
     upper = np.arange(n) > np.arange(rows)[:, None]
+    fresh = upper.copy()
+    fresh[0, 1:2] = False
     graphs = []
     for (key, blocks, densities), flag in zip(jobs, adj.view(bool)):
         limit = np.ceil(densities * 2.0**32)[:, blocks]  # 0 only where p = 0
@@ -210,11 +214,13 @@ def _fill_rows(adj, start, stop, jobs):
         count = (b - a) * (2 * n - a - b - 1) // 2
         u = [s[: mask.size].reshape(shape) for s in scratch[:-1]]
         for k, (bits, us) in enumerate(zip(streams, u)):
-            drawn = _halves(bits.random_raw((count - carry[k].size + 1) // 2))
-            if carry[k].size:
-                drawn = np.concatenate((carry[k], drawn))
-            us[mask] = drawn[:count]
-            carry[k] = drawn[count:]
+            # the carried half, if any, is the block's first uniform, at (a, a + 1)
+            held = min(carry[k].size, count)
+            drawn = _halves(bits.random_raw((count - held + 1) // 2))
+            if held:
+                us[0, 1] = carry[k][0]
+            us[(fresh if held else upper)[: b - a, : n - a]] = drawn[: count - held]
+            carry[k] = drawn[count - held :]  # unread after the last row, where count = 0
         tb = t[: mask.size].reshape(shape)
         for stream, thresholds, blocks, flag, positive in graphs:
             np.take(thresholds[:, a:], blocks[a:b], axis=0, out=tb)

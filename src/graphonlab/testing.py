@@ -52,12 +52,12 @@ COORD_TOL_CONST = 1.0
 # The error harness embeds through the float32 walk (the identity/ReLU/selu
 # embedding itself, tanh's and swish's scaled into their bracket) only when
 # the certified error (gcn._certified) is at most this share of the trial's
-# noise half-width eps. A quarter keeps that error small next to the uniform
-# noise every decision sees, on walk bounds about 500 times above the
-# rounding errors observed. It still admits the walk up to n = 1000 at
-# eps = delta/(4n) (bound 0.19 eps there, 0.39 eps at n = 2000), and tanh's
-# bound, walk rounding plus bracket, is below 4e-4 eps at eps = 10/n and
-# n = 250 to 500.
+# noise half-width eps, which is also where the walk stops: at the first step
+# whose certificate for the stationary law pi meets it. A quarter keeps that
+# error small next to the uniform noise every decision sees; pi's actual
+# distance from the K-step float64 walk is about 1e-12 eps at eps =
+# delta/(4n), where the certificate closes at step 5 or 6 for n = 250 to
+# 2000, and below 1e-14 eps at eps = 10/n, where it closes at step 0.
 F32_ERROR_SHARE = 0.25
 
 
@@ -149,8 +149,9 @@ class TrialOutcome:
     """One protocol round: the coin, the test's decision, and what the coupled
     pair gives: its max-coordinate embedding distance, its share of coordinates
     that differ by at most COORD_TOL_CONST/n^2, the TV between its embeddings'
-    noisy laws, and its two graphs' certified float32 error bounds (None for a
-    graph embedded in float64)."""
+    noisy laws, its two graphs' certified float32 error bounds (None for a
+    graph embedded in float64) and the walk steps their certificates took
+    (the depth K where the walk ran to K or fell back)."""
 
     true_label: int
     decision: int
@@ -159,6 +160,7 @@ class TrialOutcome:
     small_coord_frac: float
     conditional_tv: float
     f32_bounds: tuple
+    walk_steps: tuple
 
     def __post_init__(self):
         if self.true_label not in (0, 1) or self.decision not in (0, 1):
@@ -297,7 +299,7 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial, limit=None):
 
 
 def _mc_trial(w0, w1, n, eps_res, profiles, embedded0, embedded1, trial_seed):
-    (h0, bound0), (h1, bound1) = embedded0, embedded1
+    (h0, bound0, steps0), (h1, bound1, steps1) = embedded0, embedded1
     coin = make_rng(derive_seed(trial_seed, _STREAM_COIN))
     label = int(coin.integers(0, 2))
     observed = h0 if label == 0 else h1
@@ -311,6 +313,7 @@ def _mc_trial(w0, w1, n, eps_res, profiles, embedded0, embedded1, trial_seed):
         small_coord_frac=small,
         conditional_tv=tv_perturbed(h0, h1, eps_res).tv,
         f32_bounds=(bound0, bound1),
+        walk_steps=(steps0, steps1),
     )
 
 

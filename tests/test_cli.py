@@ -603,11 +603,13 @@ class TestExperimentCommand:
         assert list(error) == [
             "n", "K", "eps_res", "trials", "seed", "error_rate", "ci_low",
             "ci_high", "mean_conditional_tv", "lecam_floor", "formula_floor",
-            "formula_raw", "regime", "delta", "f32_bound_max", "f64_fallbacks",
-            "trials_detail",
+            "formula_raw", "regime", "delta", "f32_bound_max", "walk_steps_median",
+            "walk_steps_max", "f64_fallbacks", "trials_detail",
         ]
-        # identity activation: all six graphs certified in float32
+        # identity activation: all six graphs certified in float32, as the
+        # stationary law within K steps
         assert 0 < error["f32_bound_max"] <= error["eps_res"] / 4
+        assert 0 <= error["walk_steps_median"] <= error["walk_steps_max"] < error["K"]
         assert error["f64_fallbacks"] == 0
         assert len(error["trials_detail"]) == 3
         assert list(error["trials_detail"][0]) == [

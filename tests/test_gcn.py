@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,15 +314,20 @@ def _float64_walk(g, depth):
 def _walk_spy(monkeypatch):
     """Record the arguments of every float32 walk; float64 walks run unrecorded."""
     runs = []
-    real = gcn._walk
+    real = gcn._steps
 
     def spy(*args):
         if args[3] is np.float32:
             runs.append(args)
         return real(*args)
 
-    monkeypatch.setattr(gcn, "_walk", spy)
+    monkeypatch.setattr(gcn, "_steps", spy)
     return runs
+
+
+def _stationary(g):
+    deg = g.degrees()
+    return deg / deg.sum()
 
 
 class TestWalk32:
@@ -334,49 +340,61 @@ class TestWalk32:
         depth = math.ceil(6 * math.log(n))
         limit = testing.F32_ERROR_SHARE * (1 / 14) / (4 * n)  # eps = delta/(4n)
         g = sample_graph(W0, n, seed=derive_seed(22, n))
-        h32, bound = graph_embedding(g, GCNConfig(depth, kind), limit)
+        h32, bound, steps = graph_embedding(g, GCNConfig(depth, kind), limit)
         h64 = _float64_walk(g, depth)
         assert 0 < bound <= limit
-        assert h32.dtype == np.float64 and (h32.astype(np.float32) == h32).all()
+        # the stationary law, certified a few steps in
+        assert steps < depth and h32.tobytes() == _stationary(g).tobytes()
         # the float64 path's own bound: the same argument with u = 2^-53
         rel64 = math.expm1(depth * (n + 2) * math.log1p(2.0**-53))
         bound64 = rel64 / (1 - rel64) * h64.max()
         assert (np.abs(h32 - h64) <= bound + bound64).all()
 
-    def test_skip_rule_never_runs_float32(self, monkeypatch):
-        n, depth = 300, 35
+    def test_step_zero_reads_no_matrix(self, monkeypatch):
+        # at eps = 10/n the certificate closes on h_0 = 1/n and the degrees
+        # alone: no float32 adjacency is ever made
+        n, depth = 1000, 42
         g = sample_graph(W0, n, seed=4)
-        rel = gcn.f32_relative_error(n, depth)
-        ref = fast_linear_embedding(g, depth).tobytes()
         runs = _walk_spy(monkeypatch)
-        for limit in (0.0, 0.99 * rel / n):
-            h, bound = fast_linear_embedding(g, depth, limit)
-            assert bound is None and h.tobytes() == ref
-        assert runs == []
+        tracemalloc.start()
+        try:
+            h, bound, steps = fast_linear_embedding(g, depth, testing.F32_ERROR_SHARE * 10 / n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 1 and steps == 0 and bound is not None
+        assert h.tobytes() == _stationary(g).tobytes()
+        assert peak < 8 * n * 8  # a few length-n vectors; the matrix is 4 n^2 bytes
 
     def test_failed_check_falls_back_after_freeing_float32(self, monkeypatch):
+        # no certificate and no K-step bound is 0: the walk runs to K, then
+        # the float64 walk runs
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
-        _, bound = fast_linear_embedding(g, depth, 1.0)
-        rel = gcn.f32_relative_error(n, depth)
-        limit = (rel / n + bound) / 2  # past the skip rule, short of the bound
-        assert rel / n < limit < bound
         runs = _walk_spy(monkeypatch)
         peaks = []
         for run in (lambda: fast_linear_embedding(g, depth),
-                    lambda: fast_linear_embedding(g, depth, limit)):
+                    lambda: fast_linear_embedding(g, depth, 0.0)):
             tracemalloc.start()
             try:
                 out = run()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        h, bound = out
-        assert len(runs) == 1 and bound is None
+        h, bound, steps = out
+        assert len(runs) == 1 and bound is None and steps == depth
         assert h.tobytes() == fast_linear_embedding(g, depth).tobytes()
         # the float32 matrix is gone before the float64 one is built: at most
         # a few length-n vectors above the float64 walk's peak
         assert peaks[1] <= peaks[0] + 4 * n * 8
+
+    def test_relative_error_counts_the_rounding_of_h0(self):
+        rel0 = gcn.f32_relative_error(250, 0)
+        assert rel0 == math.expm1(math.log1p(2.0**-24)) > 0
+        for n in (3, 40, 250, 1000, 2000):
+            h0 = Fraction(float(np.float32(1) / np.float32(n)))
+            assert abs(h0 - Fraction(1, n)) <= Fraction(gcn.f32_relative_error(n, 0)) / n
+            assert gcn.f32_relative_error(n, 1) > rel0
 
     def test_isolated_vertex_is_refused_on_both_paths(self):
         g = graph_from_edges(3, [(0, 1)])
@@ -459,7 +477,7 @@ class TestForward32:
             for i in range(3):
                 g = sample_graph(W0 if model == "base" else MATCHED, n,
                                  seed=derive_seed(25, i))
-                h, bound = graph_embedding(g, cfg, limit)
+                h, bound, _ = graph_embedding(g, cfg, limit)
                 assert 0 < bound <= limit
                 assert (np.abs(h - _dense(g, cfg)) <= bound).all()
                 # a scalar multiple of the identity's float32 walk
@@ -474,29 +492,38 @@ class TestForward32:
             assert graph_embedding(g, cfg).tobytes() == _dense(g, cfg).tobytes()
         assert runs == []
 
-    def test_skip_rule_never_runs_float32(self, monkeypatch):
-        n, depth = 300, 35
-        g = sample_graph(W0, n, seed=4)
+    def test_step_zero_reads_no_matrix(self, monkeypatch):
+        # at eps = 10/n the certificate closes on h_0 = 1/n and the degrees
+        # alone, and tanh returns the stationary law scaled into its bracket
+        n, depth = 500, 38
+        g = sample_graph(MATCHED, n, seed=4)
         cfg = GCNConfig(depth, "tanh")
-        ref = _dense(g, cfg).tobytes()
         lo, hi = gcn._bracket(cfg.activation, int(g.degrees().min()), depth)
-        rel = gcn.f32_relative_error(n, depth)
-        skip = ((lo + hi) / 2 * rel + (hi - lo) / 2 * (1 - rel)) / n
         runs = _walk_spy(monkeypatch)
-        for limit in (0.0, 0.99 * skip):
-            h, bound = graph_embedding(g, cfg, limit)
-            assert bound is None and h.tobytes() == ref
-        assert runs == []
+        tracemalloc.start()
+        try:
+            h, bound, steps = graph_embedding(g, cfg, testing.F32_ERROR_SHARE * 10 / n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) == 1 and steps == 0 and bound is not None
+        assert h.tobytes() == ((lo + hi) / 2 * _stationary(g)).tobytes()
+        assert peak < 8 * n * 8  # a few length-n vectors; the matrix is 4 n^2 bytes
 
     def test_limit_below_the_bound_falls_back(self, monkeypatch):
+        # every bound holds the bracket's half-width times pi_max (the
+        # certificate) or max h >= (1 - rel)/n (the K-step rule), both above
+        # half pi_min
         g = sample_graph(W0, 300, seed=4)
         runs = _walk_spy(monkeypatch)
         for kind in ("tanh", "swish"):
             cfg = GCNConfig(35, kind)
-            _, bound = graph_embedding(g, cfg, 1.0)
-            h, bound = graph_embedding(g, cfg, np.nextafter(bound, 0.0))
-            assert bound is None and h.tobytes() == _dense(g, cfg).tobytes()
-        assert len(runs) == 4  # the second call of each ran the walk too
+            lo, hi = gcn._bracket(cfg.activation, int(g.degrees().min()), 35)
+            limit = 0.99 * (hi - lo) / 2 * _stationary(g).min()
+            h, bound, steps = graph_embedding(g, cfg, limit)
+            assert bound is None and steps == 35
+            assert h.tobytes() == _dense(g, cfg).tobytes()
+        assert len(runs) == 2  # each call ran the walk first
 
     def test_degree_one_vertex_falls_back(self):
         # c = 1 - 1/3 at a pendant vertex: the bracket [(2/3)^K, 1] spans
@@ -509,7 +536,7 @@ class TestForward32:
         cfg = GCNConfig(depth, "tanh")
         limit = testing.F32_ERROR_SHARE / n
         assert graph_embedding(g, cfg, limit)[1] is not None
-        h, bound = graph_embedding(pendant, cfg, limit)
+        h, bound, _ = graph_embedding(pendant, cfg, limit)
         assert bound is None and h.tobytes() == _dense(pendant, cfg).tobytes()
 
     def test_isolated_vertex_is_refused_on_both_paths(self):
@@ -527,7 +554,7 @@ class TestForward32:
         cfg = GCNConfig(depth=5, activation="tanh")
         tracemalloc.start()
         try:
-            _, bound = graph_embedding(g, cfg, 1.0)
+            _, bound, _ = graph_embedding(g, cfg, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -539,9 +566,109 @@ class TestForward32:
         g = sample_graph(W0, 40, seed=4)
         cfg = GCNConfig(depth=5, activation="sigmoid")
         runs = _walk_spy(monkeypatch)
-        h, bound = graph_embedding(g, cfg, 1.0)
+        h, bound, _ = graph_embedding(g, cfg, 1.0)
         assert bound is None and runs == []
         assert h.tobytes() == graph_embedding(g, cfg).tobytes()
+
+
+def _bipartite(a, b, seed):
+    """A random bipartite graph, edge density 1/2 between sides of a and b
+    vertices: its walk alternates between the sides and never mixes."""
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((a + b, a + b), dtype=np.uint8)
+    adj[:a, a:] = rng.random((a, b)) < 0.5
+    adj[a:, :a] = adj[:a, a:].T
+    return SampledGraph(adj, source="fixture")
+
+
+class TestCertificate:
+    """The stationary law pi = deg/sum(deg), certified by the walk's density
+    bracket pi [min f_t, max f_t] a few steps in, and the K-step rule or the
+    float64 path where the bracket never closes."""
+
+    @pytest.mark.parametrize("graph", ["sampled", "bipartite"])
+    def test_density_bracket_never_widens(self, graph):
+        depth = 34
+        g = sample_graph(W0, 250, seed=7) if graph == "sampled" else _bipartite(20, 40, 7)
+        deg = g.degrees()
+        tops, bottoms = [], []
+        for h in gcn._steps(g, depth, deg, np.float64):
+            f = h / (deg / deg.sum())
+            tops.append(f.max())
+            bottoms.append(f.min())
+        # float64 rounding only: f is about 1
+        assert (np.diff(tops) <= 1e-12).all() and (np.diff(bottoms) >= -1e-12).all()
+        assert max(bottoms) <= 1 + 1e-12 and min(tops) >= 1 - 1e-12
+        if graph == "bipartite":
+            assert len(tops) == depth + 1 and tops[-1] - bottoms[-1] > 0.5
+        else:
+            assert tops[-1] - bottoms[-1] < 1e-12
+
+    @pytest.mark.parametrize("model", ["base", "matched", "hub"])
+    def test_step_zero_bound_is_the_density_bracket(self, model):
+        # h_0 = 1/n: f_0 = 1/(n pi), and the bound is pi_max times the
+        # farther end of [min f_0, max f_0] from 1, up to the rounding terms;
+        # a vertex joined to all others puts min f_0 farther from 1
+        n = 250
+        g = sample_graph(W0 if model == "base" else MATCHED, n, seed=3)
+        if model == "hub":
+            adj = g.adjacency.copy()
+            adj[0, 1:] = adj[1:, 0] = 1
+            g = SampledGraph(adj, source="fixture")
+        pi = _stationary(g)
+        h, bound, steps = fast_linear_embedding(g, 34, 1.0)
+        f0 = 1 / (n * pi)
+        assert steps == 0
+        assert bound == pytest.approx(pi.max() * max(f0.max() - 1, 1 - f0.min()), rel=1e-5)
+
+    def test_bipartite_takes_the_k_step_rule_or_float64(self, monkeypatch):
+        n, depth = 60, 25
+        g = _bipartite(20, 40, 7)
+        runs = _walk_spy(monkeypatch)
+        # pi's bound stays about pi_max / 3; the K-step walk's is about 1e-4 max h
+        h, bound, steps = fast_linear_embedding(g, depth, 1e-3 / n)
+        assert steps == depth and bound <= 1e-3 / n
+        assert h.tobytes() == _k_step_walk(g, depth, np.float32).astype(np.float64).tobytes()
+        h, below, steps = fast_linear_embedding(g, depth, np.nextafter(bound, 0.0))
+        assert steps == depth and below is None
+        assert h.tobytes() == fast_linear_embedding(g, depth).tobytes()
+        assert len(runs) == 2
+
+    @pytest.mark.parametrize("n", [40, 250, 1000])
+    @pytest.mark.parametrize("deep", [True, False])
+    def test_k_step_result_within_the_bound(self, n, deep):
+        # at depth 2 the walk is far from pi, and the bound must cover the gap
+        depth = math.ceil(6 * math.log(n)) if deep else 2
+        rel64 = math.expm1(depth * (n + 2) * math.log1p(2.0**-53))
+        for i in range(3):
+            g = sample_graph(W0, n, seed=derive_seed(32, i))
+            h64 = _float64_walk(g, depth)
+            bound64 = rel64 / (1 - rel64) * h64.max()
+            for eps in ((1 / 14) / (4 * n), 10 / n):
+                for kind in ("identity", "relu", "selu", "tanh", "swish"):
+                    cfg = GCNConfig(depth, kind)
+                    h, bound, _ = graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)
+                    if bound is None:
+                        assert h.tobytes() == graph_embedding(g, cfg).tobytes()
+                        continue
+                    # the K-layer embedding lies in [lo, hi] times the walk
+                    lo, hi = gcn._bracket(cfg.activation, int(g.degrees().min()), depth)
+                    for c in (lo, hi):
+                        assert (np.abs(h - c * h64) <= bound + c * bound64).all()
+                    if kind in ("tanh", "swish") and n <= 250:
+                        assert (np.abs(h - _dense(g, cfg)) <= bound).all()
+
+    def test_n2000_is_certified_without_a_fallback(self):
+        n = 2000
+        depth = math.ceil(6 * math.log(n))
+        g = sample_graph(W0, n, seed=derive_seed(32, n))
+        limit = testing.F32_ERROR_SHARE * (1 / 14) / (4 * n)  # eps = delta/(4n)
+        h, bound, steps = fast_linear_embedding(g, depth, limit)
+        assert bound <= limit and steps < depth
+        assert h.tobytes() == _stationary(g).tobytes()
+        h64 = fast_linear_embedding(g, depth)
+        rel64 = math.expm1(depth * (n + 2) * math.log1p(2.0**-53))
+        assert (np.abs(h - h64) <= bound + rel64 / (1 - rel64) * h64.max()).all()
 
 
 class TestPerturb:

@@ -25,22 +25,22 @@ FAMILY = {"k1": 0.5, "p1": 0.7, "p2": 0.5, "q": 0.1}
 
 EXPERIMENT_SHA256 = {
     "identity": {
-        "distances.csv": "40e1384b45c4fa2da869abc79e4c5b6727f83d0b2b2205a5e73479a05c4efd70",
-        "trials.csv": "47e34e40698f3ccc81f9d287f6384f5fce6a2c203e3615884110e5267d22a292",
-        "summary.csv": "ff5d059ed8be57944194156feab8aee4ded02f689cdb99f08875a793cdb77f31",
-        "report.json": "19b30a1e515a9675ebd7e9a0c9bd3857f009fe317e6e08c5d32f0da945d288c1",
+        "distances.csv": "f375c60d26e399377109c3841f3a0806c2749f76ca6f2177ffd56cb4b5f0edc6",
+        "trials.csv": "fe70c723a797cc3966dcf452330c5aca5b74ba20cec921d7c4369370802820cf",
+        "summary.csv": "64ff9352a9e2dd8a31eb00545a57c44a3006ef49773179849c1b396cf6d02a57",
+        "report.json": "416346d1b0bbc389b4e3e81304006f2309b877b0800e21e52cbbe5f5cadfed90",
     },
     "tanh": {
-        "distances.csv": "b13d697a220972070db0ab2169299cfa62bd8d018796b69f32a0770a74d73015",
-        "trials.csv": "7498e00305de346fd098d3df12316d3810899de04f13dd176b586254bb80e080",
-        "summary.csv": "17b37fc3df81e55d49171c570685013bce60570db21e591aa7ee88c9b1b5fc11",
-        "report.json": "313a927116b2c782b1d344d3aa3e56df0fed6c9a48e904e2052238710023cb0c",
+        "distances.csv": "4c416e444d1d3f7e103e45c87785cd049030d036dd4c02d7e28bf5ab5b646a67",
+        "trials.csv": "24374afd84858896f8cf7eb074b132433b07a9314babd40970e2c4b09624234a",
+        "summary.csv": "a268587f29d196c5c882b9910763fb01c37247ba03abdd52da8f4c7a106fb6c9",
+        "report.json": "27e426ae6b4af5e02f7b64cf7560d1b86f01c2b6d8b7719d8cf0af0e32aa2b2f",
     },
     "selu": {
-        "distances.csv": "45e5a2dc1600d277ae66aa1c0025bdc523d16c714654a6b9075b1134bb7f7f6f",
-        "trials.csv": "ca0cf1110ee330f20c24dedaad82ad2a28d05b0bea11fcdea469eeedd0aebf72",
-        "summary.csv": "455c750833f654865686fc474580f823766d62f44ecb9be67c300efc22b8ee6f",
-        "report.json": "725ccb4dacf2d16545b03a363a384d56818c58d5db8471aec44adb5d8d09c605",
+        "distances.csv": "f982ed901cbd35df6a902b2fbe29bbc46a4ca5b8685333a20cda0b3b692fd149",
+        "trials.csv": "2386a5f832565af83ee789f37a3248a1d9a74acbe3d15ceeb7b8df24cdfd6d39",
+        "summary.csv": "c6e0b1a619f64635bcc8e7fabc7034a599ee26cb112d049c05ae1dde1bd843b8",
+        "report.json": "d865af5e396c30139e92b4b6b5a5c569040c79dbeb16585d233693b3f53862c3",
     },
 }
 

@@ -249,7 +249,7 @@ class TestMonteCarlo:
             assert [t.f32_bounds for t in report.outcomes] == bounds
             assert report.f32_bound_max == max(max(b) for b in bounds)
             assert report.f64_fallbacks == 0
-            # noise so small that the skip rule sends every graph to float64
+            # noise so small that no certificate holds: every graph in float64
             report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
             assert [t.f32_bounds for t in report.outcomes] == [(None, None)] * trials
             assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
@@ -339,7 +339,7 @@ def serial_trials(w0, w1, n, cfg, eps_res, trials, seed, share, limit=None):
             h0 = testing.graph_embedding(pair.g0, cfg, limit)
             h1 = testing.graph_embedding(pair.g1, cfg, limit)
         if limit is not None:
-            (h0, _), (h1, _) = h0, h1
+            (h0, *_), (h1, *_) = h0, h1
         label = int(make_rng(derive_seed(s, testing._STREAM_COIN)).integers(0, 2))
         observed = h1 if label else h0
         noisy = perturb(observed, eps_res, derive_seed(s, testing._STREAM_NOISE))

@@ -36,6 +36,13 @@ pair (``--trace 1``) records the per-call p50 of every traced span. The
 wheels bundle: build string, the core kernel picked at run time and the
 default thread count, and a two-process probe records whether the host gave
 both cores when the runs began.
+Each ``--claim`` workload also gets an A/A control: after each of its pairs,
+the same seed runs as a pair of the parent against a byte-identical copy of
+the parent's directory (a second export), in the same alternation. Its
+``aa`` block holds those pairs' summary of the claimed metric, and
+``gain_met`` requires the claimed median difference to exceed both the
+parent's IQR and the absolute A/A median difference, since two identical
+checkouts can read a few percent apart.
 Every run gets perfbench's own environment (``run.worker_env``).
 """
 
@@ -48,9 +55,11 @@ import os
 import platform
 import re
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -260,13 +269,30 @@ def summarize(pairs: list, bounds: dict, better: dict) -> dict:
     return out
 
 
-def gain_met(summary: dict, metric: str = "ops_per_ref") -> bool:
+def gain_met(summary: dict, metric: str, aa_diff: float) -> bool:
     """Whether the change wins 9 in 10 pairs on metric, in its ``better``
-    direction, and the median moves that way by more than the parent's IQR."""
+    direction, and the median moves that way by more than both the parent's
+    IQR and the absolute A/A median difference aa_diff."""
     s = summary[metric]
     sign = 1 if s["better"] == "higher" else -1
     return (s["change_wins"] >= 0.9 * s["pairs"]
-            and sign * s["median_diff"] > s["parent_iqr"])
+            and sign * s["median_diff"] > max(s["parent_iqr"], abs(aa_diff)))
+
+
+def run_pair(roots: dict, workload: str, seed: int, index: int, seconds: float) -> dict:
+    """One perfbench run in each of roots' two checkouts with one seed;
+    even-indexed pairs run the parent first, odd-indexed the other side."""
+    order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+    pair = {"seed": seed, "first": order[0]}
+    for side in order:
+        r = perfbench(roots[side], workload, seed, seconds, 0)
+        pair[side] = {k: r["metrics"][k] for k in END_TO_END}
+        pair[f"{side}_correct"] = r["correct"]
+        pair[f"{side}_failed"] = r["failed"]
+        pair[f"{side}_attempted"] = r["attempted"]
+        pair[f"{side}_cpu_s_per_op"] = r["cpu_s_per_op"]
+        pair[f"{side}_minflt_per_op"] = r["minflt_per_op"]
+    return pair
 
 
 def main(argv=None) -> int:
@@ -285,6 +311,12 @@ def main(argv=None) -> int:
     if not set(claims.values()) <= set(END_TO_END):
         parser.error(f"--claim metric must be one of {', '.join(END_TO_END)}")
     roots = {"parent": args.parent.resolve(), "change": Path.cwd()}
+    scratch = tempfile.TemporaryDirectory(prefix="bench-aa-")
+    # the A/A control's "change" side: a second copy of the parent's files
+    aa_roots = {"parent": roots["parent"], "change": Path(scratch.name) / "parent"}
+    if claims:
+        shutil.copytree(roots["parent"], aa_roots["change"], ignore=shutil.ignore_patterns(
+            "__pycache__", "_work", "results", ".pytest_cache"))
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
@@ -298,8 +330,11 @@ def main(argv=None) -> int:
             "the change first. rel_change is (change median - parent median) / parent "
             "median; bound is BENCHMARK.json's regression bound as a fraction of the "
             "parent median. A gain is met when the change wins at least 9 in 10 pairs "
-            "and the median gain exceeds the parent's quartile spread. Quartiles use "
-            "the inclusive method of Python's statistics.quantiles."
+            "and the median gain exceeds both the parent's quartile spread and the "
+            "absolute median difference of the workload's A/A pairs (aa: the parent "
+            "against a byte-identical copy of itself, one pair after each pair, with "
+            "the same seed and order). Quartiles use the inclusive method of Python's "
+            "statistics.quantiles."
         ),
         "machine": machine(roots["change"], args.pairs[0].split(":")[0]),
         "seeds": {},
@@ -310,18 +345,10 @@ def main(argv=None) -> int:
         workload, first, count = entry.split(":")
         seeds = list(range(int(first), int(first) + int(count)))
         doc["seeds"][workload] = seeds
-        pairs = []
+        pairs, aa_pairs = [], []
         for i, seed in enumerate(seeds):
+            pair = run_pair(roots, workload, seed, i, seconds)
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                r = perfbench(roots[side], workload, seed, seconds, 0)
-                pair[side] = {k: r["metrics"][k] for k in END_TO_END}
-                pair[f"{side}_correct"] = r["correct"]
-                pair[f"{side}_failed"] = r["failed"]
-                pair[f"{side}_attempted"] = r["attempted"]
-                pair[f"{side}_cpu_s_per_op"] = r["cpu_s_per_op"]
-                pair[f"{side}_minflt_per_op"] = r["minflt_per_op"]
             outputs = {side: run_outputs(roots[side], workload, seed) for side in order}
             digests = {side: outputs[side]["sha256"] for side in order}
             pair["output_sha256"] = digests["change"]
@@ -337,6 +364,8 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + json.dumps(
                 {s: pair[s]["ops_per_ref"] for s in order}), file=sys.stderr, flush=True)
             pairs.append(pair)
+            if workload in claims:
+                aa_pairs.append(run_pair(aa_roots, workload, seed, i, seconds))
         summary = summarize(pairs, bounds, better)
         result = {
             "pairs": len(pairs),
@@ -350,8 +379,14 @@ def main(argv=None) -> int:
             "runs": pairs,
         }
         if workload in claims:
-            result["gain_claimed_on"] = claims[workload]
-            result["gain_met"] = gain_met(summary, claims[workload])
+            metric = claims[workload]
+            aa = summarize(aa_pairs, bounds, better)[metric]
+            result["aa"] = {"change_side": "a copy of the parent", "metric": metric,
+                            "all_runs_correct": all(p[f"{s}_correct"] for p in aa_pairs
+                                                    for s in roots),
+                            **aa}
+            result["gain_claimed_on"] = metric
+            result["gain_met"] = gain_met(summary, metric, aa["median_diff"])
         result["outputs_identical_every_seed"] = all(p["outputs_identical"] for p in pairs)
         if workloads.WORKLOADS[workload].command == "experiment":
             result["decisions_changed"] = sum(p["decisions_changed"] for p in pairs)
@@ -371,6 +406,7 @@ def main(argv=None) -> int:
             r = perfbench(roots[side], workload, int(seed), seconds, 1)
             doc["traced"][workload][side] = {"p50_ms": r["p50_ms"], "metrics": r["metrics"]}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    scratch.cleanup()
     return 0
 
 
