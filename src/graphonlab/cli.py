@@ -11,7 +11,8 @@ dataset-profile  per-class degree profiles and empirical delta for edge lists
 All randomness is controlled by --seed (or the config's seed). Commands that
 write files also write a manifest with a config hash and per-output checksums;
 rerunning with the same inputs reproduces byte-identical CSV bodies. Exit
-codes: 0 success, 2 config error, 3 runtime model error.
+codes: 0 success, 2 config error or an output file that cannot be written,
+3 runtime model error.
 """
 
 from __future__ import annotations
@@ -361,23 +362,23 @@ def cmd_mixing(args) -> int:
                 trace = [list(p) for p in trace]
                 traces.append({"n": n, "seed": run_seed, "eps": eps, "trace": trace})
 
-    runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
-    _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)
-    traces_path = os.path.join(args.out_dir, "tv_traces.json")
-    with open(traces_path, "w") as fh:
-        json.dump(traces, fh)
-        fh.write("\n")
-    config_doc = {
-        "command": "mixing",
-        "model": args.model,
-        "n_list": n_list,
-        "eps": args.eps,
-        "seeds": args.seeds,
-        "seed": args.seed,
-        "t_max": args.t_max,
-        "lazy": args.lazy,
-    }
-    _write_manifest(args.out_dir, config_doc, [runs_csv, traces_path])
+        runs_csv = os.path.join(args.out_dir, "mixing_runs.csv")
+        _write_csv(runs_csv, ["n", "seed", "t_mix", "gap", "fitted_D", "status"], rows)
+        traces_path = os.path.join(args.out_dir, "tv_traces.json")
+        with open(traces_path, "w") as fh:
+            json.dump(traces, fh)
+            fh.write("\n")
+        config_doc = {
+            "command": "mixing",
+            "model": args.model,
+            "n_list": n_list,
+            "eps": args.eps,
+            "seeds": args.seeds,
+            "seed": args.seed,
+            "t_max": args.t_max,
+            "lazy": args.lazy,
+        }
+        _write_manifest(args.out_dir, config_doc, [runs_csv, traces_path])
     print(f"wrote {runs_csv}")
     return 0
 
@@ -537,7 +538,7 @@ def cmd_experiment(args) -> int:
     out_dir = _make_out_dir(doc["output_dir"])
     with _partial_on_failure(out_dir):
         records = [_run_experiment_n(run, idx, *point) for idx, point in enumerate(plan)]
-    summary_csv, exponent = _write_experiment(out_dir, doc, records)
+        summary_csv, exponent = _write_experiment(out_dir, doc, records)
     print(f"wrote {summary_csv} (fitted exponent {exponent:.4g})")
     return 0
 
@@ -615,33 +616,34 @@ def cmd_dataset_profile(args) -> int:
     _make_out_dir(args.out_dir)
     for line in skipped + dropped:
         print(line, file=sys.stderr)
-    class_csv = os.path.join(args.out_dir, "class_profiles.csv")
-    grid_u = (np.arange(grid) + 0.5) / grid
-    _write_csv(
-        class_csv,
-        ["grid_u", f"mean_{classes[0]}", f"mean_{classes[1]}"],
-        [
-            [f"{u:.8g}", f"{a:.12g}", f"{b:.12g}"]
-            for u, a, b in zip(grid_u, means[classes[0]], means[classes[1]])
-        ],
-    )
-    graphs_csv = os.path.join(args.out_dir, "per_graph_profiles.csv")
-    _write_csv(
-        graphs_csv,
-        ["filename", "label", "grid_index", "value"],
-        [
-            [fname, label, i, f"{v:.12g}"]
-            for fname, label, curve in per_graph
-            for i, v in enumerate(curve)
-        ],
-    )
-    config_doc = {
-        "command": "dataset-profile",
-        "dir": args.dir,
-        "labels": args.labels,
-        "grid_length": grid,
-    }
-    _write_manifest(args.out_dir, config_doc, [class_csv, graphs_csv])
+    with _partial_on_failure(args.out_dir):
+        class_csv = os.path.join(args.out_dir, "class_profiles.csv")
+        grid_u = (np.arange(grid) + 0.5) / grid
+        _write_csv(
+            class_csv,
+            ["grid_u", f"mean_{classes[0]}", f"mean_{classes[1]}"],
+            [
+                [f"{u:.8g}", f"{a:.12g}", f"{b:.12g}"]
+                for u, a, b in zip(grid_u, means[classes[0]], means[classes[1]])
+            ],
+        )
+        graphs_csv = os.path.join(args.out_dir, "per_graph_profiles.csv")
+        _write_csv(
+            graphs_csv,
+            ["filename", "label", "grid_index", "value"],
+            [
+                [fname, label, i, f"{v:.12g}"]
+                for fname, label, curve in per_graph
+                for i, v in enumerate(curve)
+            ],
+        )
+        config_doc = {
+            "command": "dataset-profile",
+            "dir": args.dir,
+            "labels": args.labels,
+            "grid_length": grid,
+        }
+        _write_manifest(args.out_dir, config_doc, [class_csv, graphs_csv])
     print(f"classes: {classes[0]} ({sum(1 for _, l, _ in per_graph if l == classes[0])} graphs), "
           f"{classes[1]} ({sum(1 for _, l, _ in per_graph if l == classes[1])} graphs)")
     if skipped:
@@ -772,6 +774,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's message names the array it could not allocate
         print(f"model error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return 3
+    except OSError as exc:  # an output file that cannot be written; exc names it
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ Given an error limit, ``graph_embedding`` runs the float32 walk only until a
 certificate puts the deep embedding within the limit of the walk's
 stationary law pi = deg/sum(deg), and returns pi (``_certified``): the
 walk's density h_t/pi is squeezed towards 1 step by step, so a few steps
-bound every later one. Where that bracket never closes it falls back to the
-K-step float32 walk under its rounding certificate, and to float64 after
-that. Under tanh and swish the result is scaled into a per-graph bracket
-around the walk (``_bracket``): a certified scalar multiple of it.
+bound every later one. Where that bracket never closes within K steps it
+embeds the graph as the call without a limit does. Under tanh and swish the
+result is scaled into a per-graph bracket around the walk (``_bracket``): a
+certified scalar multiple of it.
 ``forward``, ``linearization_gap`` and every call without a limit stay
 dense float64 for the nonlinear activations.
 
@@ -254,19 +254,19 @@ def embedding_vector(m: np.ndarray) -> np.ndarray:
     return m.mean(axis=0)
 
 
-def f32_relative_error(n: int, depth: int) -> float:
-    """rel = (1 + u)^(K(n + 2) + 1) - 1 with u = 2^-24, float32's unit
-    roundoff: the coordinatewise relative error of the K-step float32 walk.
+def f32_relative_error(n: int, t: int) -> float:
+    """rel = (1 + u)^(t(n + 2) + 1) - 1 with u = 2^-24, float32's unit
+    roundoff: the coordinatewise relative error of the float32 walk's h_t.
 
     Every entry of A, r = fl32(1/d) and h is nonnegative, so each float32
     step h <- (h r) A errs by at most (1 + u)^(n + 1) - 1 relatively in every
     coordinate, whatever the summation order, FMA or not: one rounding for r,
     one for each product h_j r_j (a_jk in {0, 1} makes the second exact) and
     n - 1 for the sum (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3). The rounding of h_0 = fl32(1/n) and K steps stay
-    within K(n + 2) + 1 roundings, one at K = 0.
+    Algorithms, ch. 3). The rounding of h_0 = fl32(1/n) and t steps stay
+    within t(n + 2) + 1 roundings, one at t = 0.
     """
-    return math.expm1((depth * (n + 2) + 1) * math.log1p(2.0**-24))
+    return math.expm1((t * (n + 2) + 1) * math.log1p(2.0**-24))
 
 
 def _bracket(act: Activation, d: int, depth: int):
@@ -311,10 +311,7 @@ def _certified(limit, g, depth, act, run64):
     s pi_max max(max f_t - 1, 1 - min f_t) + (hi - lo)/2 pi_max max f_t is at
     most limit, h is s pi, s being the midpoint of act's bracket [lo, hi]
     (``_bracket``; s = 1 and lo = hi on the linear path). Step 0 reads no
-    matrix. Where that never happens, h is the walk's K-step result h32
-    scaled to s when s b + (hi - lo)/2 (max h32 + b) is at most limit, b =
-    rel/(1 - rel) max h32 (rel = f32_relative_error(n, K)) being the walk's
-    own bound, and t is K; otherwise h is run64's result, with the bytes of
+    matrix. Where that never happens, h is run64's result, with the bytes of
     the call without a limit, bound is None and t is K. The walk's vectors
     and matrix are freed before run64 runs; acts without a bracket go to
     run64 at once.
@@ -330,40 +327,31 @@ def _float32_walk(limit, g, depth, act):
     n = g.n
     deg = positive_degrees(g)
     bracket = _bracket(act, int(deg.min()), depth)
-    if bracket is not None:
-        lo, hi = bracket
-        s, half = (lo + hi) / 2, (hi - lo) / 2
-        # one rounding each: the integer degrees and their sum are exact
-        pi = deg / float(deg.sum())
-        pi_max, pi_min = float(pi.max()), float(pi.min())
-        for t, h in enumerate(_steps(g, depth, deg, np.float32)):
-            rel = f32_relative_error(n, t)
-            if rel >= 1.0:
-                break
-            f = h / pi
-            # h_t within rel h_t of the exact walk, plus at most 2^-150
-            # absolutely per product h_j r_j under gradual underflow (the
-            # walk never grows l1 norms); 2^-50 covers the float64 roundings
-            # of pi, f and the widening, and the final 2^-51 and 1 + 2^-50
-            # those of s pi and of the bound itself
-            under = t * n * n * 2.0**-148 / pi_min
-            top = float(f.max()) * (1.0 + 2.0**-50) / (1.0 - rel) + under
-            bottom = float(f.min()) * (1.0 - 2.0**-50) / (1.0 + rel) - under
-            bound = pi_max * (s * (max(top - 1.0, 1.0 - bottom) + 2.0**-51)
-                              + half * top) * (1.0 + 2.0**-50) + 2.0**-1070
-            if bound <= limit:
-                return s * pi, bound, t
-        else:
-            rel = f32_relative_error(n, depth)
-            if rel < 1.0:
-                hmax = float(h.max())
-                # the same underflow term; 2^-1070 covers float64 underflow
-                # in the bracket and scaling
-                b = rel / (1.0 - rel) * hmax + depth * n * n * 2.0**-148
-                bound = s * b + half * (hmax + b) + 2.0**-1070
-                if bound <= limit:
-                    # exact on the linear path, where s = 1
-                    return h.astype(np.float64) * s, bound, depth
+    if bracket is None:
+        return None
+    lo, hi = bracket
+    s, half = (lo + hi) / 2, (hi - lo) / 2
+    # one rounding each: the integer degrees and their sum are exact
+    pi = deg / float(deg.sum())
+    pi_max, pi_min = float(pi.max()), float(pi.min())
+    for t, h in enumerate(_steps(g, depth, deg, np.float32)):
+        rel = f32_relative_error(n, t)
+        if rel >= 1.0:
+            return None
+        f = h / pi
+        # h_t within rel h_t of the exact walk, plus at most 2^-150
+        # absolutely per product h_j r_j under gradual underflow (the
+        # walk never grows l1 norms); 2^-50 covers the float64 roundings
+        # of pi, f and the widening, and the final 2^-51 and 1 + 2^-50
+        # those of s pi and of the bound itself
+        under = t * n * n * 2.0**-148 / pi_min
+        top = float(f.max()) * (1.0 + 2.0**-50) / (1.0 - rel) + under
+        bottom = float(f.min()) * (1.0 - 2.0**-50) / (1.0 + rel) - under
+        bound = pi_max * (s * (max(top - 1.0, 1.0 - bottom) + 2.0**-51)
+                          + half * top) * (1.0 + 2.0**-50) + 2.0**-1070
+        if bound <= limit:
+            return s * pi, bound, t
+    return None
 
 
 def _steps(g: SampledGraph, depth: int, deg: np.ndarray, dtype):
@@ -385,9 +373,9 @@ def _steps(g: SampledGraph, depth: int, deg: np.ndarray, dtype):
         yield h
 
 
-def _walk(g: SampledGraph, depth: int, deg: np.ndarray, dtype) -> np.ndarray:
-    """h_0 A_hat^K in dtype: the last vector of ``_steps``."""
-    for h in _steps(g, depth, deg, dtype):
+def _walk(g: SampledGraph, depth: int, deg: np.ndarray) -> np.ndarray:
+    """h_0 A_hat^K in float64: the last vector of ``_steps``."""
+    for h in _steps(g, depth, deg, np.float64):
         pass
     return h
 
@@ -402,11 +390,10 @@ def fast_linear_embedding(g: SampledGraph, depth: int, limit: float | None = Non
     With a limit, returns (h, bound, t) instead (``_certified``): the same
     walk runs in float32, reading half the bytes per layer, and h is the
     stationary law pi once its certificate closes at step t, else the
-    K-step float32 walk's float64 copy where its own certificate holds, and
-    the float64 walk's with bound None otherwise.
+    float64 walk's with bound None.
     """
     return _certified(limit, g, depth, Activation("identity"),
-                      lambda: _walk(g, depth, positive_degrees(g), np.float64))
+                      lambda: _walk(g, depth, positive_degrees(g)))
 
 
 def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None):
@@ -415,8 +402,8 @@ def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None)
     Without a limit: the float64 vector walk for the identity, ReLU and
     selu, and the dense float64 forward pass for every other activation.
     With a limit, returns (h, bound, t) (``_certified``): tanh and swish then
-    take the float32 walk too, scaled into their bracket, wherever the
-    walk's certificate plus the bracket's half-width stays within the limit,
+    return the stationary law scaled into their bracket wherever the float32
+    walk's certificate plus the bracket's half-width comes within the limit,
     and the dense float64 pass, with bound None, elsewhere. The sigmoid
     always takes the dense pass.
     """

@@ -49,13 +49,12 @@ _STREAM_NOISE = 13
 # is at most COORD_TOL_CONST / n^2
 COORD_TOL_CONST = 1.0
 
-# The error harness embeds through the float32 walk (the identity/ReLU/selu
-# embedding itself, tanh's and swish's scaled into their bracket) only when
-# the certified error (gcn._certified) is at most this share of the trial's
-# noise half-width eps, which is also where the walk stops: at the first step
-# whose certificate for the stationary law pi meets it. A quarter keeps that
-# error small next to the uniform noise every decision sees; pi's actual
-# distance from the K-step float64 walk is about 1e-12 eps at eps =
+# The error harness embeds a graph as the walk's stationary law pi (scaled
+# into tanh's and swish's bracket) at the first float32 walk step whose
+# certified error (gcn._certified) is at most this share of the trial's noise
+# half-width eps, and in float64 where no step within K gets there. A quarter
+# keeps that error small next to the uniform noise every decision sees; pi's
+# actual distance from the K-step float64 walk is about 1e-12 eps at eps =
 # delta/(4n), where the certificate closes at step 5 or 6 for n = 250 to
 # 2000, and below 1e-14 eps at eps = 10/n, where it closes at step 0.
 F32_ERROR_SHARE = 0.25
@@ -149,9 +148,9 @@ class TrialOutcome:
     """One protocol round: the coin, the test's decision, and what the coupled
     pair gives: its max-coordinate embedding distance, its share of coordinates
     that differ by at most COORD_TOL_CONST/n^2, the TV between its embeddings'
-    noisy laws, its two graphs' certified float32 error bounds (None for a
-    graph embedded in float64) and the walk steps their certificates took
-    (the depth K where the walk ran to K or fell back)."""
+    noisy laws, its two graphs' certified error bounds (None for a graph
+    embedded in float64) and the walk steps their certificates took (the
+    depth K for a graph embedded in float64)."""
 
     true_label: int
     decision: int
@@ -215,9 +214,9 @@ class ExperimentReport:
     ``mean_conditional_tv`` averages the per-trial TV between the two coupled
     unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
     ``f32_bound_max`` is the largest certified error bound of the graphs
-    embedded through the float32 walk (None when none was; under tanh and
-    swish the walk's rounding plus the bracket) and ``f64_fallbacks`` counts
-    the graphs embedded in float64.
+    embedded as the stationary law (None when none was; under tanh and
+    swish it includes the bracket) and ``f64_fallbacks`` counts the graphs
+    embedded in float64.
     """
 
     n: int
@@ -333,8 +332,8 @@ def monte_carlo_error(
     embedding, perturbation, decision. Reports the error rate with an exact
     95% interval, each trial's TrialOutcome, and the mean conditional Le Cam
     floor, valid under either coupling by joint convexity of TV, next to the
-    closed-form floor. Graphs embed through the float32 walk where their
-    certified error is at most F32_ERROR_SHARE * eps_res (gcn.graph_embedding),
+    closed-form floor. Graphs embed as the stationary law where a float32
+    walk certifies it within F32_ERROR_SHARE * eps_res (gcn.graph_embedding),
     and the report records those bounds.
     """
     if trials < 1:

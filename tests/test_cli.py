@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import graphonlab
-from graphonlab import cli, gcn, sample_graph
+from graphonlab import cli, derive_seed, embedding_distance_experiment, gcn, sample_graph
 from graphonlab.errors import InvalidModel
 from graphonlab.cli import main, parse_eps_rule, parse_k_rule
 from graphonlab.cli import ConfigError, _validate_experiment_config
@@ -616,6 +616,29 @@ class TestExperimentCommand:
             "trial", "seed", "label", "decision", "distance",
         ]
 
+    def test_shallow_walk_embeds_in_float64(self, tmp_path, capsys):
+        # at K = 2 the walk is far from pi, so no certificate closes and
+        # every graph is embedded as without a limit
+        path, doc = write_experiment_config(
+            tmp_path, n_list=[60, 120], k_rule=2, trials=4, seed=5,
+            share_edge_randomness=True,
+        )
+        assert main(["experiment", "--config", str(path)]) == 0
+        with open(os.path.join(doc["output_dir"], "report.json")) as fh:
+            report = json.load(fh)
+        for error in report["error"]:
+            assert error["f64_fallbacks"] == 8 and error["f32_bound_max"] is None
+            assert error["walk_steps_max"] == 2
+        rows = read_csv(os.path.join(doc["output_dir"], "trials.csv"))[1:]
+        w0, w1 = (cli._load_model(m) for m in doc["models"])
+        for idx, n in enumerate(doc["n_list"]):
+            stats = embedding_distance_experiment(
+                w0, w1, n, gcn.GCNConfig(2), 4, seed=derive_seed(5, 2 * idx),
+                share_edge_randomness=True,
+            )
+            got = [float(r[5]) for r in rows if int(r[0]) == n]
+            assert got == list(stats.distances)
+
     @pytest.mark.parametrize(
         "key, rule",
         [
@@ -836,6 +859,29 @@ def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
     assert err.startswith("config error:") and paths.get(name, name) in err
     assert "Traceback" not in err
     assert tree(tmp_path) == before  # no output directory, no file written
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["experiment", "--config", "<config>"], "summary.csv"),
+    (["mixing", "--model", BASE_JSON, "--n-list", "30", "--out-dir", "<out>"],
+     "tv_traces.json"),
+    (["dataset-profile", "--dir", "<dir>", "--labels", "<labels>", "--out-dir", "<out>"],
+     "class_profiles.csv"),
+], ids=["experiment", "mixing", "dataset-profile"])
+def test_unwritable_output_is_one_line_exit_2(tmp_path, capsys, argv, blocked):
+    # a directory where an output file belongs
+    paths = path_placeholders(tmp_path)
+    paths["<config>"], _ = write_experiment_config(
+        tmp_path, output_dir=paths["<out>"], trials=2)
+    target = os.path.join(paths["<out>"], blocked)
+    os.makedirs(target)
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output:") and target in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    with open(os.path.join(paths["<out>"], "PARTIAL")) as fh:
+        marker = fh.read()
+    assert marker.startswith("IsADirectoryError:") and repr(target) in marker
 
 
 class TestDatasetProfileCommand:

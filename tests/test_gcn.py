@@ -367,8 +367,8 @@ class TestWalk32:
         assert peak < 8 * n * 8  # a few length-n vectors; the matrix is 4 n^2 bytes
 
     def test_failed_check_falls_back_after_freeing_float32(self, monkeypatch):
-        # no certificate and no K-step bound is 0: the walk runs to K, then
-        # the float64 walk runs
+        # no certificate's bound is 0: the float32 walk runs to K, then the
+        # float64 walk runs
         n, depth = 300, 35
         g = sample_graph(W0, n, seed=4)
         runs = _walk_spy(monkeypatch)
@@ -453,7 +453,11 @@ class TestWalkExit:
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         counted = types.SimpleNamespace(n=n, adjacency=g.adjacency.view(Counted))
-        got = gcn._walk(counted, depth, gcn.positive_degrees(g), dtype)
+        deg = gcn.positive_degrees(g)
+        if dtype is np.float64:
+            got = gcn._walk(counted, depth, deg)
+        else:  # the certificate's walk: the last vector of _steps
+            *_, got = gcn._steps(counted, depth, deg, dtype)
         assert type(got) is np.ndarray and got.dtype == dtype
         assert got.tobytes() == expected.tobytes()
         if repeats:
@@ -511,9 +515,8 @@ class TestForward32:
         assert peak < 8 * n * 8  # a few length-n vectors; the matrix is 4 n^2 bytes
 
     def test_limit_below_the_bound_falls_back(self, monkeypatch):
-        # every bound holds the bracket's half-width times pi_max (the
-        # certificate) or max h >= (1 - rel)/n (the K-step rule), both above
-        # half pi_min
+        # every bound holds the bracket's half-width times pi_max max f_t,
+        # and max f_t >= 1: above half pi_min
         g = sample_graph(W0, 300, seed=4)
         runs = _walk_spy(monkeypatch)
         for kind in ("tanh", "swish"):
@@ -583,8 +586,8 @@ def _bipartite(a, b, seed):
 
 class TestCertificate:
     """The stationary law pi = deg/sum(deg), certified by the walk's density
-    bracket pi [min f_t, max f_t] a few steps in, and the K-step rule or the
-    float64 path where the bracket never closes."""
+    bracket pi [min f_t, max f_t] a few steps in, and the call without a
+    limit where the bracket never closes."""
 
     @pytest.mark.parametrize("graph", ["sampled", "bipartite"])
     def test_density_bracket_never_widens(self, graph):
@@ -621,23 +624,21 @@ class TestCertificate:
         assert steps == 0
         assert bound == pytest.approx(pi.max() * max(f0.max() - 1, 1 - f0.min()), rel=1e-5)
 
-    def test_bipartite_takes_the_k_step_rule_or_float64(self, monkeypatch):
+    def test_bipartite_falls_back_to_float64_after_one_walk(self, monkeypatch):
         n, depth = 60, 25
         g = _bipartite(20, 40, 7)
         runs = _walk_spy(monkeypatch)
-        # pi's bound stays about pi_max / 3; the K-step walk's is about 1e-4 max h
+        # pi's bound stays about pi_max / 3 at every step
         h, bound, steps = fast_linear_embedding(g, depth, 1e-3 / n)
-        assert steps == depth and bound <= 1e-3 / n
-        assert h.tobytes() == _k_step_walk(g, depth, np.float32).astype(np.float64).tobytes()
-        h, below, steps = fast_linear_embedding(g, depth, np.nextafter(bound, 0.0))
-        assert steps == depth and below is None
+        assert steps == depth and bound is None
         assert h.tobytes() == fast_linear_embedding(g, depth).tobytes()
-        assert len(runs) == 2
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("n", [40, 250, 1000])
     @pytest.mark.parametrize("deep", [True, False])
     def test_k_step_result_within_the_bound(self, n, deep):
-        # at depth 2 the walk is far from pi, and the bound must cover the gap
+        # at depth 2 the walk is far from pi: at eps = delta/(4n) no
+        # certificate closes, and at 10/n the bound must cover the gap
         depth = math.ceil(6 * math.log(n)) if deep else 2
         rel64 = math.expm1(depth * (n + 2) * math.log1p(2.0**-53))
         for i in range(3):
@@ -647,7 +648,9 @@ class TestCertificate:
             for eps in ((1 / 14) / (4 * n), 10 / n):
                 for kind in ("identity", "relu", "selu", "tanh", "swish"):
                     cfg = GCNConfig(depth, kind)
-                    h, bound, _ = graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)
+                    h, bound, steps = graph_embedding(g, cfg, testing.F32_ERROR_SHARE * eps)
+                    if not deep and eps < 1 / n:
+                        assert bound is None and steps == depth
                     if bound is None:
                         assert h.tobytes() == graph_embedding(g, cfg).tobytes()
                         continue

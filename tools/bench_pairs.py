@@ -21,13 +21,13 @@ says whether the science moved: ``decisions_changed`` counts the
 ``distance_max_rel_change`` is the largest relative change of a row's
 ``distance``; each workload sums and maxes them over its pairs. They also
 record each side's float32 certificate per n from ``report.json``
-(``certificate``: ``eps_res``, ``f32_bound_max`` and ``f64_fallbacks`` of
-each error record, None where that side writes no such key), and each
-workload, per side, the largest bound as a share of eps and the total
-fallbacks (``certificate_summary``). Each run
-also records its CPU seconds per attempted operation (``cpu_s_per_op``: the
-``RUSAGE_CHILDREN`` user plus system time of the perfbench process and its
-worker, over ``attempted``) and its minor page faults per attempted operation
+(``certificate``: ``eps_res``, ``f32_bound_max``, ``walk_steps_max`` and
+``f64_fallbacks`` of each error record, None where that side writes no such
+key), and each workload, per side, the largest bound as a share of eps, the
+largest certificate step and the total fallbacks (``certificate_summary``).
+Each run also records its CPU seconds per attempted operation
+(``cpu_s_per_op``: the ``RUSAGE_CHILDREN`` user plus system time of the
+perfbench process and its worker, over ``attempted``) and its minor page faults per attempted operation
 (``minflt_per_op``, from the same ``RUSAGE_CHILDREN`` delta), and each
 workload the parent and change medians of both, so a change that spends CPU
 on an idle core, or pages in fresh memory on every call, shows it. A traced
@@ -122,7 +122,8 @@ with tempfile.TemporaryDirectory() as work:
             rows = [(r["decision"], float(r["distance"])) for r in csv.DictReader(fh)]
         with open(os.path.join(out, "report.json")) as fh:
             certificate = [{k: e.get(k) for k in
-                            ("n", "eps_res", "f32_bound_max", "f64_fallbacks")}
+                            ("n", "eps_res", "f32_bound_max", "walk_steps_max",
+                             "f64_fallbacks")}
                            for e in json.load(fh)["error"]]
     print(json.dumps({"sha256": {n: workloads.sha256(os.path.join(out, n))
                                  for n in w.outputs},
@@ -155,13 +156,15 @@ def trials_diff(parent: list, change: list) -> tuple[int, float]:
 
 def certificate_summary(pairs: list, side: str) -> dict:
     """One side's largest f32_bound_max / eps_res over every pair and n
-    (None when no graph was certified), and its f64_fallbacks total (None
-    when that side records none)."""
+    (None when no graph was certified), its largest walk_steps_max and its
+    f64_fallbacks total (each None when that side records none)."""
     records = [r for p in pairs for r in p["certificate"][side]]
     shares = [r["f32_bound_max"] / r["eps_res"] for r in records
               if r["f32_bound_max"] is not None]
+    steps = [r["walk_steps_max"] for r in records if r["walk_steps_max"] is not None]
     fallbacks = [r["f64_fallbacks"] for r in records if r["f64_fallbacks"] is not None]
     return {"f32_bound_max_over_eps": max(shares, default=None),
+            "walk_steps_max": max(steps, default=None),
             "f64_fallbacks": sum(fallbacks) if fallbacks else None}
 
 
