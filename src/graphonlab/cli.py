@@ -56,7 +56,6 @@ from .spectral import RWChain, mixing_time
 from .testing import (
     COORD_TOL_CONST,
     check_distance_activation,
-    distance_stats,
     embedding_distance_experiment,  # unused here; perfbench's tracer hooks this name
     fit_decay_exponent,
     monte_carlo_error,
@@ -70,10 +69,10 @@ class ConfigError(Exception):
 
 
 def _read_text(path, what) -> str:
-    """A UTF-8 text file's contents; a file that cannot be opened or decoded
-    is a ConfigError naming it."""
+    """A UTF-8 text file's contents, without a leading byte-order mark; a
+    file that cannot be opened or decoded is a ConfigError naming it."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.read()
     except FileNotFoundError:
         raise ConfigError(f"{what} not found: {path}") from None
@@ -433,28 +432,11 @@ def _plan_experiment(path):
     return doc, run, [(n, k_rule(n), eps_rule(n)) for n in doc["n_list"]]
 
 
-def _run_experiment_n(run, idx, n, depth, eps):
-    """One trial loop at the idx-th n; returns that n's (DistanceStats,
-    ExperimentReport), both read from the same coupled pairs."""
-    w0, w1 = run["models"]
-    cfg = GCNConfig(depth=depth, activation=run["activation"])
-    mc = monte_carlo_error(
-        w0, w1, n, cfg, eps, run["trials"], derive_seed(run["seed"], 2 * idx),
-        share_edge_randomness=run["share"],
-    )
-    dist = distance_stats(
-        n, depth, mc.seed, mc.delta, [t.embedding_distance for t in mc.outcomes],
-        [t.small_coord_frac for t in mc.outcomes], run["share"],
-    )
-    return dist, mc
-
-
-def _write_experiment(out_dir, doc, records):
-    """Write every experiment output from the per-n (DistanceStats,
-    ExperimentReport) records alone, the one place that names a column or a
-    report.json key; returns the summary path and the fitted decay exponent
-    of the p95s."""
-    exponent = fit_decay_exponent([d.n for d, _ in records], [d.p95 for d, _ in records])
+def _write_experiment(out_dir, doc, reports):
+    """Write every experiment output from the per-n ExperimentReports alone,
+    the one place that names a column or a report.json key; returns the
+    summary path and the fitted decay exponent of the p95s."""
+    exponent = fit_decay_exponent([e.n for e in reports], [e.distance.p95 for e in reports])
     paths = [
         os.path.join(out_dir, name)
         for name in ("distances.csv", "trials.csv", "summary.csv", "report.json")
@@ -463,14 +445,14 @@ def _write_experiment(out_dir, doc, records):
     _write_csv(
         distances_csv,
         ["n", "trial", "seed", "distance"],
-        ([d.n, i, d.seed, f"{x:.17g}"]
-         for d, _ in records for i, x in enumerate(d.distances)),
+        ([e.n, i, e.seed, f"{x:.17g}"]
+         for e in reports for i, x in enumerate(e.distance.distances)),
     )
     _write_csv(
         trials_csv,
         ["n", "trial", "seed", "label", "decision", "distance"],
         ([e.n, i, t.seed, t.true_label, t.decision, f"{t.embedding_distance:.17g}"]
-         for _, e in records for i, t in enumerate(e.outcomes)),
+         for e in reports for i, t in enumerate(e.outcomes)),
     )
     _write_csv(
         summary_csv,
@@ -478,13 +460,15 @@ def _write_experiment(out_dir, doc, records):
          "envelope", "frac_small_coords", "error_rate", "ci_low", "ci_high",
          "accuracy", "lecam_floor", "formula_floor", "fitted_exponent"],
         ([f"{v:.12g}" if isinstance(v, float) else v for v in (
-            d.n, d.depth, e.eps_res, d.delta, d.regime, d.median, d.p95,
+            e.n, e.depth, e.eps_res, e.delta, d.regime, d.median, d.p95,
             d.envelope, d.frac_small_coords, e.error_rate, e.ci_low, e.ci_high,
             1.0 - e.error_rate, e.bounds.lecam_lower, e.bounds.formula_floor, exponent,
-        )] for d, e in records),
+        )] for e in reports for d in [e.distance]),
     )
     distance, error = [], []
-    for d, e in records:
+    for e in reports:
+        d = e.distance
+        f32 = [b for t in e.outcomes for b in t.f32_bounds if b is not None]
         steps = [s for t in e.outcomes for s in t.walk_steps]
         distance.append({
             "n": d.n,
@@ -516,10 +500,11 @@ def _write_experiment(out_dir, doc, records):
             "formula_raw": e.bounds.formula_raw,
             "regime": e.bounds.regime,
             "delta": e.delta,
-            "f32_bound_max": e.f32_bound_max,
+            # the certificate of the n's 2 * trials graphs
+            "f32_bound_max": max(f32, default=None),
             "walk_steps_median": float(np.median(steps)),
             "walk_steps_max": max(steps),
-            "f64_fallbacks": e.f64_fallbacks,
+            "f64_fallbacks": 2 * e.trials - len(f32),
             "trials_detail": [
                 {"trial": i, "seed": t.seed, "label": t.true_label,
                  "decision": t.decision, "distance": t.embedding_distance}
@@ -536,9 +521,18 @@ def _write_experiment(out_dir, doc, records):
 def cmd_experiment(args) -> int:
     doc, run, plan = _plan_experiment(args.config)
     out_dir = _make_out_dir(doc["output_dir"])
+    w0, w1 = run["models"]
     with _partial_on_failure(out_dir):
-        records = [_run_experiment_n(run, idx, *point) for idx, point in enumerate(plan)]
-        summary_csv, exponent = _write_experiment(out_dir, doc, records)
+        # one trial loop per n; perfbench's tracer hooks this module's global
+        reports = [
+            monte_carlo_error(
+                w0, w1, n, GCNConfig(depth=depth, activation=run["activation"]), eps,
+                run["trials"], derive_seed(run["seed"], 2 * idx),
+                share_edge_randomness=run["share"],
+            )
+            for idx, (n, depth, eps) in enumerate(plan)
+        ]
+        summary_csv, exponent = _write_experiment(out_dir, doc, reports)
     print(f"wrote {summary_csv} (fitted exponent {exponent:.4g})")
     return 0
 

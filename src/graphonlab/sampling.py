@@ -91,8 +91,8 @@ class SampledGraph:
     latent_positions: np.ndarray | None = None
     seed: int | None = None
     source: str = "sampled"
-    # set only by the samplers, which hand over the edge filler's fresh uint8
-    # array: nothing else holds it, so it is checked but not copied
+    # set only by the samplers and load_edge_list, which hand over a fresh
+    # uint8 array that nothing else holds: it is checked but not copied
     _owned: InitVar[bool] = False
 
     def __post_init__(self, _owned):
@@ -354,4 +354,4 @@ def load_edge_list(text: str) -> SampledGraph:
     adj = np.zeros((n, n), dtype=np.uint8)
     adj[ids[:, 0], ids[:, 1]] = 1
     adj[ids[:, 1], ids[:, 0]] = 1
-    return SampledGraph(adj, latent_positions=None, seed=None, source="external")
+    return SampledGraph(adj, source="external", _owned=True)

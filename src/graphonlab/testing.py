@@ -207,16 +207,15 @@ def nearest_profile_test(
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Aggregated Monte Carlo error estimate with its floors.
+    """One experiment size's record: the Monte Carlo error estimate with its
+    floors, and the distance summary of the same coupled pairs.
 
-    ``outcomes`` holds each trial's TrialOutcome, in trial order.
-    ``error_rate`` carries an exact (Clopper-Pearson) 95% binomial interval.
-    ``mean_conditional_tv`` averages the per-trial TV between the two coupled
-    unperturbed embeddings; its Le Cam translation is ``bounds.lecam_lower``.
-    ``f32_bound_max`` is the largest certified error bound of the graphs
-    embedded as the stationary law (None when none was; under tanh and
-    swish it includes the bracket) and ``f64_fallbacks`` counts the graphs
-    embedded in float64.
+    ``outcomes`` holds each trial's TrialOutcome, in trial order, with its
+    certificate. ``error_rate`` carries an exact (Clopper-Pearson) 95%
+    binomial interval. ``mean_conditional_tv`` averages the per-trial TV
+    between the two coupled unperturbed embeddings; its Le Cam translation is
+    ``bounds.lecam_lower``. ``distance`` is the DistanceStats of the
+    outcomes' embedding distances, and ``bounds.regime`` is its regime.
     """
 
     n: int
@@ -231,8 +230,7 @@ class ExperimentReport:
     mean_conditional_tv: float
     bounds: ErrorBounds
     delta: float
-    f32_bound_max: float | None
-    f64_fallbacks: int
+    distance: DistanceStats
 
 
 def clopper_pearson(k: int, n: int) -> tuple[float, float]:
@@ -334,7 +332,8 @@ def monte_carlo_error(
     floor, valid under either coupling by joint convexity of TV, next to the
     closed-form floor. Graphs embed as the stationary law where a float32
     walk certifies it within F32_ERROR_SHARE * eps_res (gcn.graph_embedding),
-    and the report records those bounds.
+    and each outcome records its graphs' bounds. The report's ``distance``
+    summarizes the same pairs' embedding distances.
     """
     if trials < 1:
         raise InvalidModel("trials must be >= 1")
@@ -346,13 +345,15 @@ def monte_carlo_error(
         lambda e0, e1, s: _mc_trial(w0, w1, n, eps_res, profiles, e0, e1, s),
         limit=F32_ERROR_SHARE * eps_res,
     ))
-    f32 = [b for t in outcomes for b in t.f32_bounds if b is not None]
     tvs = np.array([t.conditional_tv for t in outcomes])
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
     rate = errors / trials
     lo, hi = clopper_pearson(errors, trials)
     delta = delta_distance(w0, w1)
-    regime = "delta_zero" if delta < DELTA_ZERO_TOL else "delta_positive"
+    distance = distance_stats(
+        n, cfg.depth, seed, delta, [t.embedding_distance for t in outcomes],
+        [t.small_coord_frac for t in outcomes], share_edge_randomness,
+    )
     try:
         raw = error_probability_floor(delta, eps_res, n)
     except HypothesisViolated:
@@ -362,7 +363,7 @@ def monte_carlo_error(
     bounds = ErrorBounds(
         lecam_lower=float(np.mean([lecam_error_lower(t) for t in tvs])),
         formula_floor=min(raw, 0.5),
-        regime=regime,
+        regime=distance.regime,
         formula_raw=raw,
     )
     return ExperimentReport(
@@ -378,8 +379,7 @@ def monte_carlo_error(
         mean_conditional_tv=float(tvs.mean()),
         bounds=bounds,
         delta=delta,
-        f32_bound_max=max(f32, default=None),
-        f64_fallbacks=2 * trials - len(f32),
+        distance=distance,
     )
 
 

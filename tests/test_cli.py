@@ -41,7 +41,8 @@ def path_placeholders(tmp_path):
     a file that is not UTF-8, "<file>" a plain file where a directory belongs,
     "<out>" a path that does not exist yet, "<outside>" an edge list next to
     "<dir>", and "<labels...>" labels files for "<dir>". "<config>" is an
-    experiment config whose output_dir is "<file>".
+    experiment config whose output_dir is "<file>", and each "<config-...>"
+    a malformed experiment config.
     """
     paths = {"<dir>": tmp_path / "adir", "<bad>": tmp_path / "bad.json",
              "<file>": tmp_path / "afile", "<out>": tmp_path / "out",
@@ -59,10 +60,22 @@ def path_placeholders(tmp_path):
                       ("<labels-parent>", "a.edges,x\n../outside.txt,y\n"),
                       ("<labels-absolute>", f"a.edges,x\n{paths['<outside>']},y\n"),
                       # one field past csv's default field size limit (131,072)
-                      ("<labels-long-field>", "a" * 200_000 + ",x\n")):
+                      ("<labels-long-field>", "a" * 200_000 + ",x\n"),
+                      ("<labels-one-field>", "a.edges\nb.edges,y\n")):
         paths[key] = tmp_path / (key.strip("<>") + ".csv")
         paths[key].write_text(text)
-    paths["<config>"], _ = write_experiment_config(tmp_path, output_dir=str(paths["<file>"]))
+    paths["<config>"], doc = write_experiment_config(
+        tmp_path, output_dir=str(paths["<file>"]))
+    without_trials = {k: v for k, v in doc.items() if k != "trials"}
+    for key, text in (("<config-not-json>", "{"), ("<config-list>", "[]"),
+                      ("<config-no-trials>", json.dumps(without_trials)),
+                      ("<config-one-model>", json.dumps(dict(doc, models=doc["models"][:1]))),
+                      ("<config-model-number>",
+                       json.dumps(dict(doc, models=[5, doc["models"][1]]))),
+                      ("<config-model-null>",
+                       json.dumps(dict(doc, models=[None, doc["models"][1]])))):
+        paths[key] = tmp_path / (key.strip("<>") + ".json")
+        paths[key].write_text(text)
     return {key: str(path) for key, path in paths.items()}
 
 
@@ -835,6 +848,19 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
          "'../outside.txt'"),
         (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-absolute>"],
          "<outside>"),
+        (["dataset-profile", "--dir", "<dir>", "--labels", "<labels-one-field>"],
+         "labels row needs filename,label: ['a.edges']"),
+        (["dataset-profile", "--dir", "<out>", "--labels", "<labels>"],
+         "dataset directory not found"),
+        (["delta", "{not json", BASE_JSON], "model spec is not valid JSON"),
+        (["experiment", "--config", "<config-not-json>"], "config is not valid JSON"),
+        (["experiment", "--config", "<config-list>"], "must be a JSON object"),
+        (["experiment", "--config", "<config-no-trials>"], "missing 'trials'"),
+        (["experiment", "--config", "<config-one-model>"], "exactly two specs"),
+        (["experiment", "--config", "<config-model-number>"],
+         "malformed model spec: TypeError"),
+        (["experiment", "--config", "<config-model-null>"],
+         "malformed model spec: TypeError"),
     ],
     ids=[
         "n-list-letters", "eps-inf", "eps-nan", "grid-length-zero",
@@ -846,7 +872,10 @@ PROFILE_ARGS = ["dataset-profile", "--dir", "graphs", "--labels", "labels.csv"]
         "config-non-utf8", "experiment-out-dir-file", "mixing-out-dir-file",
         "profile-out-dir-file", "labels-directory", "labels-non-utf8",
         "labeled-name-directory", "labels-repeated-name", "labels-field-too-long",
-        "labeled-name-parent", "labeled-name-absolute",
+        "labeled-name-parent", "labeled-name-absolute", "labels-one-field",
+        "missing-dataset-dir", "spec-not-json", "config-not-json",
+        "config-not-object", "config-missing-key", "config-one-model",
+        "config-model-number", "config-model-null",
     ],
 )
 def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
@@ -857,7 +886,7 @@ def test_bad_argument_is_config_error(tmp_path, capsys, argv, name):
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and paths.get(name, name) in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert tree(tmp_path) == before  # no output directory, no file written
 
 
@@ -882,6 +911,45 @@ def test_unwritable_output_is_one_line_exit_2(tmp_path, capsys, argv, blocked):
     with open(os.path.join(paths["<out>"], "PARTIAL")) as fh:
         marker = fh.read()
     assert marker.startswith("IsADirectoryError:") and repr(target) in marker
+
+
+def test_byte_order_mark_is_ignored(tmp_path, monkeypatch, capsys):
+    # the same inputs with and without a leading UTF-8 byte-order mark, each
+    # set run from its own directory under the same relative paths
+    inputs = {
+        "m0.json": BASE_JSON,
+        "config.json": json.dumps({
+            "schema_version": 1, "models": ["m0.json", json.loads(SEP_JSON)],
+            "n_list": [40], "k_rule": 5, "eps_rule": "0.017857/n", "trials": 2,
+            "seed": 3, "output_dir": "exp",
+        }),
+        "labels.csv": "filename,label\na.edges,x\nb.edges,y\n",
+        "graphs/a.edges": "0 1\n1 2\n",
+        "graphs/b.edges": "0 1\n1 2\n2 3\n",
+    }
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        root = tmp_path / ("bom" if bom else "plain")
+        (root / "graphs").mkdir(parents=True)
+        for name, text in inputs.items():
+            (root / name).write_bytes(bom + text.encode())
+        monkeypatch.chdir(root)
+        codes = [
+            main(["experiment", "--config", "config.json"]),
+            main(["delta", "m0.json", SEP_JSON]),
+            main(["dataset-profile", "--dir", "graphs", "--labels", "labels.csv",
+                  "--out-dir", "prof"]),
+        ]
+        captured = capsys.readouterr()
+        assert codes == [0, 0, 0], captured.err
+        outputs = {}
+        for path in sorted((root / "exp").iterdir()) + sorted((root / "prof").iterdir()):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = {k: v for k, v in json.loads(data).items() if k != "timestamp"}
+            outputs[str(path.relative_to(root))] = data
+        runs.append((codes, captured.out, captured.err, outputs))
+    assert runs[1] == runs[0]
 
 
 class TestDatasetProfileCommand:

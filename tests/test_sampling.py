@@ -1,5 +1,6 @@
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -589,6 +590,20 @@ class TestEdgeList:
     def test_vertex_cap_refused_before_allocation(self, text):
         with pytest.raises(GraphTooLarge, match="capped at 16384"):
             load_edge_list(text)
+
+    def test_adjacency_is_not_copied(self):
+        # tracemalloc's peak, in bytes per adjacency entry: the one uint8
+        # adjacency and the symmetry check's scratch, with no second copy
+        n = 3000
+        text = "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        tracemalloc.start()
+        try:
+            g = load_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak <= 1.5 * n * n
 
     def test_save_round_trip(self, tmp_path):
         g = sample_graph(SBM_BASE.to_step_graphon(), 25, seed=11)

@@ -247,12 +247,23 @@ class TestMonteCarlo:
                                  for i in range(trials))
                 ]
             assert [t.f32_bounds for t in report.outcomes] == bounds
-            assert report.f32_bound_max == max(max(b) for b in bounds)
-            assert report.f64_fallbacks == 0
             # noise so small that no certificate holds: every graph in float64
             report = monte_carlo_error(w0, w1, n, cfg, 1e-6, trials, seed)
             assert [t.f32_bounds for t in report.outcomes] == [(None, None)] * trials
-            assert report.f32_bound_max is None and report.f64_fallbacks == 2 * trials
+
+    @pytest.mark.parametrize("share", [False, True], ids=["indep", "shared"])
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_distance_equals_the_distance_harness(self, activation, share):
+        # at eps = 1e-6 every graph falls back to float64, so both harnesses
+        # read the same embeddings
+        w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()
+        cfg = GCNConfig(depth=7, activation=activation)
+        report = monte_carlo_error(w0, w1, 60, cfg, 1e-6, 3, 31, share_edge_randomness=share)
+        stats = embedding_distance_experiment(
+            w0, w1, 60, cfg, 3, 31, share_edge_randomness=share
+        )
+        assert report.distance == stats
+        assert report.bounds.regime == stats.regime
 
     def test_profiles_built_once_per_call(self, monkeypatch):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()

@@ -137,8 +137,10 @@ def run_outputs(root: Path, workload: str, seed: int) -> dict:
     mixing)."""
     env = run.worker_env(root, workloads.WORKLOADS[workload])
     proc = subprocess.run([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
-                          cwd=root, env=env, capture_output=True,
-                          text=True, timeout=300, check=True)
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{root}: outputs of {workload} at seed {seed} exited "
+                           f"{proc.returncode}: {proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
