@@ -47,7 +47,7 @@ print(f"  error rate = {report.error_rate:.3f}  (accuracy {1 - report.error_rate
 print()
 print("== family pair, generous noise (indistinguishable regime) ==")
 report = monte_carlo_error(w0, w_fam, n, cfg, eps_res=10.0 / n, trials=trials, seed=12)
-print(f"  delta = {report.delta:.2e}, eps_res = 10/n = {10.0 / n:.3f}")
+print(f"  delta = {report.distance.delta:.2e}, eps_res = 10/n = {10.0 / n:.3f}")
 print(f"  error rate = {report.error_rate:.3f}")
 print(f"  averaged conditional Le Cam floor = {report.bounds.lecam_lower:.3f}")
 print(f"  closed-form floor (c = 1)         = {report.bounds.formula_floor:.3f}")

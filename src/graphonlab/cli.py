@@ -436,7 +436,8 @@ def _write_experiment(out_dir, doc, reports):
     """Write every experiment output from the per-n ExperimentReports alone,
     the one place that names a column or a report.json key; returns the
     summary path and the fitted decay exponent of the p95s."""
-    exponent = fit_decay_exponent([e.n for e in reports], [e.distance.p95 for e in reports])
+    ds = [e.distance for e in reports]
+    exponent = fit_decay_exponent([d.n for d in ds], [d.p95 for d in ds])
     paths = [
         os.path.join(out_dir, name)
         for name in ("distances.csv", "trials.csv", "summary.csv", "report.json")
@@ -445,13 +446,12 @@ def _write_experiment(out_dir, doc, reports):
     _write_csv(
         distances_csv,
         ["n", "trial", "seed", "distance"],
-        ([e.n, i, e.seed, f"{x:.17g}"]
-         for e in reports for i, x in enumerate(e.distance.distances)),
+        ([d.n, i, d.seed, f"{x:.17g}"] for d in ds for i, x in enumerate(d.distances)),
     )
     _write_csv(
         trials_csv,
         ["n", "trial", "seed", "label", "decision", "distance"],
-        ([e.n, i, t.seed, t.true_label, t.decision, f"{t.embedding_distance:.17g}"]
+        ([e.distance.n, i, t.seed, t.true_label, t.decision, f"{t.embedding_distance:.17g}"]
          for e in reports for i, t in enumerate(e.outcomes)),
     )
     _write_csv(
@@ -460,7 +460,7 @@ def _write_experiment(out_dir, doc, reports):
          "envelope", "frac_small_coords", "error_rate", "ci_low", "ci_high",
          "accuracy", "lecam_floor", "formula_floor", "fitted_exponent"],
         ([f"{v:.12g}" if isinstance(v, float) else v for v in (
-            e.n, e.depth, e.eps_res, e.delta, d.regime, d.median, d.p95,
+            d.n, d.depth, e.eps_res, d.delta, d.regime, d.median, d.p95,
             d.envelope, d.frac_small_coords, e.error_rate, e.ci_low, e.ci_high,
             1.0 - e.error_rate, e.bounds.lecam_lower, e.bounds.formula_floor, exponent,
         )] for e in reports for d in [e.distance]),
@@ -486,11 +486,11 @@ def _write_experiment(out_dir, doc, reports):
             "distances": list(d.distances),
         })
         error.append({
-            "n": e.n,
-            "K": e.depth,
+            "n": d.n,
+            "K": d.depth,
             "eps_res": e.eps_res,
-            "trials": e.trials,
-            "seed": e.seed,
+            "trials": d.trials,
+            "seed": d.seed,
             "error_rate": e.error_rate,
             "ci_low": e.ci_low,
             "ci_high": e.ci_high,
@@ -498,13 +498,13 @@ def _write_experiment(out_dir, doc, reports):
             "lecam_floor": e.bounds.lecam_lower,
             "formula_floor": e.bounds.formula_floor,
             "formula_raw": e.bounds.formula_raw,
-            "regime": e.bounds.regime,
-            "delta": e.delta,
+            "regime": d.regime,
+            "delta": d.delta,
             # the certificate of the n's 2 * trials graphs
             "f32_bound_max": max(f32, default=None),
             "walk_steps_median": float(np.median(steps)),
             "walk_steps_max": max(steps),
-            "f64_fallbacks": 2 * e.trials - len(f32),
+            "f64_fallbacks": 2 * d.trials - len(f32),
             "trials_detail": [
                 {"trial": i, "seed": t.seed, "label": t.true_label,
                  "decision": t.decision, "distance": t.embedding_distance}

@@ -148,8 +148,9 @@ class GCNConfig:
     activation: Activation = Activation("identity")
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise InvalidModel("depth must be a positive integer")
+        d = self.depth
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise InvalidModel(f"depth must be a positive integer, got {d!r}")
         if isinstance(self.activation, str):
             object.__setattr__(self, "activation", Activation(self.activation))
 
@@ -413,10 +414,15 @@ def graph_embedding(g: SampledGraph, cfg: GCNConfig, limit: float | None = None)
                       lambda: embedding_vector(forward(g, cfg)))
 
 
+def check_eps_res(eps_res: float) -> None:
+    """Refuse an eps_res that is NaN, not positive, or whose width 2*eps_res is infinite."""
+    if not (eps_res > 0 and math.isfinite(2 * eps_res)):
+        raise InvalidModel(f"eps_res must be positive, with 2*eps_res finite, got {eps_res!r}")
+
+
 def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:
     """Add i.i.d. uniform noise on [-eps_res, eps_res] to every coordinate."""
-    if eps_res <= 0:
-        raise InvalidModel("eps_res must be positive")
+    check_eps_res(eps_res)
     h = np.asarray(h, dtype=float)
     rng = make_rng(seed)
     return h + rng.uniform(-eps_res, eps_res, size=h.shape)

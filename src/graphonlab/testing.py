@@ -26,6 +26,7 @@ from .errors import HypothesisViolated, InvalidModel, ShapeMismatch
 from .gcn import (
     Activation,
     GCNConfig,
+    check_eps_res,
     classify_activation,
     graph_embedding,
     one_blas_thread,
@@ -82,8 +83,7 @@ def tv_perturbed(m0, m1, eps_res: float) -> TVResult:
     with |diff| >= 2 eps makes the supports disjoint along that axis and the
     distance exactly 1.
     """
-    if eps_res <= 0:
-        raise InvalidModel("eps_res must be positive")
+    check_eps_res(eps_res)
     a = np.asarray(m0, dtype=float)
     b = np.asarray(m1, dtype=float)
     if a.shape != b.shape:
@@ -114,8 +114,9 @@ def error_probability_floor(delta: float, eps_res: float, n: int) -> float:
     exp(-1/(eps_res n)); only this shape is pinned down, and the constant
     is taken as 1.
     """
-    if eps_res <= 0 or n < 1:
-        raise InvalidModel("need eps_res > 0 and n >= 1")
+    check_eps_res(eps_res)
+    if n < 1:
+        raise InvalidModel("need n >= 1")
     if delta < 0:
         raise InvalidModel("delta must be nonnegative")
     if delta < DELTA_ZERO_TOL:
@@ -129,11 +130,10 @@ def error_probability_floor(delta: float, eps_res: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorBounds:
-    """Floors attached to an experiment; values clamped to the trivial 1/2."""
+    """An experiment's floors, in its distance.regime; clamped to the trivial 1/2."""
 
     lecam_lower: float
     formula_floor: float
-    regime: str  # "delta_positive" | "delta_zero"
     formula_raw: float
 
     def __post_init__(self):
@@ -210,26 +210,22 @@ class ExperimentReport:
     """One experiment size's record: the Monte Carlo error estimate with its
     floors, and the distance summary of the same coupled pairs.
 
-    ``outcomes`` holds each trial's TrialOutcome, in trial order, with its
-    certificate. ``error_rate`` carries an exact (Clopper-Pearson) 95%
+    ``distance`` is the DistanceStats of the outcomes' embedding distances,
+    and the one holder of the size n, depth, trial count, seed, delta and
+    regime. ``outcomes`` holds each trial's TrialOutcome, in trial order, with
+    its certificate. ``error_rate`` carries an exact (Clopper-Pearson) 95%
     binomial interval. ``mean_conditional_tv`` averages the per-trial TV
     between the two coupled unperturbed embeddings; its Le Cam translation is
-    ``bounds.lecam_lower``. ``distance`` is the DistanceStats of the
-    outcomes' embedding distances, and ``bounds.regime`` is its regime.
+    ``bounds.lecam_lower``.
     """
 
-    n: int
-    depth: int
     eps_res: float
-    trials: int
-    seed: int
     outcomes: tuple
     error_rate: float
     ci_low: float
     ci_high: float
     mean_conditional_tv: float
     bounds: ErrorBounds
-    delta: float
     distance: DistanceStats
 
 
@@ -275,6 +271,8 @@ def _each_trial(w0, w1, n, cfg, seed, trials, share, trial, limit=None):
     those of the serial loop, and the worker is done before an exception
     leaves.
     """
+    if trials < 1:
+        raise InvalidModel("trials must be >= 1")
     # deferred: importing the pool costs setup time
     from concurrent.futures import ThreadPoolExecutor
 
@@ -335,10 +333,7 @@ def monte_carlo_error(
     and each outcome records its graphs' bounds. The report's ``distance``
     summarizes the same pairs' embedding distances.
     """
-    if trials < 1:
-        raise InvalidModel("trials must be >= 1")
-    if eps_res <= 0:
-        raise InvalidModel("eps_res must be positive")
+    check_eps_res(eps_res)
     profiles = expected_sorted_profile(w0, n), expected_sorted_profile(w1, n)
     outcomes = tuple(_each_trial(
         w0, w1, n, cfg, seed, trials, share_edge_randomness,
@@ -347,15 +342,12 @@ def monte_carlo_error(
     ))
     tvs = np.array([t.conditional_tv for t in outcomes])
     errors = sum(1 for t in outcomes if t.decision != t.true_label)
-    rate = errors / trials
     lo, hi = clopper_pearson(errors, trials)
-    delta = delta_distance(w0, w1)
-    distance = distance_stats(
-        n, cfg.depth, seed, delta, [t.embedding_distance for t in outcomes],
-        [t.small_coord_frac for t in outcomes], share_edge_randomness,
-    )
+    distance = distance_stats(n, cfg.depth, seed, delta_distance(w0, w1),
+                              [t.embedding_distance for t in outcomes],
+                              [t.small_coord_frac for t in outcomes], share_edge_randomness)
     try:
-        raw = error_probability_floor(delta, eps_res, n)
+        raw = error_probability_floor(distance.delta, eps_res, n)
     except HypothesisViolated:
         # eps_res <= delta/(2n): the achievability regime, where no positive
         # closed-form floor applies
@@ -363,22 +355,16 @@ def monte_carlo_error(
     bounds = ErrorBounds(
         lecam_lower=float(np.mean([lecam_error_lower(t) for t in tvs])),
         formula_floor=min(raw, 0.5),
-        regime=distance.regime,
         formula_raw=raw,
     )
     return ExperimentReport(
-        n=n,
-        depth=cfg.depth,
         eps_res=eps_res,
-        trials=trials,
-        seed=seed,
         outcomes=outcomes,
-        error_rate=rate,
+        error_rate=errors / trials,
         ci_low=lo,
         ci_high=hi,
         mean_conditional_tv=float(tvs.mean()),
         bounds=bounds,
-        delta=delta,
         distance=distance,
     )
 
@@ -443,8 +429,6 @@ def embedding_distance_experiment(
     both embeddings sit near their stationary limits; the regimes then differ
     only through the degree-profile distance of the models.
     """
-    if trials < 1:
-        raise InvalidModel("trials must be >= 1")
     check_distance_activation(cfg.activation)
     dists, fracs = zip(*_each_trial(
         w0, w1, n, cfg, seed, trials, share_edge_randomness,

@@ -99,6 +99,11 @@ class TestForward:
             atol=1e-15,
         )
 
+    def test_numpy_integer_depth(self):
+        g = path_graph(3)
+        m = forward(g, GCNConfig(depth=np.int64(3)))
+        assert m.tobytes() == forward(g, GCNConfig(depth=3)).tobytes()
+
     def test_oracle_equivalence_random_graphs(self):
         for i in range(4):
             g = sample_graph(SBM_BASE.to_step_graphon(), 40, seed=derive_seed(9, i))

@@ -19,12 +19,16 @@ from graphonlab import (
     StepGraphon,
     TrialOutcome,
     clopper_pearson,
+    derive_seed,
     embedding_distance_experiment,
     error_probability_floor,
     linearization_gap,
     load_edge_list,
+    make_rng,
     mixing_time,
+    monte_carlo_error,
     nearest_profile_test,
+    perturb,
     sample_coupled,
     sample_graph,
     tv_perturbed,
@@ -82,6 +86,18 @@ REFUSALS = [
      lambda: CoupledPair(positioned([0.1, 0.2]), positioned([0.1, 0.3])),
      InvalidModel, "share latent positions"),
     ("sample-graph-n1", lambda: sample_graph(W, 1, 0), InvalidModel, "n >= 2"),
+    # seeds are 64-bit: -1, 2^64 + 5 and 5.0 used to run the streams of
+    # 2^64 - 1, 5 and 5
+    ("sample-graph-seed-negative", lambda: sample_graph(W, 30, -1), InvalidModel,
+     "seed must be an integer in"),
+    ("sample-graph-seed-2^64", lambda: sample_graph(W, 30, 2**64 + 5), InvalidModel,
+     "seed must be an integer in"),
+    ("sample-coupled-seed-float", lambda: sample_coupled(W, W, 30, 5.0), InvalidModel,
+     "seed must be an integer in"),
+    ("make-rng-seed-bool", lambda: make_rng(True), InvalidModel,
+     "seed must be an integer in"),
+    ("derive-seed-index", lambda: derive_seed(1, -1), InvalidModel,
+     "index must be an integer in"),
     ("sample-coupled-n1", lambda: sample_coupled(W, W, 1, 0), InvalidModel, "n >= 2"),
     ("edge-list-negative-id", lambda: load_edge_list("0 1\n-1 2\n"), ParseError,
      "nonnegative"),
@@ -91,14 +107,31 @@ REFUSALS = [
      InvalidModel, "eps > 0"),
     ("tv-eps", lambda: tv_perturbed([0.0], [0.0], 0.0), InvalidModel,
      "eps_res must be positive"),
+    ("tv-eps-nan", lambda: tv_perturbed([0.1, 0.2], [0.1, 0.3], np.nan), InvalidModel,
+     "eps_res must be positive"),
+    # 2 * 1e308 overflows: the noise's full width is not finite
+    ("tv-eps-width", lambda: tv_perturbed([0.0], [0.0], 1e308), InvalidModel,
+     "2\\*eps_res finite"),
+    ("perturb-eps-nan", lambda: perturb(np.zeros(2), np.nan, 1), InvalidModel,
+     "eps_res must be positive"),
+    ("perturb-eps-inf", lambda: perturb(np.zeros(2), np.inf, 1), InvalidModel,
+     "2\\*eps_res finite"),
+    ("error-eps-nan",
+     lambda: monte_carlo_error(W, W, 10, GCNConfig(depth=2), np.nan, 2, 0),
+     InvalidModel, "eps_res must be positive"),
+    ("error-trials",
+     lambda: monte_carlo_error(W, W, 10, GCNConfig(depth=2), 0.1, 0, 0),
+     InvalidModel, "trials must be >= 1"),
     ("floor-eps", lambda: error_probability_floor(0.1, 0.0, 10), InvalidModel,
-     "eps_res > 0"),
+     "eps_res must be positive"),
+    ("floor-eps-nan", lambda: error_probability_floor(0.1, np.nan, 10), InvalidModel,
+     "eps_res must be positive"),
     ("floor-n", lambda: error_probability_floor(0.1, 0.1, 0), InvalidModel, "n >= 1"),
     ("floor-delta", lambda: error_probability_floor(-0.1, 0.1, 10), InvalidModel,
      "delta must be nonnegative"),
-    ("bounds-lecam", lambda: ErrorBounds(0.6, 0.1, "delta_zero", 0.1), InvalidModel,
+    ("bounds-lecam", lambda: ErrorBounds(0.6, 0.1, 0.1), InvalidModel,
      "lecam_lower"),
-    ("bounds-formula", lambda: ErrorBounds(0.1, -0.1, "delta_zero", -0.1),
+    ("bounds-formula", lambda: ErrorBounds(0.1, -0.1, -0.1),
      InvalidModel, "formula_floor"),
     ("outcome-label", lambda: outcome(2), InvalidModel, "binary"),
     ("profile-test-length", lambda: nearest_profile_test(np.zeros(3), W, W, 4),
@@ -109,6 +142,8 @@ REFUSALS = [
      lambda: embedding_distance_experiment(W, W, 10, GCNConfig(depth=2), 0, 0),
      InvalidModel, "trials must be >= 1"),
     ("gcn-depth", lambda: GCNConfig(depth=0), InvalidModel, "depth must be"),
+    ("gcn-depth-bool", lambda: GCNConfig(depth=True), InvalidModel, "depth must be"),
+    ("gcn-depth-float", lambda: GCNConfig(depth=2.5), InvalidModel, "depth must be"),
     # 4 * isqrt(4) = 8
     ("linearization-depth",
      lambda: linearization_gap(path_graph(4), GCNConfig(depth=8, activation="tanh")),

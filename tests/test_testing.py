@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import tracemalloc
 
@@ -208,7 +209,7 @@ class TestMonteCarlo:
         cfg = GCNConfig(depth=8)
         report = monte_carlo_error(w, w, 40, cfg, eps_res=0.01, trials=200, seed=5)
         assert report.ci_low <= 0.5 <= report.ci_high
-        assert report.trials == 200
+        assert report.distance.trials == 200
         assert len(report.outcomes) == 200
 
     def test_separated_pair_beats_chance(self):
@@ -221,7 +222,7 @@ class TestMonteCarlo:
             w0, w1, n, cfg, eps_res=delta / (4 * n), trials=60, seed=9
         )
         assert report.error_rate <= 0.15
-        assert report.bounds.regime == "delta_positive"
+        assert report.distance.regime == "delta_positive"
 
     def test_deterministic_replay(self):
         w0 = SBM_BASE.to_step_graphon()
@@ -263,7 +264,14 @@ class TestMonteCarlo:
             w0, w1, 60, cfg, 3, 31, share_edge_randomness=share
         )
         assert report.distance == stats
-        assert report.bounds.regime == stats.regime
+
+    def test_report_holds_no_value_of_its_distance(self):
+        # n, depth, trials, seed, delta and regime live on report.distance only
+        report_fields = {f.name for f in dataclasses.fields(testing.ExperimentReport)}
+        bounds_fields = {f.name for f in dataclasses.fields(testing.ErrorBounds)}
+        distance_fields = {f.name for f in dataclasses.fields(testing.DistanceStats)}
+        assert not report_fields & distance_fields
+        assert not bounds_fields & distance_fields
 
     def test_profiles_built_once_per_call(self, monkeypatch):
         w0, w1 = SBM_BASE.to_step_graphon(), SBM_SEPARATED.to_step_graphon()

@@ -131,16 +131,23 @@ with tempfile.TemporaryDirectory() as work:
 """
 
 
+def run_checked(cmd: list, what: str, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run(cmd) with its output captured as text; a RuntimeError
+    naming ``what``, the exit code and the child's stderr if it fails."""
+    proc = subprocess.run(cmd, capture_output=True, text=True, **kwargs)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{what} exited {proc.returncode}: {proc.stderr}")
+    return proc
+
+
 def run_outputs(root: Path, workload: str, seed: int) -> dict:
     """sha256 of each output of one command, its trials.csv (decision,
     distance) rows and its report.json certificate records (both empty on
     mixing)."""
     env = run.worker_env(root, workloads.WORKLOADS[workload])
-    proc = subprocess.run([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
-                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{root}: outputs of {workload} at seed {seed} exited "
-                           f"{proc.returncode}: {proc.stderr}")
+    proc = run_checked([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
+                       f"{root}: outputs of {workload} at seed {seed}",
+                       cwd=root, env=env, timeout=300)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -230,8 +237,9 @@ def scaling(env: dict) -> dict:
 
 def machine(root: Path, workload: str) -> dict:
     env = run.worker_env(root, workloads.WORKLOADS[workload])
-    probe = subprocess.run([sys.executable, "-c", PROBE], env=env,
-                           capture_output=True, text=True, timeout=120, check=True)
+    probe = run_checked([sys.executable, "-c", PROBE],
+                        f"{root}: machine probe ({sys.executable} -c PROBE) for {workload}",
+                        env=env, timeout=120)
     return {
         "nproc": os.cpu_count(),
         "affinity": sorted(os.sched_getaffinity(0)),
