@@ -483,7 +483,6 @@ def _write_experiment(out_dir, doc, reports):
             "frac_small_coords": d.frac_small_coords,
             "coord_tol_const": COORD_TOL_CONST,
             "shared_edge_randomness": d.shared_edge_randomness,
-            "distances": list(d.distances),
         })
         error.append({
             "n": d.n,
@@ -505,11 +504,6 @@ def _write_experiment(out_dir, doc, reports):
             "walk_steps_median": float(np.median(steps)),
             "walk_steps_max": max(steps),
             "f64_fallbacks": 2 * d.trials - len(f32),
-            "trials_detail": [
-                {"trial": i, "seed": t.seed, "label": t.true_label,
-                 "decision": t.decision, "distance": t.embedding_distance}
-                for i, t in enumerate(e.outcomes)
-            ],
         })
     with open(report_json, "w") as fh:
         json.dump({"fitted_exponent": exponent, "distance": distance, "error": error}, fh)
@@ -728,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
             "its trials.csv row. Outputs: "
             "distances.csv (n,trial,seed,distance), trials.csv "
             "(n,trial,seed,label,decision,distance), summary.csv (per-n "
-            "medians/percentiles/floors plus fitted_exponent), report.json, "
-            "manifest.json."
+            "medians/percentiles/floors plus fitted_exponent), report.json "
+            "(per-n aggregates and certificate keys, no per-trial rows), manifest.json."
         ),
     )
     p.add_argument("--config", required=True)

@@ -420,10 +420,18 @@ def check_eps_res(eps_res: float) -> None:
         raise InvalidModel(f"eps_res must be positive, with 2*eps_res finite, got {eps_res!r}")
 
 
+def finite_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array; refuse it if any entry is NaN or infinite."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise InvalidModel(f"{name} must be finite, got a NaN or infinite entry")
+    return a
+
+
 def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:
     """Add i.i.d. uniform noise on [-eps_res, eps_res] to every coordinate."""
     check_eps_res(eps_res)
-    h = np.asarray(h, dtype=float)
+    h = finite_array(h, "embedding")
     rng = make_rng(seed)
     return h + rng.uniform(-eps_res, eps_res, size=h.shape)
 

@@ -170,8 +170,8 @@ def _fill_rows(adj, start, stop, jobs):
     w mod 2^32, then w >> 32, and the pairs {i, j}, i < j, take them in
     row-major order. {i, j} is an edge iff u < ceil(p 2^32) for p =
     densities[blocks[i], blocks[j]], tested as u <= t with uint32 t =
-    ceil(p 2^32) - 1 (p 2^32 is exact), so P(edge) is within 2^-32 of p; p = 0,
-    which no StepGraphon holds, is masked by block pair. The range starts at
+    ceil(p 2^32) - 1 (p 2^32 is exact), so P(edge) is within 2^-32 of p; p >=
+    MIN_DENSITY, as in any StepGraphon, so t never wraps. The range starts at
     uniform s = start (2n - start - 1)/2, in word s // 2: a fresh Philox
     advanced s // 8 counter steps (four words each), (s // 2) % 4 words
     discarded, and for odd s the low half dropped. A block of rows draws its
@@ -202,9 +202,8 @@ def _fill_rows(adj, start, stop, jobs):
     fresh[0, 1:2] = False
     graphs = []
     for (key, blocks, densities), flag in zip(jobs, adj.view(bool)):
-        limit = np.ceil(densities * 2.0**32)[:, blocks]  # 0 only where p = 0
-        graphs.append((keys.index(key), np.maximum(limit - 1, 0).astype(np.uint32),
-                       blocks, flag, limit > 0 if not limit.all() else None))
+        limit = np.ceil(densities * 2.0**32)[:, blocks]
+        graphs.append((keys.index(key), (limit - 1).astype(np.uint32), blocks, flag))
     t = scratch[-1]
     for a in range(start, stop, rows):
         b = min(a + rows, stop)
@@ -222,12 +221,9 @@ def _fill_rows(adj, start, stop, jobs):
             us[(fresh if held else upper)[: b - a, : n - a]] = drawn[: count - held]
             carry[k] = drawn[count - held :]  # unread after the last row, where count = 0
         tb = t[: mask.size].reshape(shape)
-        for stream, thresholds, blocks, flag, positive in graphs:
+        for stream, thresholds, blocks, flag in graphs:
             np.take(thresholds[:, a:], blocks[a:b], axis=0, out=tb)
-            edge = flag[a:b, a:]
-            np.less_equal(u[stream], tb, out=edge)
-            if positive is not None:
-                edge &= positive[blocks[a:b], a:]
+            np.less_equal(u[stream], tb, out=flag[a:b, a:])
             square = flag[a:b, a:b]
             np.logical_and(square, mask[:, : b - a], out=square)
             np.logical_or(square, square.T, out=square)

@@ -28,6 +28,7 @@ from .gcn import (
     GCNConfig,
     check_eps_res,
     classify_activation,
+    finite_array,
     graph_embedding,
     one_blas_thread,
     perturb,
@@ -84,8 +85,8 @@ def tv_perturbed(m0, m1, eps_res: float) -> TVResult:
     distance exactly 1.
     """
     check_eps_res(eps_res)
-    a = np.asarray(m0, dtype=float)
-    b = np.asarray(m1, dtype=float)
+    a = finite_array(m0, "m0")
+    b = finite_array(m1, "m1")
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     diff = np.abs(a - b).ravel()
@@ -117,7 +118,7 @@ def error_probability_floor(delta: float, eps_res: float, n: int) -> float:
     check_eps_res(eps_res)
     if n < 1:
         raise InvalidModel("need n >= 1")
-    if delta < 0:
+    if not delta >= 0:
         raise InvalidModel("delta must be nonnegative")
     if delta < DELTA_ZERO_TOL:
         return float(np.exp(-1.0 / (eps_res * n)))
@@ -195,7 +196,7 @@ def nearest_profile_test(
     given, is the pair of both models' ``expected_sorted_profile(w, n)``,
     built once by a caller that decides many trials.
     """
-    h = np.sort(np.asarray(h_perturbed, dtype=float).ravel())[::-1]
+    h = np.sort(finite_array(h_perturbed, "embedding").ravel())[::-1]
     if h.size != n:
         raise ShapeMismatch(f"embedding has {h.size} coordinates, expected {n}")
     if profiles is None:

@@ -610,24 +610,33 @@ class TestExperimentCommand:
         assert list(report["distance"][0]) == [
             "n", "K", "trials", "seed", "median", "p95", "envelope", "regime",
             "delta", "frac_small_coords", "coord_tol_const",
-            "shared_edge_randomness", "distances",
+            "shared_edge_randomness",
         ]
         error = report["error"][0]
         assert list(error) == [
             "n", "K", "eps_res", "trials", "seed", "error_rate", "ci_low",
             "ci_high", "mean_conditional_tv", "lecam_floor", "formula_floor",
             "formula_raw", "regime", "delta", "f32_bound_max", "walk_steps_median",
-            "walk_steps_max", "f64_fallbacks", "trials_detail",
+            "walk_steps_max", "f64_fallbacks",
         ]
         # identity activation: all six graphs certified in float32, as the
         # stationary law within K steps
         assert 0 < error["f32_bound_max"] <= error["eps_res"] / 4
         assert 0 <= error["walk_steps_median"] <= error["walk_steps_max"] < error["K"]
         assert error["f64_fallbacks"] == 0
-        assert len(error["trials_detail"]) == 3
-        assert list(error["trials_detail"][0]) == [
-            "trial", "seed", "label", "decision", "distance",
-        ]
+
+    def test_report_json_records_hold_scalars(self, tmp_path, capsys):
+        # per-trial values live in trials.csv and distances.csv; each
+        # report.json record holds only its n's aggregates and certificate
+        path, doc = write_experiment_config(tmp_path, n_list=[40, 60], trials=3)
+        assert main(["experiment", "--config", str(path)]) == 0
+        with open(os.path.join(doc["output_dir"], "report.json")) as fh:
+            report = json.load(fh)
+        for key in ("distance", "error"):
+            assert len(report[key]) == 2
+            for record in report[key]:
+                for name, value in record.items():
+                    assert not isinstance(value, (list, dict)), f"{key}[].{name}"
 
     def test_shallow_walk_embeds_in_float64(self, tmp_path, capsys):
         # at K = 2 the walk is far from pi, so no certificate closes and

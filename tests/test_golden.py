@@ -28,19 +28,19 @@ EXPERIMENT_SHA256 = {
         "distances.csv": "f375c60d26e399377109c3841f3a0806c2749f76ca6f2177ffd56cb4b5f0edc6",
         "trials.csv": "fe70c723a797cc3966dcf452330c5aca5b74ba20cec921d7c4369370802820cf",
         "summary.csv": "64ff9352a9e2dd8a31eb00545a57c44a3006ef49773179849c1b396cf6d02a57",
-        "report.json": "416346d1b0bbc389b4e3e81304006f2309b877b0800e21e52cbbe5f5cadfed90",
+        "report.json": "bd826f084c3dd84c2d557ee1c3496ff81b7f280e348a474a2ee5fb7ffc679497",
     },
     "tanh": {
         "distances.csv": "4c416e444d1d3f7e103e45c87785cd049030d036dd4c02d7e28bf5ab5b646a67",
         "trials.csv": "24374afd84858896f8cf7eb074b132433b07a9314babd40970e2c4b09624234a",
         "summary.csv": "a268587f29d196c5c882b9910763fb01c37247ba03abdd52da8f4c7a106fb6c9",
-        "report.json": "27e426ae6b4af5e02f7b64cf7560d1b86f01c2b6d8b7719d8cf0af0e32aa2b2f",
+        "report.json": "f1eb420cc38a3067e48967e4edc0f8d071506c2b73142bb4e294656e5f3039cc",
     },
     "selu": {
         "distances.csv": "f982ed901cbd35df6a902b2fbe29bbc46a4ca5b8685333a20cda0b3b692fd149",
         "trials.csv": "2386a5f832565af83ee789f37a3248a1d9a74acbe3d15ceeb7b8df24cdfd6d39",
         "summary.csv": "c6e0b1a619f64635bcc8e7fabc7034a599ee26cb112d049c05ae1dde1bd843b8",
-        "report.json": "d865af5e396c30139e92b4b6b5a5c569040c79dbeb16585d233693b3f53862c3",
+        "report.json": "eeccb890f380097008f34788ac85572ff51720d9d115bdb79cdd4d9c43dfffca",
     },
 }
 

@@ -129,6 +129,12 @@ REFUSALS = [
     ("floor-n", lambda: error_probability_floor(0.1, 0.1, 0), InvalidModel, "n >= 1"),
     ("floor-delta", lambda: error_probability_floor(-0.1, 0.1, 10), InvalidModel,
      "delta must be nonnegative"),
+    ("floor-delta-nan", lambda: error_probability_floor(np.nan, 0.1, 10), InvalidModel,
+     "delta must be nonnegative"),
+    ("tv-nan-coordinate", lambda: tv_perturbed([np.nan, 0.2], [0.1, 0.3], 0.1),
+     InvalidModel, "m0 must be finite"),
+    ("perturb-nan-coordinate", lambda: perturb(np.array([np.nan, 0.1]), 0.1, 1),
+     InvalidModel, "embedding must be finite"),
     ("bounds-lecam", lambda: ErrorBounds(0.6, 0.1, 0.1), InvalidModel,
      "lecam_lower"),
     ("bounds-formula", lambda: ErrorBounds(0.1, -0.1, -0.1),
@@ -136,6 +142,9 @@ REFUSALS = [
     ("outcome-label", lambda: outcome(2), InvalidModel, "binary"),
     ("profile-test-length", lambda: nearest_profile_test(np.zeros(3), W, W, 4),
      ShapeMismatch, "3 coordinates, expected 4"),
+    # d0 <= d1 is False for NaN: without the check this decides model 1
+    ("profile-test-nan", lambda: nearest_profile_test([np.nan, 0.1, 0.2, 0.3], W, W, 4),
+     InvalidModel, "embedding must be finite"),
     ("clopper-pearson-k", lambda: clopper_pearson(3, 2), InvalidModel, "k <= n"),
     ("clopper-pearson-n", lambda: clopper_pearson(0, 0), InvalidModel, "n >= 1"),
     ("distance-trials",

@@ -21,7 +21,7 @@ from graphonlab import (
     sample_graph,
 )
 from graphonlab import sampling
-from graphonlab.graphon import block_index
+from graphonlab.graphon import MIN_DENSITY, block_index
 from graphonlab.sampling import (
     _STREAM_EDGES_0,
     _STREAM_EDGES_1,
@@ -42,9 +42,10 @@ THREE_BLOCK = StepGraphon(
     [0.15, 0.6, 0.25],
     [[0.9, 0.1, 0.45], [0.1, 0.3, 0.7], [0.45, 0.7, 0.05]],
 )
-# exact 0 and 1 densities, which StepGraphon's MIN_DENSITY keeps out of a
-# model: no uniform passes 0, and every one passes 1
-ZERO_ONE = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.25], [0.5, 0.25, 0.0]])
+# the extreme densities a StepGraphon allows: MIN_DENSITY, whose limit
+# ceil(p 2^32) = 4,295 passes few uniforms, and 1, which every uniform passes
+EXTREMES = np.array([[1.0, MIN_DENSITY, 0.5], [MIN_DENSITY, 1.0, 0.25],
+                     [0.5, 0.25, MIN_DENSITY]])
 
 
 # Reference oracle: per-row loops over the edge stream as defined. Output
@@ -278,8 +279,8 @@ class TestSamplerMatchesReference:
     def test_exact_zero_and_one_densities(self, monkeypatch, n):
         # two partitions of the vertices, each filled from the same stream
         targets = [
-            (np.arange(n) % 3, ZERO_ONE),
-            (np.arange(n)[::-1] // 7 % 3, ZERO_ONE),
+            (np.arange(n) % 3, EXTREMES),
+            (np.arange(n)[::-1] // 7 % 3, EXTREMES),
         ]
         expected = []
         for blocks, densities in targets:
@@ -287,7 +288,7 @@ class TestSamplerMatchesReference:
             _reference_fill_edges(adj, blocks, densities, 11)
             p = densities[blocks[:, None], blocks[None, :]]
             off_diagonal = ~np.eye(n, dtype=bool)
-            assert adj[(p == 1) & off_diagonal].all() and not adj[p == 0].any()
+            assert adj[(p == 1) & off_diagonal].all()
             expected.append(adj)
         for block in block_sizes(n):
             monkeypatch.setattr(sampling, "_BLOCK", block)
@@ -298,11 +299,12 @@ class TestSamplerMatchesReference:
 
     @pytest.mark.parametrize("n", [2, 3, 57, 300])
     def test_exact_thresholds(self, monkeypatch, n):
-        # {i, j} is an edge iff u < ceil(p 2^32). Limits for densities 0,
-        # 2^-32, 1/2, 1 - 2^-33 (whose p 2^32 rounds up) and 1 are 0, 1, 2^31,
-        # 2^32 and 2^32; a stream of chosen words sets each pair's uniform two
-        # below to one above its limit, so every comparison sits at its edge
-        values = np.array([0.0, 2.0**-32, 0.5, 1 - 2.0**-33, 1.0])
+        # {i, j} is an edge iff u < ceil(p 2^32). Limits for densities
+        # MIN_DENSITY, 2^-32, 1/2, 1 - 2^-33 (whose p 2^32 rounds up) and 1 are
+        # 4,295, 1, 2^31, 2^32 and 2^32; a stream of chosen words sets each
+        # pair's uniform two below to one above its limit, so every comparison
+        # sits at its edge
+        values = np.array([MIN_DENSITY, 2.0**-32, 0.5, 1 - 2.0**-33, 1.0])
         densities = values[np.add.outer(np.arange(5), np.arange(5)) % 5]
         blocks = np.arange(n) * 3 % 5
         i, j = np.triu_indices(n, 1)

@@ -15,7 +15,9 @@ also runs once outside the benchmark in each checkout, and the sha256 of
 every output the workload lists (``Workload.outputs``) are compared, since
 perfbench hashes only the CSVs: each pair names the outputs whose hashes
 differ (``outputs_changed``), and each workload the outputs identical on
-every seed (``unchanged_every_seed``). On experiment workloads each pair also
+every seed (``unchanged_every_seed``). Each pair also records both sides'
+size in bytes of every output (``output_bytes``), so an output that grows or
+shrinks shows. On experiment workloads each pair also
 says whether the science moved: ``decisions_changed`` counts the
 ``trials.csv`` rows whose ``decision`` differs between parent and change, and
 ``distance_max_rel_change`` is the largest relative change of a row's
@@ -127,6 +129,8 @@ with tempfile.TemporaryDirectory() as work:
                            for e in json.load(fh)["error"]]
     print(json.dumps({"sha256": {n: workloads.sha256(os.path.join(out, n))
                                  for n in w.outputs},
+                      "bytes": {n: os.path.getsize(os.path.join(out, n))
+                                for n in w.outputs},
                       "trials": rows, "certificate": certificate}))
 """
 
@@ -141,9 +145,9 @@ def run_checked(cmd: list, what: str, **kwargs) -> subprocess.CompletedProcess:
 
 
 def run_outputs(root: Path, workload: str, seed: int) -> dict:
-    """sha256 of each output of one command, its trials.csv (decision,
-    distance) rows and its report.json certificate records (both empty on
-    mixing)."""
+    """sha256 and size in bytes of each output of one command, its
+    trials.csv (decision, distance) rows and its report.json certificate
+    records (both empty on mixing)."""
     env = run.worker_env(root, workloads.WORKLOADS[workload])
     proc = run_checked([sys.executable, "-c", OUTPUT_DIGESTS, workload, str(seed)],
                        f"{root}: outputs of {workload} at seed {seed}",
@@ -365,6 +369,7 @@ def main(argv=None) -> int:
             outputs = {side: run_outputs(roots[side], workload, seed) for side in order}
             digests = {side: outputs[side]["sha256"] for side in order}
             pair["output_sha256"] = digests["change"]
+            pair["output_bytes"] = {side: outputs[side]["bytes"] for side in order}
             pair["outputs_identical"] = digests["parent"] == digests["change"]
             pair["outputs_changed"] = sorted(
                 name for name in digests["parent"].keys() | digests["change"].keys()
