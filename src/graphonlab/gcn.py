@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel, NonFinite
+from .graphon import finite_array
 from .sampling import SampledGraph
 from .seeding import make_rng
 from .spectral import positive_degrees, rw_transition_matrix
@@ -418,14 +419,6 @@ def check_eps_res(eps_res: float) -> None:
     """Refuse an eps_res that is NaN, not positive, or whose width 2*eps_res is infinite."""
     if not (eps_res > 0 and math.isfinite(2 * eps_res)):
         raise InvalidModel(f"eps_res must be positive, with 2*eps_res finite, got {eps_res!r}")
-
-
-def finite_array(x, name: str) -> np.ndarray:
-    """``x`` as a float array; refuse it if any entry is NaN or infinite."""
-    a = np.asarray(x, dtype=float)
-    if not np.isfinite(a).all():
-        raise InvalidModel(f"{name} must be finite, got a NaN or infinite entry")
-    return a
 
 
 def perturb(h: np.ndarray, eps_res: float, seed: int) -> np.ndarray:

@@ -34,7 +34,7 @@ _CUT_PERMUTATION_LIMIT = 40320  # 8!: every order of 8 equal-weight blocks
 SBM_FIELDS = ("k1", "p1", "p2", "q")  # the keys, and the order, of SBMParams
 
 
-def _finite_array(value, name: str) -> np.ndarray:
+def finite_array(value, name: str) -> np.ndarray:
     """A float copy of value; non-numbers and NaN/inf (JSON null loads as NaN)
     are an InvalidModel naming the field."""
     try:
@@ -63,8 +63,8 @@ class StepGraphon:
     densities: np.ndarray
 
     def __post_init__(self):
-        w = _finite_array(self.block_weights, "block_weights")
-        p = _finite_array(self.densities, "densities")
+        w = finite_array(self.block_weights, "block_weights")
+        p = finite_array(self.densities, "densities")
         if w.ndim != 1 or w.size == 0:
             raise InvalidModel("block_weights must be a nonempty 1-D sequence")
         if p.shape != (w.size, w.size):

@@ -10,8 +10,9 @@ on another's.
 All edges come from one filler, ``_fill_rows``: it fills a range of rows of
 the upper triangle of one or more graphs, reading each stream in row-major
 order, one uniform per pair, from the range's first uniform, so a seed yields
-the same adjacency whatever the ranges. A plain sample is one range of one
-graph; a coupled pair is filled together, on a worker as two ranges. The
+the same adjacency whatever the ranges, which start, like each block of rows,
+on the low half of a word. A plain sample is one range of one graph; a coupled
+pair is filled together, on a worker as two ranges. The
 coupling is only the stream g1 reads: its own, or, with shared edge
 randomness, g0's, whose uniforms are then drawn once for both graphs.
 """
@@ -171,18 +172,22 @@ def _fill_rows(adj, start, stop, jobs):
     row-major order. {i, j} is an edge iff u < ceil(p 2^32) for p =
     densities[blocks[i], blocks[j]], tested as u <= t with uint32 t =
     ceil(p 2^32) - 1 (p 2^32 is exact), so P(edge) is within 2^-32 of p; p >=
-    MIN_DENSITY, as in any StepGraphon, so t never wraps. The range starts at
-    uniform s = start (2n - start - 1)/2, in word s // 2: a fresh Philox
-    advanced s // 8 counter steps (four words each), (s // 2) % 4 words
-    discarded, and for odd s the low half dropped. A block of rows draws its
-    words in one call per stream, scatters their halves through its
-    upper-triangle mask and compares them with its thresholds straight into
-    adj; the square on the diagonal is then masked and mirrored. Disjoint
-    ranges write disjoint entries.
+    MIN_DENSITY, as in any StepGraphon, so t never wraps. The range and each
+    block of rows start at a multiple of 4, a row a whose first uniform
+    s = a (2n - a - 1)/2 is even: a fresh Philox advanced s // 8 counter steps
+    (four words each), then (s // 2) % 4 words discarded. A block draws its
+    ceil(count/2) words in one call per stream, scatters the first count
+    halves through its upper-triangle mask and compares them with its
+    thresholds straight into adj; the square on the diagonal is then masked
+    and mirrored. Disjoint ranges write disjoint entries; a start that is not
+    a multiple of 4 is a ValueError.
     """
+    if start % 4:
+        raise ValueError(f"row ranges start at a multiple of 4, got {start}")
     n = adj.shape[1]
     keys = list(dict.fromkeys(key for key, _, _ in jobs))
     rows = max(1, min(stop - start, _BLOCK // n))
+    rows += -rows % 4
     # one allocation: a block's uniforms per stream, then its thresholds;
     # zeroed so the comparisons left of the mask never meet uninitialised bytes
     scratch = np.zeros((len(keys) + 1, rows * n), dtype=np.uint32)
@@ -191,15 +196,8 @@ def _fill_rows(adj, start, stop, jobs):
     for bits in streams:
         bits.advance(first // 8)
         bits.random_raw(first // 2 % 4)
-    # each stream's drawn but unused half: the range's first uniform when it
-    # is a high half, then the high half of a block's last word
-    carry = [_halves(bits.random_raw(first % 2))[1:] for bits in streams]
-    # upper[k, j] is j > k: the mask of a block of rows that starts on the
-    # diagonal; fresh is upper without its first entry, which a carried
-    # half fills
+    # upper[k, j] is j > k: the mask of a block of rows that starts on the diagonal
     upper = np.arange(n) > np.arange(rows)[:, None]
-    fresh = upper.copy()
-    fresh[0, 1:2] = False
     graphs = []
     for (key, blocks, densities), flag in zip(jobs, adj.view(bool)):
         limit = np.ceil(densities * 2.0**32)[:, blocks]
@@ -212,14 +210,8 @@ def _fill_rows(adj, start, stop, jobs):
         # n - 1 - i uniforms for each row i of the block
         count = (b - a) * (2 * n - a - b - 1) // 2
         u = [s[: mask.size].reshape(shape) for s in scratch[:-1]]
-        for k, (bits, us) in enumerate(zip(streams, u)):
-            # the carried half, if any, is the block's first uniform, at (a, a + 1)
-            held = min(carry[k].size, count)
-            drawn = _halves(bits.random_raw((count - held + 1) // 2))
-            if held:
-                us[0, 1] = carry[k][0]
-            us[(fresh if held else upper)[: b - a, : n - a]] = drawn[: count - held]
-            carry[k] = drawn[count - held :]  # unread after the last row, where count = 0
+        for bits, us in zip(streams, u):
+            us[mask] = _halves(bits.random_raw((count + 1) // 2))[:count]
         tb = t[: mask.size].reshape(shape)
         for stream, thresholds, blocks, flag in graphs:
             np.take(thresholds[:, a:], blocks[a:b], axis=0, out=tb)
@@ -232,9 +224,9 @@ def _fill_rows(adj, start, stop, jobs):
 
 def _sample(x, seed, jobs, pool=None):
     """The graphs of ``jobs`` on positions x, in one uint8 block: one range
-    on the caller, or with an executor ``pool`` two ranges of equal uniform
-    counts, the second on its worker (``fork_join``), which then also checks
-    the second of the two graphs; the bytes are the same."""
+    on the caller, or with an executor ``pool`` two ranges of about equal
+    uniform counts, the second on its worker (``fork_join``), which then also
+    checks the second of the two graphs; the bytes are the same."""
     n = len(x)
     adj = np.zeros((len(jobs), n, n), dtype=np.uint8)
 
@@ -244,8 +236,9 @@ def _sample(x, seed, jobs, pool=None):
     if pool is None:
         _fill_rows(adj, 0, n - 1, jobs)
         return [graph(a) for a in adj]
-    # rows [0, split) hold half the uniforms: split (2n - split - 1)/2 = n(n - 1)/4
-    split = round(n - 0.5 - (n * (n - 1) / 2 + 0.25) ** 0.5)
+    # rows [0, r) hold half the uniforms, r (2n - r - 1)/2 = n(n - 1)/4; the
+    # split is the multiple of 4 nearest r, at most 2 rows from it
+    split = 4 * round((n - 0.5 - (n * (n - 1) / 2 + 0.25) ** 0.5) / 4)
     fork_join(pool, lambda rows: _fill_rows(adj, *rows, jobs), (0, split), (split, n - 1))
     return fork_join(pool, graph, *adj)
 
@@ -282,8 +275,8 @@ def sample_coupled(
     minimizes degree discrepancies between the two samples; each uniform is
     then drawn once and compared with both graphs' densities.
 
-    With an executor ``pool`` the rows are split in two ranges of equal
-    uniform counts, and its worker fills the second range of both graphs
+    With an executor ``pool`` the rows are split in two ranges of about
+    equal uniform counts, and its worker fills the second range of both graphs
     while the caller fills the first (``_sample``); the pair is the same,
     bit for bit.
     """

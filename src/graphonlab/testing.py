@@ -28,7 +28,6 @@ from .gcn import (
     GCNConfig,
     check_eps_res,
     classify_activation,
-    finite_array,
     graph_embedding,
     one_blas_thread,
     perturb,
@@ -37,6 +36,7 @@ from .graphon import (
     StepGraphon,
     degree_function,
     delta_distance,
+    finite_array,
     total_degree,
 )
 from .sampling import fork_join, sample_coupled
@@ -245,8 +245,11 @@ def error_not_below_floor(errors: int, trials: int, floor: float) -> bool:
     """One-sided exact binomial test of H0: true error rate >= floor.
 
     Returns True when the observed error count is consistent with H0 at
-    level 0.05 (i.e. the error is not significantly below the floor).
+    level 0.05 (i.e. the error is not significantly below the floor). A NaN
+    floor is refused; a finite one outside [0, 1] is clamped into it.
     """
+    if np.isnan(floor):
+        raise InvalidModel("floor must be a number, got NaN")
     floor = min(max(floor, 0.0), 1.0)
     if floor == 0.0:
         return True

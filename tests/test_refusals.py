@@ -21,6 +21,7 @@ from graphonlab import (
     clopper_pearson,
     derive_seed,
     embedding_distance_experiment,
+    error_not_below_floor,
     error_probability_floor,
     linearization_gap,
     load_edge_list,
@@ -135,6 +136,12 @@ REFUSALS = [
      InvalidModel, "m0 must be finite"),
     ("perturb-nan-coordinate", lambda: perturb(np.array([np.nan, 0.1]), 0.1, 1),
      InvalidModel, "embedding must be finite"),
+    # a string coordinate used to escape as numpy's bare ValueError
+    ("perturb-string-coordinate", lambda: perturb(["a", 1.0], 0.1, 1), InvalidModel,
+     "embedding must be numbers"),
+    # binom.cdf(3, 10, NaN) is NaN, and NaN >= 0.05 used to read as "below the floor"
+    ("floor-test-nan", lambda: error_not_below_floor(3, 10, np.nan), InvalidModel,
+     "floor must be a number"),
     ("bounds-lecam", lambda: ErrorBounds(0.6, 0.1, 0.1), InvalidModel,
      "lecam_lower"),
     ("bounds-formula", lambda: ErrorBounds(0.1, -0.1, -0.1),

@@ -244,10 +244,11 @@ PAIRS = {
 
 
 def block_sizes(n):
-    """``_BLOCK`` values to patch in: the default; one row per block (1 and
-    n +- 1 uniforms); blocks of 2 and 5 rows, which end exactly at the
-    triangle or leave a partial last block depending on n; n - 2 rows, which
-    leaves a one-row remainder; and the whole triangle in one block."""
+    """``_BLOCK`` values to patch in: the default; 1 and n +- 1 uniforms,
+    which the filler rounds up to blocks of 4 rows; 2 and 5 rows, rounded up
+    to 4 and 8, which end exactly at the triangle or leave a partial last
+    block depending on n; n - 2 rows, rounded up to a multiple of 4; and the
+    whole triangle in one block."""
     return [sampling._BLOCK, 1, n - 1, n, n + 1, 3 * n // 2, 2 * n, 5 * n,
             (n - 2) * n, (n - 1) * n]
 
@@ -332,7 +333,8 @@ class TestSamplerMatchesReference:
         jobs = [(11, blocks, densities)]
         for block in block_sizes(n):
             monkeypatch.setattr(sampling, "_BLOCK", block)
-            for split in sorted({0, 1, 2, 3, n // 2, n - 1} & set(range(n))):
+            splits = {0, 4, 8, n // 2 // 4 * 4, (n - 1) // 4 * 4} & set(range(n))
+            for split in sorted(splits):
                 got = np.zeros((1, n, n), dtype=np.uint8)
                 sampling._fill_rows(got, split, n - 1, jobs)
                 sampling._fill_rows(got, 0, split, jobs)
@@ -341,19 +343,20 @@ class TestSamplerMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 57, 300, 1000])
     @pytest.mark.parametrize("share", [False, True])
     def test_row_ranges_give_the_reference_bytes(self, n, share):
-        # a range starting at row s reads each stream from uniform
-        # s (2n - s - 1)/2, a low or high half (its residue mod 2) after
-        # discarding 0 to 3 words (its quotient mod 4): split points with every
-        # residue mod 8 that n has, the middle row and the last row
+        # a range starting at row s, a multiple of 4, reads each stream from
+        # the even uniform s (2n - s - 1)/2, after discarding 0 to 3 words (its
+        # half's residue mod 4): split points with every discard count, and
+        # the middle and last rows rounded down to multiples of 4
         w0, w1 = PAIRS["three_block"]
         seed = 2**40 + 5
         e0, e1 = reference_sample_coupled(w0, w1, n, seed, share)
         jobs = pair_jobs(w0, w1, n, seed, share)
         first = {}
-        for s in range(n):
-            first.setdefault(s * (2 * n - s - 1) // 2 % 8, s)
-        assert len(first) == min(n, 8)
-        for split in sorted({*first.values(), n // 2, n - 1}):
+        for s in range(0, n, 4):
+            first.setdefault(s * (2 * n - s - 1) // 4 % 4, s)
+        if n >= 16:
+            assert sorted(first) == [0, 1, 2, 3]
+        for split in sorted({*first.values(), n // 2 // 4 * 4, (n - 1) // 4 * 4}):
             adj = np.zeros((2, n, n), dtype=np.uint8)
             sampling._fill_rows(adj, split, n - 1, jobs)  # the second range first
             sampling._fill_rows(adj, 0, split, jobs)
@@ -365,12 +368,21 @@ class TestSamplerMatchesReference:
                 assert got.g0.adjacency.tobytes() == e0.tobytes()
                 assert got.g1.adjacency.tobytes() == e1.tobytes()
 
+    @pytest.mark.parametrize("start", [1, 2, 3])
+    def test_range_refuses_a_start_off_a_word(self, start):
+        # only a multiple of 4 puts every block on a word; at n = 40 rows 1
+        # and 2 start on the high halves 39 and 77
+        w0, w1 = PAIRS["three_block"]
+        adj = np.zeros((2, 40, 40), dtype=np.uint8)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            sampling._fill_rows(adj, start, 39, pair_jobs(w0, w1, 40, 3, False))
+
     @pytest.mark.parametrize("share", [False, True])
     def test_each_stream_is_drawn_once(self, monkeypatch, share):
         # a shared pair draws ceil(n(n - 1)/4) raw words, two uniforms each, an
         # independent one twice that; with a pool the second range also
         # discards the < 4 words of its stream's Philox block that precede its
-        # first, and draws again the word that holds it when it is a high half
+        # first
         n, seed = 302, 9  # n(n - 1)/2 is odd
         edge_keys = {derive_seed(seed, _STREAM_EDGES_0), derive_seed(seed, _STREAM_EDGES_1)}
         drawn = []
@@ -447,15 +459,38 @@ class TestPooledSampler:
                         got.g0.latent_positions, serial.g0.latent_positions
                     )
 
+    def test_pool_splits_at_a_multiple_of_4_near_half(self, monkeypatch):
+        # the split row is a multiple of 4 within 2 rows of the one that
+        # halves the uniforms, and each of those rows holds < n - 1 of them
+        ranges = []
+        real = sampling._fill_rows
+
+        def fill_rows(adj, start, stop, jobs):
+            ranges.append((start, stop))
+            real(adj, start, stop, jobs)
+
+        monkeypatch.setattr(sampling, "_fill_rows", fill_rows)
+        w0, w1 = PAIRS["three_block"]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for n in (2, 3, 40, 57, 60, 300, 1000):
+                ranges.clear()
+                sample_coupled(w0, w1, n, 5, pool=pool)
+                (zero, split), (again, stop) = sorted(ranges)
+                assert (zero, again, stop) == (0, split, n - 1)
+                assert split % 4 == 0, f"n = {n}"
+                first = split * (2 * n - split - 1) // 2
+                assert abs(n * (n - 1) // 2 - 2 * first) <= 4 * (n - 1), f"n = {n}"
+
     def test_concurrent_ranges_write_disjoint_entries(self, monkeypatch):
         # eight ranges of one shared pair filled at once, on more threads than
-        # cores and with frequent thread switches, in blocks of 5 rows
+        # cores and with frequent thread switches, in blocks of 8 rows (5
+        # rounded up); each range starts at a multiple of 4
         n, seed = 300, 17
         monkeypatch.setattr(sampling, "_BLOCK", 5 * n)
         w0, w1 = PAIRS["three_block"]
         e0, e1 = reference_sample_coupled(w0, w1, n, seed, True)
         jobs = pair_jobs(w0, w1, n, seed, True)
-        cuts = [(n - 1) * k // 8 for k in range(9)]
+        cuts = [(n - 1) * k // 32 * 4 for k in range(8)] + [n - 1]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
